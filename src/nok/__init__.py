@@ -3,6 +3,8 @@ ideals: symbolic powers, integral closures, analytic spreads, graded
 families and their limit bodies, and Hilbert bases of the associated
 cones.  All arithmetic is exact over the rationals."""
 
+from types import ModuleType as _ModuleType
+
 from .bodies import (ClassifiedIdeal, IdealKind, MembershipCertificate,
                      classify, classify_decomposition, integral_closure,
                      member_integral_closure, member_symbolic,
@@ -10,15 +12,16 @@ from .bodies import (ClassifiedIdeal, IdealKind, MembershipCertificate,
                      real_power, symbolic_polyhedron, symbolic_power)
 from .errors import (BoundTooSmall, DimensionMismatch, EmptyGeneratorSet,
                      EmptyInput, EmptyList, EmptyPrime, InfeasibleSystem,
-                     MissingOrthantConstraints, NoCandidate, NokError,
-                     NonPositiveExponent, NonPositiveMultiplicity,
-                     NonPositiveScale, NotProvenNoetherian, NotSquarefree,
+                     InvalidVertexBudget, MissingOrthantConstraints,
+                     NoCandidate, NokError, NonPositiveExponent,
+                     NonPositiveMultiplicity, NonPositiveScale,
+                     NotProvenNoetherian, NotSquarefree,
                      NoVertices, ParseError, PointNotInPolyhedron,
                      UnknownVariable, UnsupportedIdealClass,
                      VertexBudgetExceeded)
-from .families import (CEILING_PREFIX_CAP, CeilingPowerFamily, FamilySpec,
-                       IntersectionFamily, PowerFamily, StabilizationReport,
-                       StabilizationWitness, SymbolicFamily, ceiling_scale,
+from .families import (CeilingPowerFamily, FamilySpec, IntersectionFamily,
+                       PowerFamily, StabilizationReport, StabilizationWitness,
+                       SymbolicFamily, ceiling_scale,
                        closure_family_body_equality, family_analytic_spread,
                        member_ideal, newton_okounkov_body,
                        stabilization_check)
@@ -46,36 +49,7 @@ from .simis import (HilbertBasisReport, HilbertElement, hilbert_basis,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundTooSmall", "CEILING_PREFIX_CAP", "CeilingPowerFamily",
-    "ClassifiedIdeal", "DEFAULT_VERTEX_BUDGET", "DimensionMismatch",
-    "EmptyGeneratorSet", "EmptyInput", "EmptyList", "EmptyPrime",
-    "FaceDescriptor", "FamilySpec", "HalfSpace", "HilbertBasisReport",
-    "HilbertElement", "IdealKind", "InfeasibleSystem", "IntersectionFamily",
-    "InvariantReport", "MembershipCertificate",
-    "MissingOrthantConstraints", "MonomialIdeal", "NoCandidate", "NokError",
-    "NonPositiveExponent", "NonPositiveMultiplicity", "NonPositiveScale",
-    "NotProvenNoetherian", "NotSquarefree", "NoVertices", "ParseError",
-    "ParsedFamily", "ParsedIdeal", "PointNotInPolyhedron", "PowerFamily",
-    "PrimeComponent", "PrimeDecomposition", "RationalPolyhedron",
-    "SgtBounds", "StabilizationReport", "StabilizationWitness",
-    "SvdBounds", "SymbolicFamily", "UnknownVariable",
-    "UnsupportedIdealClass", "VertexBudgetExceeded", "VertexConstants",
-    "analytic_spread", "c_degree_compatibility", "ceiling_scale",
-    "classify", "classify_decomposition", "closure_family_body_equality",
-    "contains", "decompose_point", "equal", "expand_decomposition", "faces",
-    "family_analytic_spread", "format_halfspace", "format_monomial",
-    "format_point", "frac_to_str", "from_halfspaces",
-    "hilbert_basis", "hull_up_set", "integral_closure", "intersect",
-    "intersect_polyhedra", "invariant_report", "mdc", "member_ideal",
-    "member_integral_closure", "member_symbolic", "membership_certificate",
-    "minimal_lattice_points", "minimal_primes", "minimal_vectors",
-    "minimalize", "multiply", "newton_okounkov_body", "newton_polyhedron",
-    "normal_rees_generator_degrees", "np_equals_sp", "parse_family_file",
-    "parse_family_text", "parse_ideal_file", "parse_ideal_text",
-    "parse_monomial_text", "power", "real_power", "saturate_to_prime",
-    "scale", "sgt_bounds", "sgt_exact", "stabilization_check", "str_to_frac",
-    "svd_bounds", "svd_probe", "symbolic_analytic_spread",
-    "symbolic_polyhedron", "symbolic_power", "unit_vectors",
-    "verify_np_scaled_sp", "veronese_verify", "vertex_constants",
-]
+# every public name imported above; the submodules are not part of it
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

@@ -2,7 +2,8 @@
 library operation, and print a text or JSON report.
 
 Exit codes: 0 success, 1 domain error (e.g. an ideal class with no
-symbolic-polyhedron support), 2 parse or usage error, 3 vertex budget
+symbolic-polyhedron support), 2 parse or usage error (including a
+NOK_MAX_VERTICES that is not a positive integer), 3 vertex budget
 exceeded (see NOK_MAX_VERTICES).
 """
 
@@ -20,9 +21,10 @@ from .bodies import (member_integral_closure, member_symbolic,
                      membership_certificate, newton_polyhedron,
                      np_equals_sp, real_power, symbolic_polyhedron,
                      symbolic_power)
-from .errors import NokError, ParseError, VertexBudgetExceeded
-from .families import (CeilingPowerFamily, CEILING_PREFIX_CAP, ceiling_scale,
-                       newton_okounkov_body, stabilization_check)
+from .errors import (InvalidVertexBudget, NokError, ParseError,
+                     VertexBudgetExceeded)
+from .families import (CeilingPowerFamily, ceiling_scale, newton_okounkov_body,
+                       stabilization_check)
 from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
                      format_monomial, format_point, frac_to_str,
                      ideal_payload, parse_family_text, parse_ideal_text,
@@ -114,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "for the least verifying degree")
     p.add_argument("-d", type=_positive_int, default=None, metavar="D")
     p.add_argument("--kmax", type=_positive_int, default=4, metavar="K")
-    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
 
     sub.add_parser("normal-rees", parents=[common],
                    help="generator degrees of the normalized Rees algebra")
@@ -126,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="search for the least c with (1/c)*NP(I_c) equal "
                             "to the limit body")
     p.add_argument("--cmax", type=_positive_int, default=30, metavar="C")
-    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
 
     sub.add_parser("np-eq-sp", parents=[common],
                    help="whether the Newton and symbolic polyhedra coincide")
@@ -321,13 +321,12 @@ def _cmd_hilbert(parsed: ParsedIdeal, args):
 def _cmd_veronese(parsed: ParsedIdeal, args):
     notes = [f"bounded check, k_max={args.kmax}"]
     if args.d is not None:
-        verified = veronese_verify(parsed.classified, args.d, args.kmax,
-                                   args.jobs)
+        verified = veronese_verify(parsed.classified, args.d, args.kmax)
         result = {"d": args.d, "k_max": args.kmax, "verified": verified}
         lines = [f"I^({args.d}k) = (I^({args.d}))^k for all k <= "
                  f"{args.kmax}: {'yes' if verified else 'no'}"]
         return result, lines, notes
-    candidate, upper = svd_probe(parsed.classified, args.kmax, args.jobs)
+    candidate, upper = svd_probe(parsed.classified, args.kmax)
     lower, _ = svd_bounds(parsed.classified)
     result = {"candidate": frac_to_str(candidate), "k_max": args.kmax,
               "window": [frac_to_str(lower), frac_to_str(upper)]}
@@ -359,14 +358,14 @@ def _cmd_family_body(parsed: ParsedFamily, args):
                          "beta >= 0 the infimum of ceil(alpha*k + beta)/k "
                          "is alpha (closed form)")
         else:
-            notes.append(f"body is {frac_to_str(scale)}*NP(base): infimum "
-                         f"taken over the finite prefix k <= "
-                         f"{CEILING_PREFIX_CAP} plus the limit alpha")
+            notes.append(f"body is {frac_to_str(scale)}*NP(base): the "
+                         "infimum of ceil(alpha*k + beta)/k, the least of "
+                         "alpha and the ratios at k <= denominator(alpha)")
     return result, lines, notes
 
 
 def _cmd_stabilize(parsed: ParsedFamily, args):
-    rep = stabilization_check(parsed.family, c_max=args.cmax, jobs=args.jobs)
+    rep = stabilization_check(parsed.family, c_max=args.cmax)
     result = {"stabilized": rep.stabilized, "c": rep.c, "c_max": args.cmax,
               "witness": None}
     notes = []
@@ -427,7 +426,12 @@ def _run(args) -> tuple[dict, list[str], list[str], str]:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # a bad budget setting is refused even by verbs that never use it
+        poly.vertex_budget()
         result, lines, notes, digest = _run(args)
+    except InvalidVertexBudget as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except VertexBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -67,6 +67,10 @@ class VertexBudgetExceeded(NokError):
     """Double description ray count exceeded NOK_MAX_VERTICES."""
 
 
+class InvalidVertexBudget(NokError):
+    """NOK_MAX_VERTICES is set to something other than a positive integer."""
+
+
 # -- bodies / families / cones ------------------------------------------------
 
 class UnsupportedIdealClass(NokError):

@@ -10,7 +10,6 @@ the union over k of (1/k)NP(I_k) never has to be approximated.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -23,9 +22,6 @@ from .errors import (DimensionMismatch, EmptyList, NokError,
                      UnsupportedIdealClass)
 from .ideal import MonomialIdeal, intersect, multiply, power
 from .polyhedron import Point, RationalPolyhedron
-
-# ceiling-power scale search: exact whenever alpha's denominator fits
-CEILING_PREFIX_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -124,17 +120,24 @@ def ceiling_scale(family: CeilingPowerFamily) -> Fraction:
     """The scale s with limiting body s*NP(base): the infimum of
     ceil(alpha*k + beta)/k.
 
-    For beta >= 0 the infimum is alpha.  For beta < 0 any value below
-    alpha is attained at some k <= denominator(alpha), so the minimum of
-    the finite prefix (capped, exact rational arithmetic) settles it.
+    For beta >= 0 the infimum is alpha.  For beta < 0, write alpha = p/q:
+    the exponent at k + q is p more than at k, so a ratio below alpha only
+    grows towards alpha along k, k + q, k + 2q, ...  Any value below alpha
+    is therefore attained at some k <= q, and the minimum over that prefix
+    and alpha is exact.
     """
-    if family.beta >= 0:
-        return family.alpha
-    cap = max(family.alpha.denominator, 1)
-    if cap > CEILING_PREFIX_CAP:
-        cap = CEILING_PREFIX_CAP
-    prefix = min(Fraction(family.exponent(k), k) for k in range(1, cap + 1))
-    return min(family.alpha, prefix)
+    alpha, beta = family.alpha, family.beta
+    if beta >= 0:
+        return alpha
+    p, q = alpha.numerator, alpha.denominator
+    u, v = beta.numerator, beta.denominator
+    best, best_k = p, q
+    for k in range(1, q + 1):
+        # ceil(alpha*k + beta) = ceil((p*k*v + u*q) / (q*v)) in integers
+        exponent = -((-p * k * v - u * q) // (q * v))
+        if exponent * best_k < best * k:
+            best, best_k = exponent, k
+    return Fraction(best, best_k)
 
 
 def newton_okounkov_body(family: FamilySpec) -> RationalPolyhedron:
@@ -159,8 +162,8 @@ def _attains_body(family: FamilySpec, body: RationalPolyhedron, c: int) -> bool:
     return poly.equal(scaled, body)
 
 
-def stabilization_check(family: FamilySpec, c_max: int,
-                        jobs: int = 1) -> StabilizationReport:
+def stabilization_check(family: FamilySpec,
+                        c_max: int) -> StabilizationReport:
     """Search for the smallest c <= c_max with (1/c)NP(I_c) equal to the
     limiting body.
 
@@ -172,17 +175,9 @@ def stabilization_check(family: FamilySpec, c_max: int,
     if c_max < 1:
         raise NonPositiveExponent(f"c_max must be >= 1, got {c_max}")
     body = newton_okounkov_body(family)
-    candidates = range(1, c_max + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            hits = list(pool.map(lambda c: _attains_body(family, body, c),
-                                 candidates))
-        found = next((c for c, hit in zip(candidates, hits) if hit), None)
-    else:
-        found = next((c for c in candidates
-                      if _attains_body(family, body, c)), None)
-    if found is not None:
-        return StabilizationReport(True, found)
+    for c in range(1, c_max + 1):
+        if _attains_body(family, body, c):
+            return StabilizationReport(True, c)
     scaled = poly.scale(newton_polyhedron(member_ideal(family, c_max)),
                         Fraction(1, c_max))
     missing = [v for v in body.vertices if not poly.contains(scaled, v)]
@@ -190,11 +185,10 @@ def stabilization_check(family: FamilySpec, c_max: int,
     return StabilizationReport(False, None, witness)
 
 
-def family_analytic_spread(family: FamilySpec, c_max: int,
-                           jobs: int = 1) -> int:
+def family_analytic_spread(family: FamilySpec, c_max: int) -> int:
     """mdc of the limiting body plus one; valid once stabilization is
     certified, refused otherwise."""
-    report = stabilization_check(family, c_max, jobs)
+    report = stabilization_check(family, c_max)
     if not report.stabilized:
         raise NotProvenNoetherian(
             f"no c <= {c_max} attains the limiting body; the analytic "

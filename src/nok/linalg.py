@@ -1,7 +1,8 @@
 """Small exact linear-algebra helpers over the rationals.
 
 Everything works on sequences of numbers that mix `int` and
-`fractions.Fraction`; no floats are ever produced.
+`fractions.Fraction`; no floats are ever produced.  All of it rests on
+one streaming Gaussian elimination, `_echelon`.
 """
 
 from __future__ import annotations
@@ -10,78 +11,61 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
+def _echelon(rows: Iterable[Sequence], limit: int | None = None):
+    """Keep each row that is independent of the rows kept before it.
+
+    Every incoming row is reduced against the kept rows at their pivot
+    columns; if anything is left, it is scaled so that its first nonzero
+    entry (its pivot) is 1 and kept.  A kept row is zero at the pivot
+    columns of the rows kept before it.  Stops early once `limit` rows are
+    kept.  Returns the kept rows, their pivot columns and their indices in
+    the input.
+    """
+    basis: list[list[Fraction]] = []
+    pivots: list[int] = []
+    kept: list[int] = []
+    # the rows are mostly sparse, so Fraction arithmetic on zero entries
+    # is skipped
+    for index, row in enumerate(rows):
+        vec = [Fraction(x) for x in row]
+        for pivot_col, base in zip(pivots, basis):
+            coeff = vec[pivot_col]
+            if coeff:
+                vec = [a - coeff * b if b else a
+                       for a, b in zip(vec, base)]
+        col = next((j for j, a in enumerate(vec) if a), None)
+        if col is None:
+            continue
+        inv = vec[col]
+        basis.append([a / inv if a else a for a in vec])
+        pivots.append(col)
+        kept.append(index)
+        if limit is not None and len(basis) >= limit:
+            break
+    return basis, pivots, kept
+
+
 def rank(rows: Iterable[Sequence], limit: int | None = None) -> int:
     """Rank of a matrix given as an iterable of rows.
 
     Stops early once `limit` independent rows are found (the caller often
     only needs to know whether the rank reaches a threshold).
     """
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        vec = [Fraction(x) for x in row]
-        for pivot_col, base in zip(pivots, basis):
-            coeff = vec[pivot_col]
-            if coeff:
-                vec = [a - coeff * b for a, b in zip(vec, base)]
-        col = next((j for j, a in enumerate(vec) if a), None)
-        if col is None:
-            continue
-        inv = vec[col]
-        basis.append([a / inv for a in vec])
-        pivots.append(col)
-        if limit is not None and len(basis) >= limit:
-            return len(basis)
-    return len(basis)
-
-
-def solve_square(matrix: Sequence[Sequence], rhs: Sequence):
-    """Solve M x = rhs for square M; returns a tuple of Fractions or None
-    if M is singular."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [a / inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                coeff = aug[r][col]
-                aug[r] = [a - coeff * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
+    return len(_echelon(rows, limit)[0])
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
     """One exact solution of a general linear system, or None if the
     system is inconsistent; free variables are set to zero."""
-    m = len(rows)
-    cols = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, m) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c]
-        aug[r] = [a / inv for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(aug[i][cols] for i in range(r, m)):
+    cols = len(rows[0]) if rows else 0
+    basis, pivots, _ = _echelon([*row, b] for row, b in zip(rows, rhs))
+    if cols in pivots:  # a kept row reads 0 = nonzero
         return None
     sol = [Fraction(0)] * cols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][cols]
+    # a kept row is zero left of its pivot and at earlier rows' pivots,
+    # so the later rows' pivot values are all it still needs
+    for base, col in zip(reversed(basis), reversed(pivots)):
+        sol[col] = base[cols] - sum(a * sol[j] for j, a in
+                                    enumerate(base[col + 1:cols], col + 1)
+                                    if a)
     return sol

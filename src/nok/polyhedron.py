@@ -22,23 +22,32 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (BoundTooSmall, DimensionMismatch, EmptyInput, EmptyList,
-                     InfeasibleSystem, MissingOrthantConstraints, NoVertices,
-                     NokError, NonPositiveScale, PointNotInPolyhedron,
+                     InfeasibleSystem, InvalidVertexBudget,
+                     MissingOrthantConstraints, NoVertices, NokError,
+                     NonPositiveScale, PointNotInPolyhedron,
                      VertexBudgetExceeded)
-from .linalg import rank, solve_square
+from .linalg import _echelon, rank, solve_linear
 
 Point = tuple[Fraction, ...]
 
 DEFAULT_VERTEX_BUDGET = 10_000
 
 
-def _vertex_budget() -> int:
-    raw = os.environ.get("NOK_MAX_VERTICES", "")
+def vertex_budget() -> int:
+    """The double-description ray budget: NOK_MAX_VERTICES if set, else
+    DEFAULT_VERTEX_BUDGET.  Raises InvalidVertexBudget unless the variable
+    is unset or a positive integer."""
+    raw = os.environ.get("NOK_MAX_VERTICES")
+    if raw is None:
+        return DEFAULT_VERTEX_BUDGET
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_VERTEX_BUDGET
-    return value if value > 0 else DEFAULT_VERTEX_BUDGET
+        value = 0
+    if value < 1:
+        raise InvalidVertexBudget(
+            f"NOK_MAX_VERTICES must be a positive integer, got {raw!r}")
+    return value
 
 
 def primitive_vector(vec: Sequence) -> tuple[int, ...]:
@@ -115,26 +124,19 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[i
     rows do not have full rank (the cone would contain a line) or when the
     intermediate ray count exceeds the vertex budget.
     """
-    budget = _vertex_budget()
+    budget = vertex_budget()
     unique = sorted({tuple(r) for r in rows if any(r)},
                     key=lambda r: (sum(1 for x in r if x), r))
-    basis: list[tuple[int, ...]] = []
-    for row in unique:
-        if len(basis) == dim:
-            break
-        if rank(basis + [row]) > len(basis):
-            basis.append(row)
-    if len(basis) < dim:
+    chosen = _echelon(unique, limit=dim)[2]
+    if len(chosen) < dim:
         raise NokError("constraint rows do not have full rank")
-    processed = basis + [r for r in unique if r not in basis]
+    basis = [unique[i] for i in chosen]
+    processed = basis + [r for i, r in enumerate(unique) if i not in chosen]
 
     rays: list[tuple[tuple[int, ...], int]] = []
     for j in range(dim):
-        unit = [Fraction(int(i == j)) for i in range(dim)]
-        column = solve_square([list(r) for r in basis], unit)
-        if column is None:
-            raise NokError("initial basis unexpectedly singular")
-        vec = primitive_vector(column)
+        vec = primitive_vector(
+            solve_linear(basis, [int(i == j) for i in range(dim)]))
         tight = 0
         for i in range(dim):
             if _dot(processed[i], vec) == 0:

@@ -11,7 +11,6 @@ componentwise-minimal lattice points of each dilate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,26 +105,18 @@ def sgt_exact(classified: ClassifiedIdeal) -> int:
     return hilbert_basis(classified).sgt
 
 
-def veronese_verify(classified: ClassifiedIdeal, d: int, k_max: int,
-                    jobs: int = 1) -> bool:
+def veronese_verify(classified: ClassifiedIdeal, d: int, k_max: int) -> bool:
     """Bounded certificate that I^(dk) = (I^(d))^k for k <= k_max; not a
     proof for all k."""
     if d < 1 or k_max < 1:
         raise NonPositiveExponent("d and k_max must be >= 1")
     base = symbolic_power(classified, d)
-
-    def check(k: int) -> bool:
-        return symbolic_power(classified, d * k) == power(base, k)
-
-    ks = range(1, k_max + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return all(pool.map(check, ks))
-    return all(check(k) for k in ks)
+    return all(symbolic_power(classified, d * k) == power(base, k)
+               for k in range(1, k_max + 1))
 
 
-def svd_probe(classified: ClassifiedIdeal, k_max: int = 4,
-              jobs: int = 1) -> tuple[int, int]:
+def svd_probe(classified: ClassifiedIdeal,
+              k_max: int = 4) -> tuple[int, int]:
     """Smallest multiple of c in the theorem window passing the bounded
     Veronese check, together with the window's upper end.
 
@@ -134,7 +125,7 @@ def svd_probe(classified: ClassifiedIdeal, k_max: int = 4,
     """
     lower, upper = svd_bounds(classified)
     for m in range(lower, upper + 1, lower):
-        if veronese_verify(classified, m, k_max, jobs):
+        if veronese_verify(classified, m, k_max):
             return m, upper
     raise NoCandidate(
         f"no multiple of {lower} up to {upper} passed the Veronese check; "

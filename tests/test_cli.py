@@ -152,6 +152,15 @@ def test_family_body_verb(capsys):
         sorted(doc["result"]["vertices"])
 
 
+def test_family_body_scale_beyond_ten_thousand(capsys, tmp_path):
+    # the infimum 2/13341 is reached at k = 3^-1 mod 20011 = 13341
+    family = tmp_path / "ceiling_wide.nok"
+    family.write_text("family: ceiling\nvars: x, y\ngens: x, y\n"
+                      "alpha: 3/20011\nbeta: -1/20011\n")
+    doc = run_json(capsys, "family-body", str(family))
+    assert doc["result"]["scale"] == "2/13341"
+
+
 def test_stabilize_text_matches_expected_phrases(capsys):
     code, out, _ = run(capsys, "stabilize", CEILING, "--cmax", "50")
     assert code == 0
@@ -166,17 +175,6 @@ def test_json_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "hilbert", WEIGHTED, "--json")
     _, second, _ = run(capsys, "hilbert", WEIGHTED, "--json")
     assert first == second
-
-
-def test_parallel_flags_do_not_change_output(capsys):
-    _, serial, _ = run(capsys, "stabilize", CEILING, "--cmax", "6", "--json")
-    _, parallel, _ = run(capsys, "stabilize", CEILING, "--cmax", "6",
-                         "--jobs", "3", "--json")
-    assert serial == parallel
-    _, serial, _ = run(capsys, "veronese", TRIANGLE, "-d", "2", "--json")
-    _, parallel, _ = run(capsys, "veronese", TRIANGLE, "-d", "2",
-                         "--jobs", "2", "--json")
-    assert serial == parallel
 
 
 def test_emitted_rationals_round_trip(capsys):
@@ -242,6 +240,18 @@ def test_vertex_budget_exits_three(capsys, monkeypatch):
         symbolic_polyhedron.cache_clear()
     assert code == 3
     assert "NOK_MAX_VERTICES" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", ""])
+def test_bad_vertex_budget_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("NOK_MAX_VERTICES", value)
+    # symbolic-power never runs the double description, sp does
+    for argv in (["sp", TRIANGLE], ["symbolic-power", TRIANGLE, "-k", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert (f"NOK_MAX_VERTICES must be a positive integer, got "
+                f"{value!r}") in err
 
 
 def test_unknown_verb_exits_two(capsys):

@@ -114,6 +114,31 @@ def test_ceiling_scale_closed_form_matches_prefix_minimum():
         ratios = [Fraction(fam.exponent(k), k) for k in range(1, 400)]
         assert all(r >= s for r in ratios)
         assert s == alpha or s in ratios
+    # denominators past 10,000: any ratio below alpha = p/q is attained at
+    # some k <= q, so the minimum over that prefix is the brute force
+    checked = 0
+    while checked < 6:
+        alpha = Fraction(rng.randint(1, 30_000), rng.randint(10_001, 16_000))
+        q = alpha.denominator
+        if q <= 10_000:
+            continue
+        # beta = -1/q puts the minimum at k = p^-1 mod q, anywhere up to q
+        beta = (-Fraction(1, q) if checked % 2
+                else -alpha * Fraction(rng.randint(1, 999), 1000))
+        if alpha + beta <= 0:
+            continue
+        fam = CeilingPowerFamily(base, alpha, beta)
+        brute = min([alpha] + [Fraction(fam.exponent(k), k)
+                               for k in range(1, q + 1)])
+        assert ceiling_scale(fam) == brute
+        checked += 1
+
+
+def test_ceiling_scale_minimum_past_ten_thousand():
+    base = minimalize([(1, 0), (0, 1)])
+    fam = CeilingPowerFamily(base, Fraction(3, 20011), Fraction(-1, 20011))
+    assert ceiling_scale(fam) == Fraction(2, 13341)
+    assert fam.exponent(13341) == 2
 
 
 def test_ceiling_scale_negative_beta():
@@ -127,13 +152,6 @@ def test_ceiling_scale_negative_beta():
 def test_closure_family_body_equality(families):
     for parsed in families.values():
         assert closure_family_body_equality(parsed.family)
-
-
-def test_stabilization_parallel_matches_serial(families):
-    for parsed in families.values():
-        fam = parsed.family
-        assert stabilization_check(fam, 8, jobs=3) == \
-            stabilization_check(fam, 8)
 
 
 def test_family_constructor_validation():

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from nok import (BoundTooSmall, EmptyInput, HalfSpace,
-                 MissingOrthantConstraints, NonPositiveScale,
-                 PointNotInPolyhedron, VertexBudgetExceeded, contains,
+from nok import (DEFAULT_VERTEX_BUDGET, BoundTooSmall, EmptyInput, HalfSpace,
+                 InvalidVertexBudget, MissingOrthantConstraints,
+                 NonPositiveScale, PointNotInPolyhedron,
+                 VertexBudgetExceeded, contains,
                  decompose_point, equal, faces, from_halfspaces,
                  hull_up_set, intersect_polyhedra, mdc,
                  minimal_lattice_points, minimalize, newton_polyhedron,
                  power, scale)
+from nok.polyhedron import vertex_budget
 
 from oracles import brute_force_minimal_points, brute_force_vertices, dot
 
@@ -254,6 +256,18 @@ def test_vertex_budget(monkeypatch):
     rows = orthant(3) + [HalfSpace((1, 1, 1), 3), HalfSpace((2, 1, 3), 4)]
     with pytest.raises(VertexBudgetExceeded):
         from_halfspaces(rows, 3)
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_bad_vertex_budget_is_refused(monkeypatch, value):
+    monkeypatch.setenv("NOK_MAX_VERTICES", value)
+    with pytest.raises(InvalidVertexBudget, match="NOK_MAX_VERTICES"):
+        from_halfspaces(orthant(2) + [HalfSpace((1, 1), 2)], 2)
+
+
+def test_unset_vertex_budget_is_the_default(monkeypatch):
+    monkeypatch.delenv("NOK_MAX_VERTICES", raising=False)
+    assert vertex_budget() == DEFAULT_VERTEX_BUDGET
 
 
 def test_contains_boundary_points():

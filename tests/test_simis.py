@@ -153,14 +153,6 @@ def test_veronese_verify_frozen(ideals):
     assert veronese_verify(gt2, 2, 3)
 
 
-def test_veronese_parallel_matches_serial(ideals):
-    for name in ("triangle", "weighted", "star43"):
-        ci = ideals[name].classified
-        for d in (1, 2):
-            assert veronese_verify(ci, d, 4, jobs=3) == \
-                veronese_verify(ci, d, 4)
-
-
 def test_svd_probe_windows(ideals):
     expected = {
         "triangle": (2, 2), "weighted": (2, 2), "c5": (3, 9),
