@@ -156,12 +156,6 @@ def newton_okounkov_body(family: FamilySpec) -> RationalPolyhedron:
     raise NokError(f"unknown family variant {type(family).__name__}")
 
 
-def _attains_body(family: FamilySpec, body: RationalPolyhedron, c: int) -> bool:
-    scaled = poly.scale(newton_polyhedron(member_ideal(family, c)),
-                        Fraction(1, c))
-    return poly.equal(scaled, body)
-
-
 def stabilization_check(family: FamilySpec,
                         c_max: int) -> StabilizationReport:
     """Search for the smallest c <= c_max with (1/c)NP(I_c) equal to the
@@ -176,10 +170,11 @@ def stabilization_check(family: FamilySpec,
         raise NonPositiveExponent(f"c_max must be >= 1, got {c_max}")
     body = newton_okounkov_body(family)
     for c in range(1, c_max + 1):
-        if _attains_body(family, body, c):
+        scaled = poly.scale(newton_polyhedron(member_ideal(family, c)),
+                            Fraction(1, c))
+        if poly.equal(scaled, body):
             return StabilizationReport(True, c)
-    scaled = poly.scale(newton_polyhedron(member_ideal(family, c_max)),
-                        Fraction(1, c_max))
+    # the loop ran to the end, so `scaled` is (1/c_max)NP(I_{c_max})
     missing = [v for v in body.vertices if not poly.contains(scaled, v)]
     witness = StabilizationWitness(c_max, c_max, max(missing))
     return StabilizationReport(False, None, witness)

@@ -3,12 +3,25 @@
 A monomial ideal in n variables is stored as the antichain (under
 componentwise <=) of the exponent vectors of its minimal generators,
 kept in lexicographic order so that equal ideals compare equal.
+
+Divisibility is tested on packed integers.  For one set of vectors,
+`_packing` shifts each coordinate by its minimum over the set, so every
+entry lies in [0, 2^w), where w is the bit length of the largest shifted
+entry.  A vector v becomes the int V with a field of w+1 bits per
+coordinate: v_j - min_j sits at bit offset j*(w+1), and the top bit of
+each field, its guard bit, is 0.  Let G be the int whose set bits are
+exactly the guard bits.  Then m <= v componentwise iff
+((V | G) - M) & G == G: field j of the difference is 2^w + v_j - m_j,
+which lies in [1, 2^(w+1)) because both entries are below 2^w.  So no
+field borrows from its neighbour, and the guard bit of field j stays set
+exactly when v_j >= m_j.  The componentwise order is translation-invariant,
+so the shift changes no answer, for negative entries too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (DimensionMismatch, EmptyGeneratorSet, EmptyList,
                      EmptyPrime, NokError, NonPositiveExponent,
@@ -17,18 +30,53 @@ from .errors import (DimensionMismatch, EmptyGeneratorSet, EmptyList,
 Vector = tuple[int, ...]
 
 
-def _divides(a: Vector, b: Vector) -> bool:
-    """True when x^a divides x^b, i.e. a <= b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+def _integral(v: Vector) -> bool:
+    """True when every entry is an int; a bool is not an exponent."""
+    return all(isinstance(e, int) and not isinstance(e, bool) for e in v)
+
+
+def _packing(vectors: Collection[Vector]) -> tuple[int, Callable[[Vector], int]]:
+    """Guard mask G and packing map v -> V for a nonempty set of int vectors
+    of one length (see the module docstring)."""
+    columns = list(zip(*vectors))
+    lows = [min(col) for col in columns]
+    span = max((max(col) - low for col, low in zip(columns, lows)), default=0)
+    width = span.bit_length() + 1
+    offsets = range(0, width * len(lows), width)
+    guard = sum(1 << (o + width - 1) for o in offsets)
+
+    def pack(v: Vector) -> int:
+        return sum((e - low) << o for e, low, o in zip(v, lows, offsets))
+
+    return guard, pack
 
 
 def minimal_vectors(vectors: Iterable[Sequence[int]]) -> list[Vector]:
-    """Componentwise-minimal elements of a set of vectors, lex-sorted."""
-    unique = sorted({tuple(v) for v in vectors}, key=lambda v: (sum(v), v))
+    """Componentwise-minimal elements of a set of int vectors, lex-sorted."""
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        return []
+    nvars = len(vectors[0])
+    for v in vectors:
+        if len(v) != nvars:
+            raise DimensionMismatch(
+                f"vector {v} has length {len(v)}, expected {nvars}")
+        if not _integral(v):
+            raise NonPositiveExponent(f"bad exponent vector {v}")
+    unique = set(vectors)
+    guard, pack = _packing(unique)
     kept: list[Vector] = []
-    for v in unique:
-        if not any(_divides(m, v) for m in kept):
+    kept_packed: list[int] = []
+    # a divisor has a smaller degree, so each vector meets its divisors first
+    for v in sorted(unique, key=lambda v: (sum(v), v)):
+        packed = pack(v)
+        raised = packed | guard
+        for m in kept_packed:
+            if (raised - m) & guard == guard:
+                break
+        else:
             kept.append(v)
+            kept_packed.append(packed)
     return sorted(kept)
 
 
@@ -48,7 +96,7 @@ class MonomialIdeal:
             if len(g) != self.nvars:
                 raise DimensionMismatch(
                     f"generator {g} has length {len(g)}, expected {self.nvars}")
-            if any(e < 0 or not isinstance(e, int) for e in g):
+            if not _integral(g) or any(e < 0 for e in g):
                 raise NonPositiveExponent(f"bad exponent vector {g}")
         if list(self.generators) != minimal_vectors(self.generators):
             raise NokError("generators must be a lex-sorted antichain; "
@@ -65,7 +113,12 @@ class MonomialIdeal:
         if len(a) != self.nvars:
             raise DimensionMismatch(f"point {a} has wrong length")
         t = tuple(a)
-        return any(_divides(g, t) for g in self.generators)
+        if not _integral(t):
+            raise NonPositiveExponent(f"bad exponent vector {t}")
+        guard, pack = _packing(self.generators + (t,))
+        raised = pack(t) | guard
+        return any((raised - pack(g)) & guard == guard
+                   for g in self.generators)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True when other is a subset of self, as ideals."""

@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from nok import (DimensionMismatch, EmptyGeneratorSet, EmptyList, EmptyPrime,
-                 MonomialIdeal, NokError, NonPositiveMultiplicity,
-                 NotSquarefree, PrimeComponent, PrimeDecomposition,
+                 MonomialIdeal, NokError, NonPositiveExponent,
+                 NonPositiveMultiplicity, NotSquarefree, PrimeComponent,
+                 PrimeDecomposition,
                  expand_decomposition, intersect, minimal_primes,
                  minimal_vectors, minimalize, multiply, power,
                  saturate_to_prime, unit_vectors)
@@ -18,6 +19,96 @@ def test_minimal_vectors_drops_dominated():
 
 def test_minimal_vectors_dedupes():
     assert minimal_vectors([(1, 0), (1, 0), (0, 1)]) == [(0, 1), (1, 0)]
+
+
+def brute_minimal(vectors):
+    """Pairwise antichain filter: keep v unless another vector is <= it."""
+    unique = {tuple(v) for v in vectors}
+    return sorted(v for v in unique
+                  if not any(m != v and all(a <= b for a, b in zip(m, v))
+                             for m in unique))
+
+
+def random_vectors(rng, nvars, count):
+    # entries from a small palette per coordinate, so that many pairs are
+    # comparable; the palette straddles 2^w for a random w and holds
+    # negatives and 10^6
+    w = rng.randint(0, 21)
+    pool = [0, 1, 2 ** w - 1, 2 ** w, 2 ** w + 1, 10 ** 6, -1, -(2 ** w),
+            rng.randint(-5, 2 ** w)]
+    palettes = [rng.sample(pool, rng.randint(1, 4)) for _ in range(nvars)]
+    vectors = [tuple(rng.choice(p) for p in palettes) for _ in range(count)]
+    return vectors + rng.sample(vectors, min(len(vectors), 3))
+
+
+def test_minimal_vectors_matches_pairwise_filter():
+    rng = random.Random(2009)
+    for _ in range(600):
+        nvars = rng.randint(1, 7)
+        vectors = random_vectors(rng, nvars, rng.randint(0, 30))
+        assert minimal_vectors(vectors) == brute_minimal(vectors)
+
+
+def test_minimal_vectors_at_field_boundaries():
+    for w in (1, 2, 7, 8, 20):
+        top, over = 2 ** w - 1, 2 ** w
+        vectors = [(top, 0), (0, top), (over, 0), (top, top), (over, over),
+                   (top, over), (0, over), (10 ** 6, 1), (1, 10 ** 6)]
+        assert minimal_vectors(vectors) == brute_minimal(vectors)
+        assert minimal_vectors([(top, 0, -1), (over, 0, -1)]) == \
+            [(top, 0, -1)]
+        assert minimal_vectors([(over, 1), (top, 2)]) == [(top, 2), (over, 1)]
+
+
+def test_minimal_vectors_empty_and_negative_input():
+    assert minimal_vectors([]) == []
+    assert minimal_vectors([(1, -1), (0, 2), (2, -1)]) == [(0, 2), (1, -1)]
+
+
+def test_minimal_vectors_rejects_mixed_lengths():
+    with pytest.raises(DimensionMismatch):
+        minimal_vectors([(1, 0), (0, 1, 1)])
+
+
+def test_minimal_vectors_rejects_non_integers():
+    with pytest.raises(NonPositiveExponent):
+        minimal_vectors([(1.5, 0)])
+    with pytest.raises(NonPositiveExponent):
+        minimal_vectors([(0, 1), ("1", 0)])
+
+
+def test_minimalize_keeps_error_classes():
+    with pytest.raises(NonPositiveExponent):
+        minimalize([(1, -1)])
+    with pytest.raises(NonPositiveExponent):
+        minimalize([(1.5, 0)])
+    with pytest.raises(DimensionMismatch):
+        minimalize([(1, 0), (0, 1, 1)])
+
+
+def test_constructor_rejects_bool_exponents():
+    with pytest.raises(NonPositiveExponent):
+        MonomialIdeal(2, ((0, 1), (True, 0)))
+
+
+def test_minimalize_rejects_bool_exponents():
+    with pytest.raises(NonPositiveExponent):
+        minimalize([(0, 1), (True, 0)])
+    with pytest.raises(NonPositiveExponent):
+        minimalize([(1, 0), (True, 0)])
+
+
+def test_contains_monomial_matches_pairwise_divisibility():
+    rng = random.Random(44)
+    for _ in range(200):
+        nvars = rng.randint(1, 7)
+        vectors = [tuple(abs(e) for e in v)
+                   for v in random_vectors(rng, nvars, rng.randint(1, 12))]
+        ideal = minimalize(vectors, nvars)
+        for point in random_vectors(rng, nvars, 10):
+            expected = any(all(a <= b for a, b in zip(g, point))
+                           for g in ideal.generators)
+            assert ideal.contains_monomial(point) == expected
 
 
 def test_minimalize_builds_canonical_ideal():
