@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -99,6 +100,15 @@ class RationalPolyhedron:
     vertices: tuple[Point, ...]
     rays: tuple[tuple[int, ...], ...]
     dim: int
+
+    @cached_property
+    def _mdc(self) -> int:
+        # derived once per object: cached_property writes the instance
+        # __dict__, which a frozen dataclass leaves open, and equality and
+        # hashing see only the fields
+        if not self.vertices:
+            raise NoVertices("polyhedron has no vertices")
+        return max(f.dim for f in faces(self) if f.compact)
 
 
 def _bits(mask: int):
@@ -369,10 +379,9 @@ def faces(poly: RationalPolyhedron) -> list[FaceDescriptor]:
 
 
 def mdc(poly: RationalPolyhedron) -> int:
-    """Maximum dimension of a compact face (every vertex is one, so >= 0)."""
-    if not poly.vertices:
-        raise NoVertices("polyhedron has no vertices")
-    return max(f.dim for f in faces(poly) if f.compact)
+    """Maximum dimension of a compact face (every vertex is one, so >= 0);
+    the face lattice is walked once per polyhedron object."""
+    return poly._mdc
 
 
 def decompose_point(poly: RationalPolyhedron, point: Sequence) -> tuple[Point, Point]:

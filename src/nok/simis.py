@@ -4,14 +4,22 @@ Veronese (svd) probing, and generator degrees of the normalized Rees
 algebra (same machinery over the Newton polyhedron).
 
 An element (a, k) of the cone is a basis element when it is not the sum
-of two integral cone points of positive degree; degree-zero splits are
-impossible for the candidates used here because they are taken from the
-componentwise-minimal lattice points of each dilate.
+of two nonzero integral cone points.  The basis is computed by the primal
+algorithm of Normaliz (Bruns & Ichim, J. Algebra 324, 2010): a pulling
+triangulation splits the cone into simplicial cells, and by the
+parallelepiped lemma every basis element is a generator of the cone or a
+nonzero lattice point of the half-open fundamental parallelepiped of one
+cell.  The candidates are reduced in increasing order of sum(a) + k, a
+grading that is positive on the cone, so every reducer of a candidate is
+met before it.  The degree bound only filters the result; the work does
+not depend on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from . import polyhedron as poly
@@ -45,43 +53,159 @@ def _theorem_bound(classified: ClassifiedIdeal) -> int:
     return max(ell_s * big_d - 1, big_d)
 
 
-def _cone_basis(body: RationalPolyhedron, bound: int) -> list[HilbertElement]:
-    """Degree-bounded Hilbert basis of the cone over `body` at height 1.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(a, b) = u*a + v*b and g >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if a < 0:
+        return -a, -u0, -v0
+    return a, u0, v0
 
-    Candidates at degree k are the minimal lattice points of k*body,
-    processed in increasing degree then lex order; a candidate joins the
-    basis unless some accepted element (b, j) has b <= a componentwise
-    and (a - b) in (k - j)*body.  Membership is tested on the primitive
-    facet rows, so the whole search is integer arithmetic.
+
+def _hermite_diagonal(cols: Sequence[Sequence[int]]) -> list[int]:
+    """Diagonal of the lower-triangular Hermite form of the lattice that
+    the integer columns span: unimodular column operations clear row i
+    right of the diagonal with extended gcds.  The box of integer vectors
+    with 0 <= y_i < diagonal_i is a set of coset representatives of Z^m
+    modulo the lattice, and the product of the diagonal is |det|."""
+    work = [list(c) for c in cols]
+    diagonal = []
+    for i in range(len(work)):
+        for j in range(i + 1, len(work)):
+            b = work[j][i]
+            if b:
+                a = work[i][i]
+                g, u, v = _xgcd(a, b)
+                ci, cj = work[i], work[j]
+                work[i] = [u * x + v * y for x, y in zip(ci, cj)]
+                work[j] = [(a // g) * y - (b // g) * x
+                           for x, y in zip(ci, cj)]
+        diagonal.append(abs(work[i][i]))
+    return diagonal
+
+
+def _adjugate(cols: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, T) with T*G = d*I, where G has the given integer columns and
+    d = +-det G, by fraction-free Gauss-Jordan elimination of [G | I]:
+    every division is exact, so everything stays integer."""
+    m = len(cols)
+    rows = [[c[i] for c in cols] + [int(i == k) for k in range(m)]
+            for i in range(m)]
+    prev = 1
+    for k in range(m):
+        p = next(i for i in range(k, m) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(m):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev
+                           for x, y in zip(rows[i], pivot_row)]
+        prev = pivot
+    return prev, [row[m:] for row in rows]
+
+
+def _parallelepiped(cols: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The |det| lattice points sum(lambda_i * g_i), 0 <= lambda_i < 1, of
+    the half-open parallelepiped spanned by the linearly independent
+    integer columns g_i (the origin included).
+
+    One point per coset of Z^m / G*Z^m: for each representative y of the
+    Hermite box, lambda = T*y / d from the adjugate, and y minus the
+    integer parts floor(lambda_i)*g_i is the point of its coset.
     """
-    normals = [h.normal for h in body.facets]
-    offsets = [h.offset for h in body.facets]
+    diagonal = _hermite_diagonal(cols)
+    if math.prod(diagonal) == 1:
+        return [(0,) * len(cols)]
+    d, adj = _adjugate(cols)
+    points = []
+    for y in product(*(range(h) for h in diagonal)):
+        floors = [sum(a * b for a, b in zip(row, y)) // d for row in adj]
+        points.append(tuple(
+            yi - sum(f * g[i] for f, g in zip(floors, cols) if f)
+            for i, yi in enumerate(y)))
+    return points
+
+
+def _pulling_triangulation(gens: Sequence[tuple[int, ...]],
+                           rows: Sequence[tuple[int, ...]],
+                           dim: int) -> list[tuple[int, ...]]:
+    """Simplicial cells, as tuples of generator indices, that cover the
+    full-dimensional cone spanned by the extreme-ray generators `gens` and
+    cut out by the facet `rows`.
+
+    A face is the bitmask of the generators it contains.  A face whose
+    generator count equals its dimension is simplicial.  Otherwise its
+    first generator is the apex: each facet of the face that misses the
+    apex is triangulated in turn and its cells are coned over the apex.
+    The facets of a face F are the maximal proper subsets F & (generators
+    tight at one row), so the whole recursion is bitmask arithmetic.
+    """
+    tight = [sum(1 << i for i, g in enumerate(gens) if poly._dot(r, g) == 0)
+             for r in rows]
+    done: dict[int, list[tuple[int, ...]]] = {}
+
+    def cells(face: int, d: int) -> list[tuple[int, ...]]:
+        members = tuple(poly._bits(face))
+        if len(members) == d:
+            return [members]
+        if face in done:
+            return done[face]
+        apex = face & -face
+        proper = {face & mask for mask in tight} - {face}
+        out = []
+        for sub in proper:
+            if sub & apex or any(sub != other and sub & other == sub
+                                 for other in proper):
+                continue
+            out.extend((members[0],) + cell for cell in cells(sub, d - 1))
+        done[face] = out
+        return out
+
+    return cells((1 << len(gens)) - 1, dim)
+
+
+def _cone_basis(body: RationalPolyhedron, bound: int) -> list[HilbertElement]:
+    """Hilbert-basis elements of degree 1..bound of the cone over `body`.
+
+    The cone is generated by the primitive vector of (v, 1) for each
+    vertex v and by (r, 0) for each recession ray r, and cut out by
+    (normal, -offset) for each facet and by t >= 0.  By the parallelepiped
+    lemma, every basis element is a generator or a nonzero lattice point
+    of the half-open parallelepiped of one simplicial cell of a
+    triangulation (a point with some lambda_i >= 1 splits off g_i).  The
+    candidates are taken in increasing sum(a) + t, which is positive on
+    the cone, and a candidate is kept unless candidate - h lies in the
+    cone for an element h kept before it; a reducer always has a smaller
+    value, so the kept set is the Hilbert basis, degree-0 rays included.
+    Everything is integer arithmetic.
+    """
     n = body.nvars
-    accepted: list[HilbertElement] = []
-    accepted_dots: list[tuple[int, ...]] = []
-    for k in range(1, bound + 1):
-        # facet thresholds that (a - b) in (k - j)*body translates to
-        thresholds = [tuple(d + (k - elem.degree) * o
-                            for d, o in zip(dots, offsets))
-                      for elem, dots in zip(accepted, accepted_dots)]
-        fresh = []
-        for a in poly.minimal_lattice_points(poly.scale(body, k)):
-            dots_a = None
-            for elem, thr in zip(accepted, thresholds):
-                b = elem.exponent
-                if all(x <= y for x, y in zip(b, a)):
-                    if dots_a is None:
-                        dots_a = [sum(c * x for c, x in zip(nrm, a))
-                                  for nrm in normals]
-                    if all(d >= t for d, t in zip(dots_a, thr)):
-                        break
-            else:
-                fresh.append(a)
-        for a in fresh:
-            accepted.append(HilbertElement(a, k))
-            accepted_dots.append(tuple(sum(c * x for c, x in zip(nrm, a))
-                                       for nrm in normals))
-    return accepted
+    gens = [poly.primitive_vector(list(v) + [1]) for v in body.vertices]
+    gens += [tuple(r) + (0,) for r in body.rays]
+    rows = [h.normal + (-h.offset,) for h in body.facets]
+    rows.append((0,) * n + (1,))
+    candidates = set(gens)
+    for cell in _pulling_triangulation(gens, rows, n + 1):
+        candidates.update(_parallelepiped([gens[i] for i in cell]))
+    candidates.discard((0,) * (n + 1))
+
+    kept: list[tuple[int, ...]] = []
+    kept_values: list[list[int]] = []
+    for x in sorted(candidates, key=lambda x: (sum(x), x)):
+        values = [poly._dot(r, x) for r in rows]
+        if not any(all(a >= b for a, b in zip(values, hv))
+                   for hv in kept_values):
+            kept.append(x)
+            kept_values.append(values)
+    return sorted((HilbertElement(x[:n], x[n]) for x in kept
+                   if 1 <= x[n] <= bound),
+                  key=lambda e: (e.degree, e.exponent))
 
 
 def hilbert_basis(classified: ClassifiedIdeal,

@@ -1,12 +1,18 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 
-from nok import (HilbertElement, NonPositiveExponent, UnsupportedIdealClass,
-                 classify, hilbert_basis, minimalize,
+from nok import (HilbertElement, NonPositiveExponent, PrimeComponent,
+                 PrimeDecomposition, UnsupportedIdealClass,
+                 analytic_spread, classify, classify_decomposition,
+                 hilbert_basis, minimalize, newton_polyhedron,
                  normal_rees_generator_degrees, sgt_exact, svd_bounds,
                  svd_probe, symbolic_analytic_spread, symbolic_polyhedron,
                  veronese_verify, vertex_constants)
+from nok.simis import _cone_basis, _parallelepiped
 
-from oracles import hilbert_basis_brute
+from oracles import hilbert_basis_brute, matrix_rank, solve_square
 
 EXPECTED_SGT = {
     "triangle": 2, "weighted": 2, "c5": 3, "gt2sharp": 2, "mprimary": 1,
@@ -191,8 +197,91 @@ def test_svd_probe_at_kmax_one_never_fails(ideals):
 
 def test_normal_rees_degrees(ideals):
     for name, parsed in ideals.items():
-        if name == "c5cone":
-            continue
         expected = {1, 2} if name == "gt2sharp" else {1}
         assert normal_rees_generator_degrees(
             parsed.classified.ideal) == expected, name
+
+
+def random_edge_ideal(rng, n):
+    """The edge ideal of a random graph on n vertices, at least one edge."""
+    edges = [e for e in combinations(range(n), 2) if rng.random() < 0.6]
+    return classify(minimalize(
+        [tuple(int(j in e) for j in range(n)) for e in edges or [(0, 1)]]))
+
+
+def random_edge_powers(rng, n):
+    """A random intersection of squared or plain edge primes: small
+    multiplicities keep the oracle's box scan cheap."""
+    components = [PrimeComponent(tuple(sorted(rng.sample(range(n), 2))),
+                                 rng.randint(1, 2))
+                  for _ in range(rng.randint(2, 4))]
+    return classify_decomposition(PrimeDecomposition(n, tuple(components)))
+
+
+def test_basis_matches_oracle_on_random_ideals():
+    rng = random.Random(4101)
+    for trial in range(40):
+        n = rng.randint(2, 4)
+        make = random_edge_ideal if trial % 2 else random_edge_powers
+        ci = make(rng, n)
+        bound = rng.choice((1, 2, 3, 3))
+        report = hilbert_basis(ci, degree_bound=bound)
+        brute = hilbert_basis_brute(symbolic_polyhedron(ci), bound)
+        assert [(e.exponent, e.degree) for e in report.elements] == \
+            sorted(brute, key=lambda e: (e[1], e[0])), (ci, bound)
+
+
+def test_normal_rees_degrees_match_oracle_on_random_ideals():
+    rng = random.Random(4103)
+    tested = 0
+    while tested < 30:
+        n = rng.randint(2, 3)
+        ideal = minimalize([tuple(rng.randint(0, 3) for _ in range(n))
+                            for _ in range(rng.randint(2, 5))])
+        if ideal.is_squarefree():
+            continue
+        tested += 1
+        bound = max(analytic_spread(ideal) - 1, 1)
+        body = newton_polyhedron(ideal)
+        brute = hilbert_basis_brute(body, bound)
+        assert normal_rees_generator_degrees(ideal) == \
+            {k for _, k in brute}, ideal
+        assert {(e.exponent, e.degree) for e in _cone_basis(body, bound)} == \
+            set(brute), ideal
+
+
+def leibniz_det(matrix):
+    m = len(matrix)
+    total = 0
+    for perm in permutations(range(m)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(m) for j in range(i + 1, m))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+def test_parallelepiped_points_on_random_simplicial_cones():
+    rng = random.Random(4107)
+    seen_dets = set()
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        cols = [tuple(rng.randint(-2, 3) for _ in range(m)) for _ in range(m)]
+        if matrix_rank(cols) < m:
+            continue
+        matrix = [[c[i] for c in cols] for i in range(m)]
+        det = abs(leibniz_det(matrix))
+        seen_dets.add(det)
+        points = _parallelepiped(cols)
+        assert len(points) == det
+        assert len(set(points)) == det
+        for x in points:
+            assert all(isinstance(c, int) for c in x)
+            lam = solve_square(matrix, x)
+            assert all(0 <= l < 1 for l in lam), (cols, x, lam)
+    assert 1 in seen_dets and max(seen_dets) > 30
+    # a unimodular cell contributes only the origin
+    assert _parallelepiped([(1, 0, 0), (3, 1, 0), (-2, 5, 1)]) == [(0, 0, 0)]
+
