@@ -10,6 +10,7 @@ exceeded (see NOK_MAX_VERTICES).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,6 +65,8 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+# built on the first call, not at import, and reused by later calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nok",

@@ -1,8 +1,11 @@
 """Small exact linear-algebra helpers over the rationals.
 
 Everything works on sequences of numbers that mix `int` and
-`fractions.Fraction`; no floats are ever produced.  All of it rests on
-one streaming Gaussian elimination, `_echelon`.
+`fractions.Fraction`; no floats are ever produced.  There are two
+eliminations: `_echelon`, a streaming Gaussian elimination over the
+rationals that `rank` and `solve_linear` rest on, and `_adjugate`, a
+fraction-free Gauss-Jordan elimination that inverts a nonsingular integer
+matrix up to its determinant without leaving the integers.
 """
 
 from __future__ import annotations
@@ -69,3 +72,26 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
                                     enumerate(base[col + 1:cols], col + 1)
                                     if a)
     return sol
+
+
+def _adjugate(cols: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, T) with T*G = d*I, where G has the given integer columns and
+    d = +-det G, by fraction-free Gauss-Jordan elimination of [G | I]:
+    every division is exact, so everything stays integer.  G must be
+    nonsingular."""
+    m = len(cols)
+    rows = [[c[i] for c in cols] + [int(i == k) for k in range(m)]
+            for i in range(m)]
+    prev = 1
+    for k in range(m):
+        p = next(i for i in range(k, m) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(m):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev
+                           for x, y in zip(rows[i], pivot_row)]
+        prev = pivot
+    return prev, [row[m:] for row in rows]

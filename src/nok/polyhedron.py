@@ -4,8 +4,9 @@ Every polyhedron handled here is an "up-set": a full-dimensional subset of
 the orthant closed under adding nonnegative vectors.  Such a set has a
 unique irredundant half-space description with nonnegative primitive
 integer normals, a finite vertex set, and recession rays exactly the
-standard basis vectors.  Both representations are stored, canonically
-ordered, so that structural equality is semantic equality.
+standard basis vectors.  The facets and the vertices are stored,
+canonically ordered, so that structural equality is semantic equality;
+the rays and the dimension follow from the shape.
 
 The single geometric engine is a double-description pass over a pointed
 cone.  Vertex enumeration runs it on the homogenization of the constraint
@@ -27,7 +28,7 @@ from .errors import (BoundTooSmall, DimensionMismatch, EmptyInput, EmptyList,
                      MissingOrthantConstraints, NoVertices, NokError,
                      NonPositiveScale, PointNotInPolyhedron,
                      VertexBudgetExceeded)
-from .linalg import _echelon, rank, solve_linear
+from .linalg import _adjugate, _echelon, rank
 
 Point = tuple[Fraction, ...]
 
@@ -98,8 +99,18 @@ class RationalPolyhedron:
     nvars: int
     facets: tuple[HalfSpace, ...]
     vertices: tuple[Point, ...]
-    rays: tuple[tuple[int, ...], ...]
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        # the recession cone is the orthant, so the body is full-dimensional
+        return self.nvars
+
+    @property
+    def rays(self) -> tuple[tuple[int, ...], ...]:
+        # the recession rays: the orthant's unit vectors, sorted
+        n = self.nvars
+        return tuple(tuple(int(i == j) for i in range(n))
+                     for j in reversed(range(n)))
 
     @cached_property
     def _mdc(self) -> int:
@@ -124,34 +135,43 @@ def _dot(a: Sequence[int], b: Sequence) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _tight_mask(facets: Sequence[HalfSpace], point: Sequence) -> int:
+    """Bitmask of the facets on which the point lies."""
+    return sum(1 << i for i, h in enumerate(facets) if h.slack(point) == 0)
+
+
 def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {x : <r, x> >= 0 for each row r}.
 
-    Double description: start from a simplicial subcone cut out by `dim`
-    independent rows, then insert the remaining constraints one at a time,
-    keeping extreme rays only.  Adjacency of two rays is decided by the
-    rank of the constraints tight at both.  Raises when the constraint
-    rows do not have full rank (the cone would contain a line) or when the
-    intermediate ray count exceeds the vertex budget.
+    Double description: start from the simplicial subcone cut out by `dim`
+    independent rows, whose rays are the columns of the basis inverse (one
+    fraction-free adjugate), then insert the remaining rows one at a time.
+    Each ray carries the bitmask of the processed rows tight at it.  Two
+    rays on opposite sides of the new row combine exactly when no third
+    ray is tight wherever both are (the combinatorial adjacency test of
+    Fukuda & Prodon, "Double description method revisited", 1996).
+    Raises MissingOrthantConstraints when the rows do not have full rank
+    (the cone would contain a line) and VertexBudgetExceeded when the ray
+    count exceeds the vertex budget.
     """
     budget = vertex_budget()
     unique = sorted({tuple(r) for r in rows if any(r)},
                     key=lambda r: (sum(1 for x in r if x), r))
     chosen = _echelon(unique, limit=dim)[2]
     if len(chosen) < dim:
-        raise NokError("constraint rows do not have full rank")
+        raise MissingOrthantConstraints(
+            "some coordinate direction is unconstrained; add the orthant "
+            "facets x_i >= 0")
     basis = [unique[i] for i in chosen]
     processed = basis + [r for i, r in enumerate(unique) if i not in chosen]
 
-    rays: list[tuple[tuple[int, ...], int]] = []
-    for j in range(dim):
-        vec = primitive_vector(
-            solve_linear(basis, [int(i == j) for i in range(dim)]))
-        tight = 0
-        for i in range(dim):
-            if _dot(processed[i], vec) == 0:
-                tight |= 1 << i
-        rays.append((vec, tight))
+    # row j of adj is det times column j of the inverse: tight at every
+    # basis row but row j
+    det, adj = _adjugate(basis)
+    sign = 1 if det > 0 else -1
+    full = (1 << dim) - 1
+    rays = [(primitive_vector([sign * x for x in adj[j]]), full & ~(1 << j))
+            for j in range(dim)]
 
     for t in range(dim, len(processed)):
         row = processed[t]
@@ -160,22 +180,22 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[i
                 for e, vec, tight in evals if e >= 0]
         plus = [(e, vec, tight) for e, vec, tight in evals if e > 0]
         minus = [(e, vec, tight) for e, vec, tight in evals if e < 0]
+        masks = [tight for _, tight in rays]
         fresh = []
         for ep, vp, tp in plus:
             for em, vm, tm in minus:
                 common = tp & tm
+                # a 2-face lies on at least dim - 2 independent rows
                 if common.bit_count() < dim - 2:
                     continue
-                tight_rows = [processed[i] for i in _bits(common)]
-                if rank(tight_rows, limit=dim - 1) != dim - 2:
+                # extreme rays have distinct masks, so o names a third ray
+                if any(o & common == common and o != tp and o != tm
+                       for o in masks):
                     continue
+                # tight where both rays are, and at the new row
                 combo = primitive_vector(
                     [ep * x - em * y for x, y in zip(vm, vp)])
-                tight = 0
-                for i in range(t + 1):
-                    if _dot(processed[i], combo) == 0:
-                        tight |= 1 << i
-                fresh.append((combo, tight))
+                fresh.append((combo, common | (1 << t)))
         rays = keep + fresh
         if len(rays) > budget:
             raise VertexBudgetExceeded(
@@ -201,27 +221,17 @@ def _as_halfspace(item, nvars: int) -> HalfSpace:
     return hs
 
 
-def _facets_from_generators(nvars: int, vertices: Sequence[Point],
-                            rays: Sequence[tuple[int, ...]]) -> tuple[HalfSpace, ...]:
-    """Irredundant facets of conv(vertices) + cone(rays), via the dual cone."""
+def _facets_from_generators(nvars: int,
+                            vertices: Sequence[Point]) -> tuple[HalfSpace, ...]:
+    """Irredundant facets of conv(vertices) + orthant, via the dual cone."""
     rows = [primitive_vector(list(v) + [1]) for v in vertices]
-    rows += [tuple(r) + (0,) for r in rays]
+    rows += [tuple(int(i == j) for i in range(nvars + 1))
+             for j in range(nvars)]
     facets = []
     for w in cone_extreme_rays(rows, nvars + 1):
         if any(w[:nvars]):
             facets.append(HalfSpace(w[:nvars], -w[nvars]))
     return tuple(sorted(facets, key=lambda h: (h.normal, h.offset)))
-
-
-def _finalize(nvars: int, vertices: Iterable[Point],
-              rays: Iterable[tuple[int, ...]],
-              facets: tuple[HalfSpace, ...]) -> RationalPolyhedron:
-    verts = tuple(sorted(tuple(Fraction(c) for c in v) for v in vertices))
-    ray_list = tuple(sorted(tuple(r) for r in rays))
-    base = verts[0]
-    diffs = [[a - b for a, b in zip(v, base)] for v in verts[1:]]
-    dim = rank(diffs + [list(r) for r in ray_list])
-    return RationalPolyhedron(nvars, facets, verts, ray_list, dim)
 
 
 def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
@@ -251,27 +261,18 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
         raise EmptyInput("no nontrivial half-spaces given")
 
     homog = [hs.normal + (-hs.offset,) for hs in canonical]
-    t_row = (0,) * nvars + (1,)
-    if rank(homog + [t_row]) < nvars + 1:
-        raise MissingOrthantConstraints(
-            "some coordinate direction is unconstrained; add the orthant "
-            "facets x_i >= 0")
-    rays = cone_extreme_rays(homog + [t_row], nvars + 1)
-
-    verts, rec = [], []
-    for r in rays:
-        if r[nvars] > 0:
-            verts.append(tuple(Fraction(x, r[nvars]) for x in r[:nvars]))
-        else:
-            rec.append(r[:nvars])
+    rays = cone_extreme_rays(homog + [(0,) * nvars + (1,)], nvars + 1)
+    # rays with t > 0 are the vertices, the others recession rays; once no
+    # entry is negative, the recession cone is exactly the orthant
+    verts = tuple(sorted(tuple(Fraction(x, r[nvars]) for x in r[:nvars])
+                         for r in rays if r[nvars]))
     if not verts:
         raise InfeasibleSystem("system has no solutions")
-    if any(c < 0 for v in verts for c in v) or any(x < 0 for r in rec for x in r):
+    if any(x < 0 for r in rays for x in r):
         raise MissingOrthantConstraints(
             "system has recession directions outside the orthant")
-
-    facets = _facets_from_generators(nvars, verts, rec)
-    return _finalize(nvars, verts, rec, facets)
+    return RationalPolyhedron(nvars, _facets_from_generators(nvars, verts),
+                              verts)
 
 
 def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
@@ -285,15 +286,13 @@ def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
         if any(c < 0 for c in p):
             raise MissingOrthantConstraints(
                 f"point {p} lies outside the nonnegative orthant")
-    unit_rays = [tuple(int(i == j) for j in range(nvars))
-                 for i in range(nvars)]
-    facets = _facets_from_generators(nvars, pts, unit_rays)
-    verts = []
-    for p in pts:
-        tight = [list(h.normal) for h in facets if h.slack(p) == 0]
-        if rank(tight, limit=nvars) == nvars:
-            verts.append(p)
-    return _finalize(nvars, verts, unit_rays, facets)
+    facets = _facets_from_generators(nvars, pts)
+    # a point is a vertex unless another point lies on all of its tight
+    # facets and on more (as does each vertex of the smallest face through it)
+    masks = [_tight_mask(facets, p) for p in pts]
+    verts = tuple(p for p, m in zip(pts, masks)
+                  if not any(o & m == m and o != m for o in masks))
+    return RationalPolyhedron(nvars, facets, verts)
 
 
 def contains(poly: RationalPolyhedron, point: Sequence) -> bool:
@@ -319,7 +318,7 @@ def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
                            for h in poly.facets),
                           key=lambda h: (h.normal, h.offset)))
     verts = tuple(sorted(tuple(c * t for c in v) for v in poly.vertices))
-    return RationalPolyhedron(poly.nvars, facets, verts, poly.rays, poly.dim)
+    return RationalPolyhedron(poly.nvars, facets, verts)
 
 
 def intersect_polyhedra(polys: Sequence[RationalPolyhedron]) -> RationalPolyhedron:
@@ -335,23 +334,19 @@ def intersect_polyhedra(polys: Sequence[RationalPolyhedron]) -> RationalPolyhedr
 def faces(poly: RationalPolyhedron) -> list[FaceDescriptor]:
     """All faces meeting the vertex set: closures of vertex incidence masks.
 
-    A face is compact exactly when every coordinate has a tight facet with
-    a positive normal entry there (no recession ray survives).
+    A closed mask is exactly the set of facets tight on its face, whose
+    dimension is then nvars minus the rank of their normals.  A face is
+    compact exactly when every coordinate has a tight facet with a positive
+    normal entry there (no recession ray survives).
     """
     n = poly.nvars
-    vertex_masks = []
-    for v in poly.vertices:
-        mask = 0
-        for i, h in enumerate(poly.facets):
-            if h.slack(v) == 0:
-                mask |= 1 << i
-        vertex_masks.append(mask)
+    vertex_masks = [_tight_mask(poly.facets, v) for v in poly.vertices]
     closed = set(vertex_masks)
     frontier = list(closed)
     while frontier:
         fresh = []
         for a in frontier:
-            for b in closed.copy():
+            for b in vertex_masks:
                 c = a & b
                 if c not in closed:
                     closed.add(c)
@@ -360,20 +355,12 @@ def faces(poly: RationalPolyhedron) -> list[FaceDescriptor]:
 
     out = []
     for mask in sorted(closed):
-        members = [v for v, mv in zip(poly.vertices, vertex_masks)
-                   if mv & mask == mask]
-        if not members:
-            continue
+        members = tuple(v for v, mv in zip(poly.vertices, vertex_masks)
+                        if mv & mask == mask)
         tight = tuple(_bits(mask))
         normals = [poly.facets[i].normal for i in tight]
-        rays_in = [r for r in poly.rays
-                   if all(_dot(a, r) == 0 for a in normals)]
-        base = members[0]
-        diffs = [[a - b for a, b in zip(v, base)] for v in members[1:]]
-        dim = rank(diffs + [list(r) for r in rays_in])
         compact = all(any(a[j] > 0 for a in normals) for j in range(n))
-        assert compact == (not rays_in)
-        out.append(FaceDescriptor(tight, tuple(sorted(members)), dim, compact))
+        out.append(FaceDescriptor(tight, members, n - rank(normals), compact))
     out.sort(key=lambda f: (f.dim, f.tight_facets))
     return out
 

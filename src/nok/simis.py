@@ -29,6 +29,7 @@ from .errors import NoCandidate, NonPositiveExponent
 from .ideal import MonomialIdeal, power
 from .invariants import (analytic_spread, svd_bounds,
                          symbolic_analytic_spread, vertex_constants)
+from .linalg import _adjugate
 from .polyhedron import RationalPolyhedron
 
 
@@ -86,28 +87,6 @@ def _hermite_diagonal(cols: Sequence[Sequence[int]]) -> list[int]:
                            for x, y in zip(ci, cj)]
         diagonal.append(abs(work[i][i]))
     return diagonal
-
-
-def _adjugate(cols: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(d, T) with T*G = d*I, where G has the given integer columns and
-    d = +-det G, by fraction-free Gauss-Jordan elimination of [G | I]:
-    every division is exact, so everything stays integer."""
-    m = len(cols)
-    rows = [[c[i] for c in cols] + [int(i == k) for k in range(m)]
-            for i in range(m)]
-    prev = 1
-    for k in range(m):
-        p = next(i for i in range(k, m) if rows[i][k])
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(m):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pivot * x - f * y) // prev
-                           for x, y in zip(rows[i], pivot_row)]
-        prev = pivot
-    return prev, [row[m:] for row in rows]
 
 
 def _parallelepiped(cols: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

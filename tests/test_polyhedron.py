@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from fractions import Fraction
@@ -11,10 +12,11 @@ from nok import (DEFAULT_VERTEX_BUDGET, BoundTooSmall, EmptyInput, HalfSpace,
                  decompose_point, equal, faces, from_halfspaces,
                  hull_up_set, intersect_polyhedra, mdc,
                  minimal_lattice_points, minimalize, newton_polyhedron,
-                 power, scale)
-from nok.polyhedron import vertex_budget
+                 power, scale, symbolic_polyhedron)
+from nok.polyhedron import cone_extreme_rays, vertex_budget
 
-from oracles import brute_force_minimal_points, brute_force_vertices, dot
+from oracles import (brute_force_minimal_points, brute_force_vertices, dot,
+                     matrix_rank, solve_square)
 
 
 def orthant(n):
@@ -179,12 +181,16 @@ def test_faces_of_simplex_body():
     assert len(vertex_faces) == 2
 
 
-def test_compactness_matches_recession_criterion():
-    rng = random.Random(37)
-    for _ in range(20):
+def random_up_sets(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(2, 4)
-        rows = random_up_set_system(rng, n)
-        body = from_halfspaces(rows, n)
+        yield from_halfspaces(random_up_set_system(rng, n), n)
+
+
+def test_compactness_matches_recession_criterion():
+    for body in random_up_sets(37, 20):
+        n = body.nvars
         for face in faces(body):
             # a face is unbounded exactly when some unit ray satisfies
             # its tight facets with equality (normal coordinate zero)
@@ -192,6 +198,113 @@ def test_compactness_matches_recession_criterion():
             ray_in_face = any(
                 all(h.normal[j] == 0 for h in tight) for j in range(n))
             assert face.compact == (not ray_in_face)
+
+
+def face_dim_from_points(body, face):
+    """The dimension of a face from what it contains: the differences of
+    its vertices together with the unit rays that its tight normals leave
+    free."""
+    n = body.nvars
+    normals = [body.facets[i].normal for i in face.tight_facets]
+    base = face.vertex_set[0]
+    rows = [[a - b for a, b in zip(v, base)] for v in face.vertex_set[1:]]
+    rows += [[int(i == j) for i in range(n)] for j in range(n)
+             if all(a[j] == 0 for a in normals)]
+    return matrix_rank(rows)
+
+
+def test_face_dimensions_match_member_oracle(ideals):
+    bodies = list(random_up_sets(37, 20))
+    for parsed in ideals.values():
+        bodies.append(newton_polyhedron(parsed.ideal))
+        if parsed.classified.supports_sp():
+            bodies.append(symbolic_polyhedron(parsed.classified))
+    for body in bodies:
+        for face in faces(body):
+            assert face.dim == face_dim_from_points(body, face)
+            # the members are the vertices on every tight facet
+            assert face.vertex_set == tuple(
+                v for v in body.vertices
+                if all(body.facets[i].slack(v) == 0
+                       for i in face.tight_facets))
+
+
+def test_hull_vertices_ignore_repeated_dominated_and_face_points():
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        pts = [tuple(Fraction(rng.randint(0, 6), rng.randint(1, 2))
+                     for _ in range(n))
+               for _ in range(rng.randint(1, 6))]
+        base = hull_up_set(pts, n)
+        extra = [pts[rng.randrange(len(pts))] for _ in range(3)]
+        for v in base.vertices:
+            # dominated: on an unbounded face or in the interior
+            j = rng.randrange(n)
+            extra.append(v[:j] + (v[j] + rng.randint(1, 2),) + v[j + 1:])
+        for face in faces(base):
+            members = face.vertex_set
+            if len(members) < 2:
+                continue
+            # the centroid of a face's vertices, and a point inside an edge
+            extra.append(tuple(sum(c) / len(members) for c in zip(*members)))
+            if face.dim == 1:
+                a, b = members
+                extra.append(tuple((2 * x + y) / 3 for x, y in zip(a, b)))
+        rng.shuffle(extra)
+        body = hull_up_set(pts + extra, n)
+        assert body.vertices == tuple(brute_force_vertices(body.facets, n))
+        assert body == base
+
+
+def test_redundant_and_duplicate_rows_give_oracle_vertices():
+    rng = random.Random(67)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        rows = random_up_set_system(rng, n)
+        system = list(rows)
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.randint(2, 3)
+            # the same hyperplane with a non-primitive normal
+            system.append(HalfSpace(tuple(k * x for x in a.normal),
+                                    k * a.offset))
+            # tight exactly where both rows are: degenerate vertices
+            system.append(HalfSpace(
+                tuple(x + y for x, y in zip(a.normal, b.normal)),
+                a.offset + b.offset))
+            # strictly weaker than a row of the system
+            system.append(HalfSpace(b.normal, b.offset - 1))
+        rng.shuffle(system)
+        body = from_halfspaces(system, n)
+        assert sorted(body.vertices) == brute_force_vertices(system, n)
+        assert body == from_halfspaces(rows, n)
+
+
+def test_simplicial_cone_rays_are_inverse_columns():
+    # the extreme rays of {x : Bx >= 0} for a nonsingular B are the
+    # columns of its inverse; random B give determinants of both signs,
+    # and nonnegative combinations of its rows add redundant rows
+    rng = random.Random(71)
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        basis = [[rng.randint(-3, 3) for _ in range(dim)]
+                 for _ in range(dim)]
+        if matrix_rank(basis) < dim:
+            continue
+        expected = []
+        for j in range(dim):
+            column = solve_square(basis, [int(i == j) for i in range(dim)])
+            scaled = [int(x * math.lcm(*(c.denominator for c in column)))
+                      for x in column]
+            expected.append(tuple(x // math.gcd(*scaled) for x in scaled))
+        rows = [tuple(r) for r in basis]
+        for _ in range(rng.randint(0, 3)):
+            coeffs = [rng.randint(0, 2) for _ in range(dim)]
+            rows.append(tuple(sum(c * r[i] for c, r in zip(coeffs, basis))
+                              for i in range(dim)))
+        rng.shuffle(rows)
+        assert cone_extreme_rays(rows, dim) == sorted(expected)
 
 
 def test_mdc_of_orthant_is_zero():
