@@ -54,10 +54,13 @@ def vertex_budget() -> int:
 
 def primitive_vector(vec: Sequence) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to coprime integers."""
-    fracs = [Fraction(x) for x in vec]
-    scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*ints) if ints else 0
+    ints = list(vec)
+    # integer vectors (every double-description ray) skip the Fractions
+    if not all(type(x) is int for x in ints):
+        fracs = [Fraction(x) for x in ints]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (scale // f.denominator) for f in fracs]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
@@ -119,7 +122,13 @@ class RationalPolyhedron:
         # hashing see only the fields
         if not self.vertices:
             raise NoVertices("polyhedron has no vertices")
-        return max(f.dim for f in faces(self) if f.compact)
+        _, closed = _closed_masks(self, compact_only=True)
+        compact = [m for m, is_compact in closed.items() if is_compact]
+        # the minimal compact masks are the maximal compact faces
+        top = [m for m in compact
+               if not any(o & m == o and o != m for o in compact)]
+        return max(self.nvars - rank(self.facets[i].normal for i in _bits(m))
+                   for m in top)
 
 
 def _bits(mask: int):
@@ -136,8 +145,13 @@ def _dot(a: Sequence[int], b: Sequence) -> int:
 
 
 def _tight_mask(facets: Sequence[HalfSpace], point: Sequence) -> int:
-    """Bitmask of the facets on which the point lies."""
-    return sum(1 << i for i, h in enumerate(facets) if h.slack(point) == 0)
+    """Bitmask of the facets on which the point lies, tested in integers:
+    with den the lcm of the point's denominators, the point lies on
+    <normal, x> = offset exactly when <normal, den*x> = den*offset."""
+    den = math.lcm(*(x.denominator for x in point))
+    num = [x.numerator * (den // x.denominator) for x in point]
+    return sum(1 << i for i, h in enumerate(facets)
+               if _dot(h.normal, num) == h.offset * den)
 
 
 def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
@@ -331,17 +345,23 @@ def intersect_polyhedra(polys: Sequence[RationalPolyhedron]) -> RationalPolyhedr
     return from_halfspaces(combined, nvars)
 
 
-def faces(poly: RationalPolyhedron) -> list[FaceDescriptor]:
-    """All faces meeting the vertex set: closures of vertex incidence masks.
+def _closed_masks(poly: RationalPolyhedron, compact_only: bool):
+    """The closure of the vertex incidence masks under intersection.
 
-    A closed mask is exactly the set of facets tight on its face, whose
-    dimension is then nvars minus the rank of their normals.  A face is
-    compact exactly when every coordinate has a tight facet with a positive
-    normal entry there (no recession ray survives).
+    A closed mask is exactly the set of facets tight on its face.  The face
+    is compact exactly when the mask meets every per-coordinate cover mask
+    (the facets with a positive normal entry at that coordinate), so that
+    no unit ray survives.  A superset mask meets them too: compactness
+    passes to subfaces.  So with `compact_only` a mask that is not compact
+    is not extended, and every compact closed mask is still reached, along
+    a chain of compact supersets.  Returns the vertex masks and
+    {closed mask reached: compact}.
     """
-    n = poly.nvars
+    covers = [sum(1 << i for i, h in enumerate(poly.facets) if h.normal[j] > 0)
+              for j in range(poly.nvars)]
     vertex_masks = [_tight_mask(poly.facets, v) for v in poly.vertices]
-    closed = set(vertex_masks)
+    # every vertex is a compact face
+    closed = dict.fromkeys(vertex_masks, True)
     frontier = list(closed)
     while frontier:
         fresh = []
@@ -349,25 +369,45 @@ def faces(poly: RationalPolyhedron) -> list[FaceDescriptor]:
             for b in vertex_masks:
                 c = a & b
                 if c not in closed:
-                    closed.add(c)
-                    fresh.append(c)
+                    closed[c] = all(c & cover for cover in covers)
+                    if closed[c] or not compact_only:
+                        fresh.append(c)
         frontier = fresh
+    return vertex_masks, closed
 
+
+def faces(poly: RationalPolyhedron) -> list[FaceDescriptor]:
+    """All faces meeting the vertex set: closures of vertex incidence masks.
+
+    A face's dimension is nvars minus the rank of its tight normals.  Two
+    facts let `mdc` skip most of them: compactness passes to subfaces, and
+    a face's dimension is at least that of each subface, so the largest
+    compact dimension is attained on a maximal compact face.
+    """
+    n = poly.nvars
+    vertex_masks, closed = _closed_masks(poly, compact_only=False)
     out = []
     for mask in sorted(closed):
         members = tuple(v for v, mv in zip(poly.vertices, vertex_masks)
                         if mv & mask == mask)
         tight = tuple(_bits(mask))
         normals = [poly.facets[i].normal for i in tight]
-        compact = all(any(a[j] > 0 for a in normals) for j in range(n))
-        out.append(FaceDescriptor(tight, members, n - rank(normals), compact))
+        out.append(FaceDescriptor(tight, members, n - rank(normals),
+                                  closed[mask]))
     out.sort(key=lambda f: (f.dim, f.tight_facets))
     return out
 
 
 def mdc(poly: RationalPolyhedron) -> int:
-    """Maximum dimension of a compact face (every vertex is one, so >= 0);
-    the face lattice is walked once per polyhedron object."""
+    """Maximum dimension of a compact face (every vertex is one, so >= 0).
+
+    Two facts keep the work to the size of the answer.  Compactness passes
+    to subfaces, so the closure of the vertex masks never extends a mask
+    that is not compact.  And a face's dimension is at least that of each
+    of its subfaces, so the maximum is attained on a maximal compact face:
+    only the minimal compact masks are ranked.  Computed once per
+    polyhedron object.
+    """
     return poly._mdc
 
 

@@ -13,7 +13,8 @@ from nok import (DEFAULT_VERTEX_BUDGET, BoundTooSmall, EmptyInput, HalfSpace,
                  hull_up_set, intersect_polyhedra, mdc,
                  minimal_lattice_points, minimalize, newton_polyhedron,
                  power, scale, symbolic_polyhedron)
-from nok.polyhedron import cone_extreme_rays, vertex_budget
+from nok.polyhedron import (_tight_mask, cone_extreme_rays,
+                            primitive_vector, vertex_budget)
 
 from oracles import (brute_force_minimal_points, brute_force_vertices, dot,
                      matrix_rank, solve_square)
@@ -311,6 +312,116 @@ def test_mdc_of_orthant_is_zero():
     body = from_halfspaces(orthant(3), 3)
     assert mdc(body) == 0
     assert body.vertices == ((Fraction(0),) * 3,)
+
+
+def fractional_up_sets(seed, count):
+    """from_halfspaces bodies whose vertices are mostly fractional: normal
+    entries up to 5 and fractional offsets."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        rows = orthant(n)
+        for _ in range(rng.randint(1, n + 3)):
+            normal = [rng.randint(0, 5) for _ in range(n)]
+            if not any(normal):
+                normal[rng.randrange(n)] = 1
+            rows.append((normal, Fraction(rng.randint(1, 12),
+                                          rng.randint(1, 4))))
+        yield from_halfspaces(rows, n)
+
+
+def random_hulls(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        yield hull_up_set(
+            [tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                   for _ in range(n))
+             for _ in range(rng.randint(1, 7))], n)
+
+
+def test_mdc_is_largest_compact_face_dimension(ideals):
+    bodies = []
+    for parsed in ideals.values():
+        bodies.append(newton_polyhedron(parsed.ideal))
+        if parsed.classified.supports_sp():
+            bodies.append(symbolic_polyhedron(parsed.classified))
+    bodies += random_hulls(71, 420)
+    fractional = list(fractional_up_sets(73, 120))
+    assert sum(any(c.denominator > 1 for v in b.vertices for c in v)
+               for b in fractional) > 60
+    bodies += fractional
+    rng = random.Random(79)
+    bodies += [scale(b, Fraction(rng.randint(1, 7), rng.randint(1, 7)))
+               for b in bodies[::3]]
+    seen_dims = set()
+    for body in bodies:
+        expected = max(f.dim for f in faces(body) if f.compact)
+        assert mdc(body) == expected
+        seen_dims.add((body.nvars, expected))
+    # the maximal compact faces reach every dimension below nvars
+    assert {(n, d) for n in range(1, 6) for d in range(n)} <= seen_dims
+
+
+def test_tight_mask_matches_slack():
+    rng = random.Random(83)
+    tight_fractional = 0
+    for body in fractional_up_sets(89, 60):
+        n = body.nvars
+        verts = body.vertices
+        points = list(verts)
+        for _ in range(6):
+            a, b = rng.choice(verts), rng.choice(verts)
+            w = Fraction(rng.randint(0, 5), 5)
+            # points of the body's edges and faces: mixed denominators
+            points.append(tuple(w * x + (1 - w) * y for x, y in zip(a, b)))
+            # points anywhere, outside the body and the orthant included
+            points.append(tuple(Fraction(rng.randint(-6, 12),
+                                         rng.randint(1, 6))
+                                for _ in range(n)))
+        for p in points:
+            expected = sum(1 << i for i, h in enumerate(body.facets)
+                           if h.slack(p) == 0)
+            assert _tight_mask(body.facets, p) == expected
+            if expected and any(c.denominator > 1 for c in p):
+                tight_fractional += 1
+    assert tight_fractional > 100
+
+
+def primitive_by_fractions(vec):
+    """The reference: clear the denominators of Fractions, then divide by
+    the gcd."""
+    fracs = [Fraction(x) for x in vec]
+    scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
+    ints = [int(f * scale) for f in fracs]
+    g = math.gcd(*ints) if ints else 0
+    if g > 1:
+        ints = [x // g for x in ints]
+    return tuple(ints)
+
+
+def test_primitive_vector_matches_fraction_path():
+    rng = random.Random(97)
+    vectors = [(), (0,), (0, 0, 0), (4, -6, 8), (-3,), (7, 0, -14),
+               (Fraction(1, 2), Fraction(-2, 3)), (Fraction(4, 2), 6),
+               (3, Fraction(-5, 7), 0), (Fraction(0), Fraction(0, 5))]
+    for _ in range(300):
+        length = rng.randint(0, 6)
+        kind = rng.choice(("int", "fraction", "mixed"))
+        vec = []
+        for _ in range(length):
+            num = rng.randint(-12, 12) * rng.choice((1, 1, 6))
+            den = rng.randint(1, 8)
+            if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+                vec.append(num)
+            else:
+                vec.append(Fraction(num, den))
+        vectors.append(tuple(vec))
+    for vec in vectors:
+        got = primitive_vector(vec)
+        assert got == primitive_by_fractions(vec)
+        assert all(type(x) is int for x in got)
+        assert primitive_vector(list(vec)) == got
 
 
 def test_decompose_point_postconditions():
