@@ -75,13 +75,18 @@ def classify_decomposition(decomp: PrimeDecomposition) -> ClassifiedIdeal:
                            IdealKind.LINEAR_POWER, decomp)
 
 
-@lru_cache(maxsize=None)
+# polyhedra kept per cache, least recently used first out; well above the
+# handful of ideals one process usually works with
+CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def newton_polyhedron(ideal: MonomialIdeal) -> RationalPolyhedron:
     """conv(generators) + orthant."""
     return poly.hull_up_set(ideal.generators, ideal.nvars)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def symbolic_polyhedron(classified: ClassifiedIdeal) -> RationalPolyhedron:
     """The polyhedron whose k-dilates' lattice points are the exponents of
     the k-th symbolic power.

@@ -8,19 +8,42 @@ Divisibility is tested on packed integers.  For one set of vectors,
 `_packing` shifts each coordinate by its minimum over the set, so every
 entry lies in [0, 2^w), where w is the bit length of the largest shifted
 entry.  A vector v becomes the int V with a field of w+1 bits per
-coordinate: v_j - min_j sits at bit offset j*(w+1), and the top bit of
-each field, its guard bit, is 0.  Let G be the int whose set bits are
-exactly the guard bits.  Then m <= v componentwise iff
-((V | G) - M) & G == G: field j of the difference is 2^w + v_j - m_j,
-which lies in [1, 2^(w+1)) because both entries are below 2^w.  So no
-field borrows from its neighbour, and the guard bit of field j stays set
-exactly when v_j >= m_j.  The componentwise order is translation-invariant,
-so the shift changes no answer, for negative entries too.
+coordinate: v_j - min_j sits at bit offset (n-1-j)*(w+1), so coordinate 0
+has the top field, and the top bit of each field, its guard bit, is 0.
+Let G be the int whose set bits are exactly the guard bits.  Then m <= v
+componentwise iff ((V | G) - M) & G == G: field j of the difference is
+2^w + v_j - m_j, which lies in [1, 2^(w+1)) because both entries are
+below 2^w.  So no field borrows from its neighbour, and the guard bit of
+field j stays set exactly when v_j >= m_j.  The componentwise order is
+translation-invariant, so the shift changes no answer, for negative
+entries too.  Packed ints compare as their vectors do lexicographically,
+and m <= v with m != v gives M < V, so sorting packed ints puts every
+vector after its divisors.
+
+`minimal_vectors` tests a vector against every kept vector at once.  Kept
+vector i sits in slot i of one int K.  A slot is the n fields plus one
+spare bit above them: it is s = n(w+1) + 1 bits wide, slot i starts at
+bit i*s, and its spare bit is T = 2^(s-1) within it.  With E the int that
+has a 1 at the bottom of each used slot, (V | G) * E repeats V | G in
+every slot.  Each field of a slot of (V | G) * E - K lies in
+[1, 2^(w+1)) as above, so each slot holds a value in [1, T) and no slot
+borrows from the next; its guard bits say which entries of v are at least
+those of that slot's kept vector.  OR in the non-guard bits below T of
+every slot (T - 1 - G each) and add E: a slot then reaches T, setting its
+spare bit without carrying further, exactly when all its guard bits were
+set, that is exactly when its kept vector divides v.
+
+`power` squares repeatedly.  Multiplication of monomial ideals is
+associative and commutative, and minimalizing a generating set gives the
+one canonical antichain, so any bracketing of the k factors yields the
+same ideal as k - 1 successive products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, mul
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (DimensionMismatch, EmptyGeneratorSet, EmptyList,
@@ -35,6 +58,13 @@ def _integral(v: Vector) -> bool:
     return all(isinstance(e, int) and not isinstance(e, bool) for e in v)
 
 
+def _all_int(vectors: Sequence[Vector], nvars: int) -> bool:
+    """True when every vector has length nvars and every entry is exactly
+    an int: the common case, checked in one pass over the batch."""
+    return (set(map(len, vectors)) == {nvars}
+            and set(map(type, chain.from_iterable(vectors))) == {int})
+
+
 def _packing(vectors: Collection[Vector]) -> tuple[int, Callable[[Vector], int]]:
     """Guard mask G and packing map v -> V for a nonempty set of int vectors
     of one length (see the module docstring)."""
@@ -42,11 +72,12 @@ def _packing(vectors: Collection[Vector]) -> tuple[int, Callable[[Vector], int]]
     lows = [min(col) for col in columns]
     span = max((max(col) - low for col, low in zip(columns, lows)), default=0)
     width = span.bit_length() + 1
-    offsets = range(0, width * len(lows), width)
-    guard = sum(1 << (o + width - 1) for o in offsets)
+    weights = [1 << o for o in range(width * len(lows) - width, -1, -width)]
+    guard = sum(weights) << (width - 1)
+    base = sum(map(mul, lows, weights))
 
     def pack(v: Vector) -> int:
-        return sum((e - low) << o for e, low, o in zip(v, lows, offsets))
+        return sum(map(mul, v, weights)) - base
 
     return guard, pack
 
@@ -57,27 +88,34 @@ def minimal_vectors(vectors: Iterable[Sequence[int]]) -> list[Vector]:
     if not vectors:
         return []
     nvars = len(vectors[0])
-    for v in vectors:
-        if len(v) != nvars:
-            raise DimensionMismatch(
-                f"vector {v} has length {len(v)}, expected {nvars}")
-        if not _integral(v):
-            raise NonPositiveExponent(f"bad exponent vector {v}")
-    unique = set(vectors)
-    guard, pack = _packing(unique)
+    if not _all_int(vectors, nvars):
+        for v in vectors:
+            if len(v) != nvars:
+                raise DimensionMismatch(
+                    f"vector {v} has length {len(v)}, expected {nvars}")
+            if not _integral(v):
+                raise NonPositiveExponent(f"bad exponent vector {v}")
+    guard, pack = _packing(vectors)
+    # packing is injective and monotone for both orders: sorting the packed
+    # ints dedupes, sorts lexicographically, and puts divisors first
+    by_packed = dict(zip(map(pack, vectors), vectors))
+    slot = guard.bit_length() + 1
+    low_bits = (1 << (slot - 1)) - 1 - guard
     kept: list[Vector] = []
-    kept_packed: list[int] = []
-    # a divisor has a smaller degree, so each vector meets its divisors first
-    for v in sorted(unique, key=lambda v: (sum(v), v)):
-        packed = pack(v)
-        raised = packed | guard
-        for m in kept_packed:
-            if (raised - m) & guard == guard:
-                break
-        else:
-            kept.append(v)
-            kept_packed.append(packed)
-    return sorted(kept)
+    # the module docstring's K and E, then T - 1 - G and T in every used
+    # slot; slot i belongs to kept[i]
+    packed = ones = fills = spares = 0
+    offset = 0
+    for p in sorted(by_packed):
+        if ((((p | guard) * ones - packed) | fills) + ones) & spares:
+            continue
+        kept.append(by_packed[p])
+        packed |= p << offset
+        ones |= 1 << offset
+        fills |= low_bits << offset
+        offset += slot
+        spares |= 1 << (offset - 1)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -92,12 +130,15 @@ class MonomialIdeal:
             raise DimensionMismatch("need at least one variable")
         if not self.generators:
             raise EmptyGeneratorSet("the zero ideal cannot be represented")
-        for g in self.generators:
-            if len(g) != self.nvars:
-                raise DimensionMismatch(
-                    f"generator {g} has length {len(g)}, expected {self.nvars}")
-            if not _integral(g) or any(e < 0 for e in g):
-                raise NonPositiveExponent(f"bad exponent vector {g}")
+        if not (_all_int(self.generators, self.nvars)
+                and min(chain.from_iterable(self.generators)) >= 0):
+            for g in self.generators:
+                if len(g) != self.nvars:
+                    raise DimensionMismatch(
+                        f"generator {g} has length {len(g)}, "
+                        f"expected {self.nvars}")
+                if not _integral(g) or any(e < 0 for e in g):
+                    raise NonPositiveExponent(f"bad exponent vector {g}")
         if list(self.generators) != minimal_vectors(self.generators):
             raise NokError("generators must be a lex-sorted antichain; "
                            "use minimalize() to build ideals")
@@ -141,18 +182,21 @@ def multiply(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:
     """Product ideal: all pairwise exponent sums, minimalized."""
     if lhs.nvars != rhs.nvars:
         raise DimensionMismatch("variable counts differ")
-    sums = [tuple(x + y for x, y in zip(a, b))
+    sums = [tuple(map(add, a, b))
             for a in lhs.generators for b in rhs.generators]
     return minimalize(sums, lhs.nvars)
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th ordinary power, k >= 1, by iterated products."""
+    """k-th ordinary power, k >= 1, by repeated squaring."""
     if k < 1:
         raise NonPositiveExponent(f"power exponent must be >= 1, got {k}")
     result = ideal
-    for _ in range(k - 1):
-        result = multiply(result, ideal)
+    # the binary digits of k after the leading 1, most significant first
+    for digit in bin(k)[3:]:
+        result = multiply(result, result)
+        if digit == "1":
+            result = multiply(result, ideal)
     return result
 
 

@@ -13,6 +13,7 @@ from nok import (ClassifiedIdeal, IdealKind, PrimeComponent,
 
 from oracles import (closure_member_naive, dot,
                      symbolic_power_by_intersection)
+from nok.bodies import CACHE_SIZE
 
 
 def random_linear_power(rng, n):
@@ -237,6 +238,14 @@ def test_polyhedra_are_memoized():
     ideal = minimalize([(1, 1), (0, 2)])
     assert newton_polyhedron(ideal) is newton_polyhedron(
         minimalize([(1, 1), (0, 2)]))
+
+
+def test_polyhedron_caches_are_bounded():
+    # (x^i) is m-primary, so its symbolic polyhedron fills both caches
+    for i in range(2, 2 * CACHE_SIZE + 2):
+        symbolic_polyhedron(classify(minimalize([(i,)])))
+    assert newton_polyhedron.cache_info().currsize <= CACHE_SIZE
+    assert symbolic_polyhedron.cache_info().currsize <= CACHE_SIZE
 
 
 def test_symbolic_power_requires_supported_class():

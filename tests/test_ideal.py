@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from operator import le
 
 import pytest
 
@@ -25,8 +26,7 @@ def brute_minimal(vectors):
     """Pairwise antichain filter: keep v unless another vector is <= it."""
     unique = {tuple(v) for v in vectors}
     return sorted(v for v in unique
-                  if not any(m != v and all(a <= b for a, b in zip(m, v))
-                             for m in unique))
+                  if not any(m != v and all(map(le, m, v)) for m in unique))
 
 
 def random_vectors(rng, nvars, count):
@@ -41,12 +41,44 @@ def random_vectors(rng, nvars, count):
     return vectors + rng.sample(vectors, min(len(vectors), 3))
 
 
+def wide_vectors(rng, nvars, count):
+    # entries around the field boundaries of a random width w; most
+    # vectors share one coordinate sum, so the kept antichain is long
+    w = rng.randint(1, 20)
+    pool = [0, 1, 2 ** w - 1, 2 ** w, 2 ** w + 1, -1]
+    level = nvars * 2 ** (w - 1)
+    vectors = []
+    for _ in range(count):
+        v = [rng.choice(pool) if rng.random() < 0.5
+             else rng.randint(-1, 2 ** w + 1) for _ in range(nvars - 1)]
+        v.append(level - sum(v) if rng.random() < 0.8 else rng.choice(pool))
+        vectors.append(tuple(v))
+    return vectors + rng.sample(vectors, count // 10)
+
+
 def test_minimal_vectors_matches_pairwise_filter():
     rng = random.Random(2009)
     for _ in range(600):
         nvars = rng.randint(1, 7)
         vectors = random_vectors(rng, nvars, rng.randint(0, 30))
         assert minimal_vectors(vectors) == brute_minimal(vectors)
+    for count in (200, 700, 1500, 3000):
+        vectors = wide_vectors(rng, rng.randint(2, 7), count)
+        assert minimal_vectors(vectors) == brute_minimal(vectors)
+
+
+def test_minimal_vectors_finds_the_only_divisor_in_any_slot():
+    # kept vectors take slots in lex order and v is lex-last; the only
+    # divisor of v, m, takes the first slot in one case and the last in
+    # the other
+    n = 500
+    for shift in (0, -3, 2 ** 20):
+        antichain = [(i, n + 1 - i, 0) for i in range(1, n + 1)]
+        for m, v in (((0, 0, 5), (n + 1, 0, 5)),
+                     ((n + 1, 0, 5), (n + 2, 0, 5))):
+            vectors = [tuple(e + shift for e in u)
+                       for u in antichain + [m, v]]
+            assert minimal_vectors(vectors) == sorted(vectors[:-1])
 
 
 def test_minimal_vectors_at_field_boundaries():
@@ -120,6 +152,10 @@ def test_minimalize_builds_canonical_ideal():
 def test_constructor_rejects_non_antichain():
     with pytest.raises(NokError):
         MonomialIdeal(2, ((1, 0), (2, 0)))
+    antichain = [(i, 999 - i) for i in range(999)]
+    assert MonomialIdeal(2, tuple(antichain)).generators == tuple(antichain)
+    with pytest.raises(NokError):
+        MonomialIdeal(2, tuple(sorted(antichain + [(500, 500)])))
 
 
 def test_constructor_rejects_unsorted():
@@ -173,6 +209,26 @@ def test_multiply_and_power_agree():
     ideal = minimalize([(1, 1), (0, 2)])
     assert power(ideal, 3) == multiply(multiply(ideal, ideal), ideal)
     assert power(ideal, 1) == ideal
+
+
+def test_power_matches_iterated_pairwise_product():
+    rng = random.Random(97)
+    ideals = [minimalize([(0,) * 3]), minimalize([(2, 0, 1)])]
+    for _ in range(16):
+        n = rng.randint(1, 5)
+        ideals.append(minimalize(
+            [tuple(rng.randint(0, 3) for _ in range(n))
+             for _ in range(rng.randint(1, 4))], n))
+    for ideal in ideals:
+        product = list(ideal.generators)
+        for k in range(1, 10):
+            assert list(power(ideal, k).generators) == product
+            product = brute_minimal([tuple(x + y for x, y in zip(a, b))
+                                     for a in product
+                                     for b in ideal.generators])
+        for k in (0, -1):
+            with pytest.raises(NonPositiveExponent):
+                power(ideal, k)
 
 
 def test_power_distributes_over_membership():
