@@ -15,13 +15,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from . import polyhedron as poly
 from .errors import NokError, NonPositiveExponent, UnsupportedIdealClass
 from .ideal import (MonomialIdeal, PrimeDecomposition, expand_decomposition,
                     minimal_primes)
-from .linalg import solve_linear
+from .linalg import _gauss_jordan
 from .polyhedron import HalfSpace, Point, RationalPolyhedron
 
 
@@ -161,9 +162,13 @@ def np_equals_sp(classified: ClassifiedIdeal) -> bool:
 class MembershipCertificate:
     """Auditable witness for a polyhedron membership answer.
 
-    Inside: point = sum(weight_i * vertex_i) + remainder with nonnegative
-    weights summing to 1 and a nonnegative remainder.  Outside: a facet the
-    point violates.
+    Inside: point = sum(weight_i * vertex_i) + remainder with positive
+    weights summing to 1 and a nonnegative remainder.  The vertices lie on
+    the compact face that decompose_point puts the point minus the
+    remainder on; they are the first subset of that face's vertices, by
+    size and then in vertex order, whose hull holds that point, so they
+    are affinely independent (see _convex_combination).  Outside: the
+    first facet the point violates.
     """
 
     inside: bool
@@ -175,29 +180,52 @@ class MembershipCertificate:
 
 def membership_certificate(body: RationalPolyhedron,
                            point: Sequence) -> MembershipCertificate:
-    """Prove or refute membership of a point in an up-set polyhedron."""
-    x = tuple(Fraction(c) for c in point)
-    for hs in body.facets:
-        if hs.slack(x) < 0:
+    """Prove or refute membership of a point in an up-set polyhedron.
+
+    Raises DimensionMismatch for a point of the wrong length."""
+    den, num = poly._cleared_point(body, point)
+    slacks = poly._slacks(body.facets, den, num)
+    for hs, s in zip(body.facets, slacks):
+        if s < 0:
             return MembershipCertificate(inside=False, violated=hs)
-    anchor, remainder = poly.decompose_point(body, x)
-    tight = [h for h in body.facets if h.slack(anchor) == 0]
-    candidates = [v for v in body.vertices
-                  if all(h.slack(v) == 0 for h in tight)]
+    anchor, remainder, tight = poly._decompose(body, den, num, slacks)
+    candidates = [v for v, m in zip(body.vertices, body._vertex_masks)
+                  if m & tight == tight]
     vertices, weights = _convex_combination(anchor, candidates)
     return MembershipCertificate(True, vertices, weights, remainder)
 
 
 def _convex_combination(target: Point, candidates: list[Point]):
     """Write target as a convex combination of some of the candidate
-    points (they span a face containing it, so a small subset works)."""
-    from itertools import combinations
+    points (they span a face containing it, so a small subset works).
+
+    Returns the first subset of least size, in itertools.combinations
+    order, whose hull holds the target, with its weights.  Such a subset
+    is affinely independent and its weights are positive: were it
+    dependent, or a weight zero, a smaller subset would hold the target.
+    So an affinely dependent subset is skipped without a look at its
+    solutions: if one were nonnegative, its support would be a smaller
+    subset holding the target, which the search has tried before.  The
+    search stays exponential in the number of candidates at worst.
+
+    Each subset is solved by fraction-free elimination of a slice of one
+    integer table: a row per coordinate, holding the candidates' entries
+    and the target's (last) scaled by the row's lcm of denominators, and
+    the row of ones.
+    """
+    table = [poly._clear_denominators([v[i] for v in candidates]
+                                      + [target[i]])[1]
+             for i in range(len(target))]
+    table.append([1] * (len(candidates) + 1))
     for size in range(1, len(candidates) + 1):
-        for subset in combinations(candidates, size):
-            rows = [[v[i] for v in subset] for i in range(len(target))]
-            rows.append([Fraction(1)] * size)
-            rhs = list(target) + [Fraction(1)]
-            sol = solve_linear(rows, rhs)
-            if sol is not None and all(w >= 0 for w in sol):
-                return tuple(subset), tuple(sol)
+        independent = list(range(size))
+        for subset in combinations(range(len(candidates)), size):
+            cols = (*subset, -1)
+            rows = [[row[c] for c in cols] for row in table]
+            d, pivots = _gauss_jordan(rows, size + 1)
+            # rows[k][size] / d is the k-th weight
+            if pivots == independent and all(
+                    row[size] * d >= 0 for row in rows[:size]):
+                return (tuple(candidates[c] for c in subset),
+                        tuple(Fraction(row[size], d) for row in rows[:size]))
     raise NokError("internal error: point not in the hull of its face")

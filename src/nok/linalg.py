@@ -3,9 +3,10 @@
 Everything works on sequences of numbers that mix `int` and
 `fractions.Fraction`; no floats are ever produced.  There are two
 eliminations: `_echelon`, a streaming Gaussian elimination over the
-rationals that `rank` and `solve_linear` rest on, and `_adjugate`, a
-fraction-free Gauss-Jordan elimination that inverts a nonsingular integer
-matrix up to its determinant without leaving the integers.
+rationals that `rank` and `solve_linear` rest on, and `_gauss_jordan`, a
+fraction-free Gauss-Jordan elimination of integer rows that never leaves
+the integers; `_adjugate` inverts a nonsingular integer matrix up to its
+determinant with it.
 """
 
 from __future__ import annotations
@@ -74,24 +75,48 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
     return sol
 
 
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
+    over their first `ncols` columns (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", 1968).
+
+    Column by column, the first remaining row that is nonzero there is
+    swapped up as the pivot row, and every other row becomes
+    (pivot * row - f * pivot_row) // prev, with f its entry in the column
+    and prev the previous pivot.  By Sylvester's identity every entry is
+    then a minor of the input, so each division is exact.  A column that
+    is zero in every remaining row gets no pivot.  Returns (d, pivots): the
+    pivot columns in order, and d the last pivot (1 if there is none).
+    Row k is then d at pivots[k] and zero at the other pivot columns, and
+    the rows after the last pivot row are zero in the first `ncols`
+    columns.
+    """
+    prev = 1
+    pivots: list[int] = []
+    for col in range(ncols):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[col]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[col]
+                rows[i] = [(pivot * x - f * y) // prev
+                           for x, y in zip(row, pivot_row)]
+        prev = pivot
+        pivots.append(col)
+    return prev, pivots
+
+
 def _adjugate(cols: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """(d, T) with T*G = d*I, where G has the given integer columns and
-    d = +-det G, by fraction-free Gauss-Jordan elimination of [G | I]:
-    every division is exact, so everything stays integer.  G must be
-    nonsingular."""
+    d = +-det G, by fraction-free Gauss-Jordan elimination of [G | I].  G
+    must be nonsingular."""
     m = len(cols)
     rows = [[c[i] for c in cols] + [int(i == k) for k in range(m)]
             for i in range(m)]
-    prev = 1
-    for k in range(m):
-        p = next(i for i in range(k, m) if rows[i][k])
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(m):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pivot * x - f * y) // prev
-                           for x, y in zip(rows[i], pivot_row)]
-        prev = pivot
-    return prev, [row[m:] for row in rows]
+    d, _ = _gauss_jordan(rows, m)
+    return d, [row[m:] for row in rows]

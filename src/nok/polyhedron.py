@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (BoundTooSmall, DimensionMismatch, EmptyInput, EmptyList,
@@ -81,9 +82,6 @@ class HalfSpace:
     def slack(self, point: Sequence) -> Fraction:
         return sum(a * x for a, x in zip(self.normal, point)) - self.offset
 
-    def satisfied(self, point: Sequence) -> bool:
-        return self.slack(point) >= 0
-
 
 @dataclass(frozen=True)
 class FaceDescriptor:
@@ -130,6 +128,18 @@ class RationalPolyhedron:
         return max(self.nvars - rank(self.facets[i].normal for i in _bits(m))
                    for m in top)
 
+    @cached_property
+    def _vertex_masks(self) -> tuple[int, ...]:
+        # bit i of a vertex's mask is set when the vertex lies on facet i
+        return tuple(_tight_mask(self.facets, v) for v in self.vertices)
+
+    @cached_property
+    def _cover_masks(self) -> tuple[int, ...]:
+        # per coordinate j, the facets whose normal is positive at j
+        return tuple(sum(1 << i for i, h in enumerate(self.facets)
+                         if h.normal[j] > 0)
+                     for j in range(self.nvars))
+
 
 def _bits(mask: int):
     index = 0
@@ -141,15 +151,38 @@ def _bits(mask: int):
 
 
 def _dot(a: Sequence[int], b: Sequence) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
+
+
+def _clear_denominators(point: Sequence) -> tuple[int, list[int]]:
+    """(den, num): den the lcm of the denominators of the point's
+    coordinates, num = den*point in integers.  As den > 0, a facet's slack
+    <normal, x> - offset has the sign of <normal, num> - offset*den, so
+    every facet test on the point runs in integers."""
+    xs = [x if type(x) is int or type(x) is Fraction else Fraction(x)
+          for x in point]
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _cleared_point(poly: RationalPolyhedron,
+                   point: Sequence) -> tuple[int, list[int]]:
+    """_clear_denominators of a point of the polyhedron's space; raises
+    DimensionMismatch for a point of the wrong length."""
+    if len(point) != poly.nvars:
+        raise DimensionMismatch(f"point {tuple(point)} has wrong length")
+    return _clear_denominators(point)
+
+
+def _slacks(facets: Sequence[HalfSpace], den: int,
+            num: Sequence[int]) -> list[int]:
+    """den times each facet's slack at the point num/den."""
+    return [_dot(h.normal, num) - h.offset * den for h in facets]
 
 
 def _tight_mask(facets: Sequence[HalfSpace], point: Sequence) -> int:
-    """Bitmask of the facets on which the point lies, tested in integers:
-    with den the lcm of the point's denominators, the point lies on
-    <normal, x> = offset exactly when <normal, den*x> = den*offset."""
-    den = math.lcm(*(x.denominator for x in point))
-    num = [x.numerator * (den // x.denominator) for x in point]
+    """Bitmask of the facets on which the point lies, tested in integers."""
+    den, num = _clear_denominators(point)
     return sum(1 << i for i, h in enumerate(facets)
                if _dot(h.normal, num) == h.offset * den)
 
@@ -310,10 +343,8 @@ def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
 
 
 def contains(poly: RationalPolyhedron, point: Sequence) -> bool:
-    if len(point) != poly.nvars:
-        raise DimensionMismatch(f"point {tuple(point)} has wrong length")
-    pt = [Fraction(c) for c in point]
-    return all(h.satisfied(pt) for h in poly.facets)
+    den, num = _cleared_point(poly, point)
+    return all(_dot(h.normal, num) >= h.offset * den for h in poly.facets)
 
 
 def equal(lhs: RationalPolyhedron, rhs: RationalPolyhedron) -> bool:
@@ -357,9 +388,8 @@ def _closed_masks(poly: RationalPolyhedron, compact_only: bool):
     a chain of compact supersets.  Returns the vertex masks and
     {closed mask reached: compact}.
     """
-    covers = [sum(1 << i for i, h in enumerate(poly.facets) if h.normal[j] > 0)
-              for j in range(poly.nvars)]
-    vertex_masks = [_tight_mask(poly.facets, v) for v in poly.vertices]
+    covers = poly._cover_masks
+    vertex_masks = poly._vertex_masks
     # every vertex is a compact face
     closed = dict.fromkeys(vertex_masks, True)
     frontier = list(closed)
@@ -414,26 +444,57 @@ def mdc(poly: RationalPolyhedron) -> int:
 def decompose_point(poly: RationalPolyhedron, point: Sequence) -> tuple[Point, Point]:
     """Split a point of P as u + r with u in a compact face and r >= 0.
 
-    Walks down coordinate directions that are free on the current minimal
-    face; each step makes a new facet tight, so it terminates.
+    Walks down each coordinate direction that is free on the current
+    minimal face, in order.  A step down coordinate j makes a facet with a
+    positive entry at j tight, and leaves the tight facets tight (they are
+    zero at j), so one pass over the coordinates reaches a compact face.
     """
-    x = tuple(Fraction(c) for c in point)
-    if not contains(poly, x):
+    den, num = _cleared_point(poly, point)
+    slacks = _slacks(poly.facets, den, num)
+    if any(s < 0 for s in slacks):
         raise PointNotInPolyhedron(f"{tuple(point)} is not in the polyhedron")
-    n = poly.nvars
-    u = x
-    while True:
-        tight = [h for h in poly.facets if h.slack(u) == 0]
-        free = next((j for j in range(n)
-                     if all(h.normal[j] == 0 for h in tight)), None)
-        if free is None:
-            break
-        steps = [Fraction(h.slack(u), h.normal[free])
-                 for h in poly.facets if h.normal[free] > 0]
-        lam = min(steps)
-        u = tuple(c - lam if j == free else c for j, c in enumerate(u))
-    remainder = tuple(a - b for a, b in zip(x, u))
-    return u, remainder
+    anchor, remainder, _ = _decompose(poly, den, num, slacks)
+    return anchor, remainder
+
+
+def _decompose(poly: RationalPolyhedron, den: int, num: list[int],
+               slacks: list[int]) -> tuple[Point, Point, int]:
+    """decompose_point for the point num/den of P, whose scaled facet
+    slacks (see _slacks) are given; also returns the mask of the facets
+    tight at u.
+
+    The walk keeps u as U/D and the facet slacks at u as D*slack, all in
+    integers.  A step of length lam = p/q down coordinate j lowers U[j] by
+    D*lam and slack i by a_ij*lam; D grows to lcm(D, q) first, scaling U
+    and the slacks, only when q does not divide it.
+    """
+    facets = poly.facets
+    scale, cur, slack = den, list(num), list(slacks)
+    tight = sum(1 << i for i, s in enumerate(slack) if s == 0)
+    for free, cover in enumerate(poly._cover_masks):
+        if cover & tight:
+            continue
+        # the nearest facet down coordinate free: least slack_i / a_i
+        best, best_a = None, 1
+        for s, h in zip(slack, facets):
+            a = h.normal[free]
+            if a > 0 and (best is None or s * best_a < best * a):
+                best, best_a = s, a
+        g = math.gcd(best, scale * best_a)
+        p, q = best // g, scale * best_a // g
+        if scale % q:
+            r = q // math.gcd(scale, q)
+            scale *= r
+            cur = [c * r for c in cur]
+            slack = [s * r for s in slack]
+        step = p * (scale // q)
+        cur[free] -= step
+        slack = [s - step * h.normal[free] for s, h in zip(slack, facets)]
+        tight = sum(1 << i for i, s in enumerate(slack) if s == 0)
+    lift = scale // den
+    anchor = tuple(Fraction(c, scale) for c in cur)
+    remainder = tuple(Fraction(x * lift - c, scale) for x, c in zip(num, cur))
+    return anchor, remainder, tight
 
 
 def minimal_lattice_points(poly: RationalPolyhedron,

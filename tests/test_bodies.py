@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from nok import (ClassifiedIdeal, IdealKind, PrimeComponent,
-                 PrimeDecomposition, UnsupportedIdealClass, classify,
-                 classify_decomposition, contains, equal, integral_closure,
+from nok import (ClassifiedIdeal, DimensionMismatch, IdealKind,
+                 PrimeComponent, PrimeDecomposition, UnsupportedIdealClass,
+                 classify, classify_decomposition, contains, decompose_point,
+                 equal, faces, from_halfspaces, hull_up_set, integral_closure,
                  member_integral_closure, member_symbolic,
                  membership_certificate, minimal_primes, minimalize,
                  newton_polyhedron, np_equals_sp, power, real_power, scale,
@@ -13,7 +15,8 @@ from nok import (ClassifiedIdeal, IdealKind, PrimeComponent,
 
 from oracles import (closure_member_naive, dot,
                      symbolic_power_by_intersection)
-from nok.bodies import CACHE_SIZE
+from nok.bodies import CACHE_SIZE, MembershipCertificate
+from nok.linalg import solve_linear
 
 
 def random_linear_power(rng, n):
@@ -232,6 +235,118 @@ def test_certificate_inside_and_outside_triangle():
     assert not outside.inside
     check_certificate(
         body, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)), outside)
+
+
+def fraction_certificate(body, point):
+    """The certificate by the Fraction route: a slack per facet, the
+    candidate vertices by slack, and every subset of them in order of size
+    through solve_linear, as certificates were first built."""
+    x = tuple(Fraction(c) for c in point)
+    for hs in body.facets:
+        if hs.slack(x) < 0:
+            return MembershipCertificate(inside=False, violated=hs)
+    anchor, remainder = decompose_point(body, x)
+    tight = [h for h in body.facets if h.slack(anchor) == 0]
+    candidates = [v for v in body.vertices
+                  if all(h.slack(v) == 0 for h in tight)]
+    for size in range(1, len(candidates) + 1):
+        for subset in combinations(candidates, size):
+            rows = [[v[i] for v in subset] for i in range(len(anchor))]
+            rows.append([Fraction(1)] * size)
+            sol = solve_linear(rows, list(anchor) + [Fraction(1)])
+            if sol is not None and all(w >= 0 for w in sol):
+                return MembershipCertificate(True, subset, tuple(sol),
+                                             remainder)
+    raise AssertionError("point not in the hull of its face")
+
+
+def face_points(rng, verts, count):
+    """Convex combinations of random vertex subsets, with mixed
+    denominators in the weights."""
+    for _ in range(count):
+        chosen = rng.sample(verts, rng.randint(1, min(len(verts), 4)))
+        raw = [Fraction(rng.randint(1, 5), rng.randint(1, 4)) for _ in chosen]
+        yield tuple(sum(w * v[j] for w, v in zip(raw, chosen)) / sum(raw)
+                    for j in range(len(verts[0])))
+
+
+def certificate_bodies(seed):
+    """Bodies in 2 to 5 variables with fractional vertices: hulls of
+    fractional points, and fractional half-space systems."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        yield hull_up_set(
+            [tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                   for _ in range(n))
+             for _ in range(rng.randint(2, 8))], n)
+        rows = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+        for _ in range(rng.randint(1, n + 3)):
+            normal = [rng.randint(0, 4) for _ in range(n)]
+            normal[rng.randrange(n)] += 1
+            rows.append((normal, Fraction(rng.randint(1, 12),
+                                          rng.randint(1, 4))))
+        yield from_halfspaces(rows, n)
+
+
+def test_certificates_match_fraction_subset_search():
+    rng = random.Random(89)
+    kinds = {"outside": 0, "fractional": 0, "three_or_more": 0}
+    for body in certificate_bodies(91):
+        points = list(face_points(rng, body.vertices, 6))
+        points += [tuple(c + Fraction(rng.randint(0, 4), rng.randint(1, 5))
+                         for c in p) for p in points[:3]]
+        points += [tuple(Fraction(rng.randint(0, 9), rng.randint(1, 6))
+                         for _ in range(body.nvars)) for _ in range(3)]
+        for point in points:
+            cert = membership_certificate(body, point)
+            assert cert == fraction_certificate(body, point)
+            check_certificate(body, point, cert)
+            kinds["outside"] += not cert.inside
+            kinds["fractional"] += any(w.denominator > 1
+                                       for w in cert.weights)
+            kinds["three_or_more"] += len(cert.vertices) >= 3
+    assert kinds["outside"] > 60
+    assert kinds["fractional"] > 250
+    assert kinds["three_or_more"] > 80
+
+
+def large_faces(ideals):
+    """Compact faces with 8 or more vertices: c5cone's 10-vertex face of
+    NP, its 8-vertex faces of SP, and a cube in four variables."""
+    c5cone = ideals["c5cone"]
+    cube = hull_up_set([(a, b, c, 3 - a - b - c) for a in (0, 1)
+                        for b in (0, 1) for c in (0, 1)], 4)
+    for body in (newton_polyhedron(c5cone.ideal),
+                 symbolic_polyhedron(c5cone.classified), cube):
+        for face in faces(body):
+            if face.compact and len(face.vertex_set) >= 8:
+                yield body, face.vertex_set
+
+
+def test_certificates_on_faces_with_many_vertices(ideals):
+    rng = random.Random(97)
+    sizes = []
+    for body, verts in large_faces(ideals):
+        barycentre = tuple(sum(v[j] for v in verts) / len(verts)
+                           for j in range(body.nvars))
+        for point in [barycentre, *face_points(rng, verts, 4)]:
+            cert = membership_certificate(body, point)
+            assert cert == fraction_certificate(body, point)
+            check_certificate(body, point, cert)
+        sizes.append(len(verts))
+    assert sorted(sizes) == [8, 8, 8, 8, 8, 8, 10]
+
+
+@pytest.mark.parametrize("length", [2, 6])
+def test_certificate_rejects_wrong_length(ideals, length):
+    body = newton_polyhedron(ideals["c5"].ideal)
+    point = (0,) * length
+    with pytest.raises(DimensionMismatch) as refused:
+        membership_certificate(body, point)
+    with pytest.raises(DimensionMismatch) as expected:
+        contains(body, point)
+    assert str(refused.value) == str(expected.value)
 
 
 def test_polyhedra_are_memoized():

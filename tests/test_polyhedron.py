@@ -442,6 +442,71 @@ def test_decompose_point_postconditions():
                        for h in body.facets) or not body.facets
 
 
+def fraction_decompose(body, point):
+    """decompose_point's walk on Fraction slacks: the reference for the
+    walk in integers."""
+    x = tuple(Fraction(c) for c in point)
+    u = x
+    while True:
+        tight = [h for h in body.facets if h.slack(u) == 0]
+        free = next((j for j in range(body.nvars)
+                     if all(h.normal[j] == 0 for h in tight)), None)
+        if free is None:
+            break
+        lam = min(Fraction(h.slack(u), h.normal[free])
+                  for h in body.facets if h.normal[free] > 0)
+        u = tuple(c - lam if j == free else c for j, c in enumerate(u))
+    return u, tuple(a - b for a, b in zip(x, u))
+
+
+def mixed_points(rng, body, count):
+    """Points with mixed denominators: on the body's faces (a vertex, or a
+    point between two vertices, with or without a shift up), and anywhere,
+    outside the body and the orthant included."""
+    verts = body.vertices
+    for _ in range(count):
+        a, b = rng.choice(verts), rng.choice(verts)
+        w = Fraction(rng.randint(0, 6), rng.randint(1, 6))
+        w = min(w, 1)
+        on_face = tuple(w * x + (1 - w) * y for x, y in zip(a, b))
+        yield on_face
+        yield tuple(c + Fraction(rng.randint(0, 1) * rng.randint(1, 9),
+                                 rng.randint(1, 7)) for c in on_face)
+        yield tuple(Fraction(rng.randint(-3, 12), rng.randint(1, 7))
+                    for _ in range(body.nvars))
+
+
+def test_contains_and_decompose_match_fraction_slack():
+    rng = random.Random(97)
+    bodies = list(fractional_up_sets(101, 50)) + list(random_hulls(103, 50))
+    on_facet = outside = rescaled = 0
+    for body in bodies:
+        for p in mixed_points(rng, body, 8):
+            slacks = [h.slack(p) for h in body.facets]
+            inside = all(s >= 0 for s in slacks)
+            assert contains(body, p) == inside
+            if not inside:
+                outside += 1
+                with pytest.raises(PointNotInPolyhedron):
+                    decompose_point(body, p)
+                continue
+            on_facet += 0 in slacks
+            got = decompose_point(body, p)
+            assert got == fraction_decompose(body, p)
+            assert all(type(c) is Fraction for part in got for c in part)
+            # a step whose length has a denominator new to the walk
+            den = math.lcm(*(Fraction(c).denominator for c in p))
+            rescaled += any(den % c.denominator for c in got[0])
+    assert on_facet > 1000 and outside > 400 and rescaled > 200
+
+
+def test_contains_converts_like_fraction():
+    body = hull_up_set([(Fraction(1, 2), Fraction(3, 2))], 2)
+    assert contains(body, (0.5, "3/2"))
+    assert not contains(body, ("1/3", 2))
+    assert contains(body, (True, 2))
+
+
 def test_decompose_point_requires_membership():
     body = hull_up_set([(Fraction(1), Fraction(1))], 2)
     with pytest.raises(PointNotInPolyhedron):
