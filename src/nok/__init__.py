@@ -11,11 +11,11 @@ from .bodies import (ClassifiedIdeal, IdealKind, MembershipCertificate,
                      membership_certificate, newton_polyhedron, np_equals_sp,
                      real_power, symbolic_polyhedron, symbolic_power)
 from .errors import (BoundTooSmall, DimensionMismatch, EmptyGeneratorSet,
-                     EmptyInput, EmptyList, EmptyPrime, InfeasibleSystem,
-                     InvalidVertexBudget, MissingOrthantConstraints,
-                     NoCandidate, NokError, NonPositiveExponent,
-                     NonPositiveMultiplicity, NonPositiveScale,
-                     NotProvenNoetherian, NotSquarefree,
+                     EmptyInput, EmptyList, EmptyPrime, InexactNumber,
+                     InfeasibleSystem, InvalidVertexBudget,
+                     MissingOrthantConstraints, NoCandidate, NokError,
+                     NonPositiveExponent, NonPositiveMultiplicity,
+                     NonPositiveScale, NotProvenNoetherian, NotSquarefree,
                      NoVertices, ParseError, PointNotInPolyhedron,
                      UnknownVariable, UnsupportedIdealClass,
                      VertexBudgetExceeded)

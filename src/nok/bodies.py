@@ -140,7 +140,7 @@ def symbolic_power(classified: ClassifiedIdeal, k: int) -> MonomialIdeal:
 def real_power(ideal: MonomialIdeal, r) -> MonomialIdeal:
     """Ideal generated by the lattice points of r*NP(I), r a positive
     rational; r = 1 gives the integral closure."""
-    ratio = Fraction(r)
+    ratio = poly.as_fraction(r)
     if ratio <= 0:
         raise NonPositiveExponent(f"real power needs r > 0, got {r}")
     body = poly.scale(newton_polyhedron(ideal), ratio)

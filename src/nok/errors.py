@@ -21,6 +21,10 @@ class NonPositiveExponent(NokError):
     """A power or real-power exponent must be positive."""
 
 
+class InexactNumber(NokError):
+    """A float was given where an exact rational is needed."""
+
+
 class EmptyList(NokError):
     """An operation over a list of ideals received an empty list."""
 

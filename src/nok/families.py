@@ -66,8 +66,8 @@ class CeilingPowerFamily:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", poly.as_fraction(self.alpha))
+        object.__setattr__(self, "beta", poly.as_fraction(self.beta))
         if self.alpha <= 0:
             raise NonPositiveExponent(
                 f"ceiling family needs alpha > 0, got {self.alpha}")

@@ -3,10 +3,9 @@
 Everything works on sequences of numbers that mix `int` and
 `fractions.Fraction`; no floats are ever produced.  There are two
 eliminations: `_echelon`, a streaming Gaussian elimination over the
-rationals that `rank` and `solve_linear` rest on, and `_gauss_jordan`, a
-fraction-free Gauss-Jordan elimination of integer rows that never leaves
-the integers; `_adjugate` inverts a nonsingular integer matrix up to its
-determinant with it.
+rationals that serves only `rank` and `solve_linear`, and `_gauss_jordan`,
+a fraction-free Gauss-Jordan elimination of integer rows that never
+leaves the integers; `_adjugate` and every other elimination use it.
 """
 
 from __future__ import annotations
@@ -15,22 +14,20 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
-def _echelon(rows: Iterable[Sequence], limit: int | None = None):
+def _echelon(rows: Iterable[Sequence]):
     """Keep each row that is independent of the rows kept before it.
 
     Every incoming row is reduced against the kept rows at their pivot
     columns; if anything is left, it is scaled so that its first nonzero
     entry (its pivot) is 1 and kept.  A kept row is zero at the pivot
-    columns of the rows kept before it.  Stops early once `limit` rows are
-    kept.  Returns the kept rows, their pivot columns and their indices in
-    the input.
+    columns of the rows kept before it.  Returns the kept rows and their
+    pivot columns.
     """
     basis: list[list[Fraction]] = []
     pivots: list[int] = []
-    kept: list[int] = []
     # the rows are mostly sparse, so Fraction arithmetic on zero entries
     # is skipped
-    for index, row in enumerate(rows):
+    for row in rows:
         vec = [Fraction(x) for x in row]
         for pivot_col, base in zip(pivots, basis):
             coeff = vec[pivot_col]
@@ -43,26 +40,19 @@ def _echelon(rows: Iterable[Sequence], limit: int | None = None):
         inv = vec[col]
         basis.append([a / inv if a else a for a in vec])
         pivots.append(col)
-        kept.append(index)
-        if limit is not None and len(basis) >= limit:
-            break
-    return basis, pivots, kept
+    return basis, pivots
 
 
-def rank(rows: Iterable[Sequence], limit: int | None = None) -> int:
-    """Rank of a matrix given as an iterable of rows.
-
-    Stops early once `limit` independent rows are found (the caller often
-    only needs to know whether the rank reaches a threshold).
-    """
-    return len(_echelon(rows, limit)[0])
+def rank(rows: Iterable[Sequence]) -> int:
+    """Rank of a matrix given as an iterable of rows."""
+    return len(_echelon(rows)[0])
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
     """One exact solution of a general linear system, or None if the
     system is inconsistent; free variables are set to zero."""
     cols = len(rows[0]) if rows else 0
-    basis, pivots, _ = _echelon([*row, b] for row, b in zip(rows, rhs))
+    basis, pivots = _echelon([*row, b] for row, b in zip(rows, rhs))
     if cols in pivots:  # a kept row reads 0 = nonzero
         return None
     sol = [Fraction(0)] * cols

@@ -8,10 +8,11 @@ standard basis vectors.  The facets and the vertices are stored,
 canonically ordered, so that structural equality is semantic equality;
 the rays and the dimension follow from the shape.
 
-The single geometric engine is a double-description pass over a pointed
-cone.  Vertex enumeration runs it on the homogenization of the constraint
-system; facet enumeration runs it on the dual cone spanned by the
-generators.
+Each constructor makes one double-description pass over a pointed cone:
+`from_halfspaces` on the homogenized rows, for the vertices, and
+`hull_up_set` on the dual cone of the points, for the facets.  The other
+side is read off incidence masks: a row (a point) is kept unless another
+is tight at (lies on) strictly more extreme rays (facets).
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (BoundTooSmall, DimensionMismatch, EmptyInput, EmptyList,
-                     InfeasibleSystem, InvalidVertexBudget,
+                     InexactNumber, InfeasibleSystem, InvalidVertexBudget,
                      MissingOrthantConstraints, NoVertices, NokError,
                      NonPositiveScale, PointNotInPolyhedron,
                      VertexBudgetExceeded)
-from .linalg import _adjugate, _echelon, rank
+from .linalg import _gauss_jordan, rank
 
 Point = tuple[Fraction, ...]
 
@@ -53,14 +54,19 @@ def vertex_budget() -> int:
     return value
 
 
+def as_fraction(x) -> Fraction:
+    """Fraction(x), refusing a float: it stands for its binary expansion."""
+    if isinstance(x, float):
+        raise InexactNumber(f"{x!r} is a float, not an exact rational")
+    return Fraction(x)
+
+
 def primitive_vector(vec: Sequence) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to coprime integers."""
     ints = list(vec)
     # integer vectors (every double-description ray) skip the Fractions
     if not all(type(x) is int for x in ints):
-        fracs = [Fraction(x) for x in ints]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (scale // f.denominator) for f in fracs]
+        ints = _clear_denominators(ints)[1]
     g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
@@ -159,7 +165,7 @@ def _clear_denominators(point: Sequence) -> tuple[int, list[int]]:
     coordinates, num = den*point in integers.  As den > 0, a facet's slack
     <normal, x> - offset has the sign of <normal, num> - offset*den, so
     every facet test on the point runs in integers."""
-    xs = [x if type(x) is int or type(x) is Fraction else Fraction(x)
+    xs = [x if type(x) is int or type(x) is Fraction else as_fraction(x)
           for x in point]
     den = math.lcm(*(x.denominator for x in xs))
     return den, [x.numerator * (den // x.denominator) for x in xs]
@@ -190,9 +196,11 @@ def _tight_mask(facets: Sequence[HalfSpace], point: Sequence) -> int:
 def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {x : <r, x> >= 0 for each row r}.
 
-    Double description: start from the simplicial subcone cut out by `dim`
-    independent rows, whose rays are the columns of the basis inverse (one
-    fraction-free adjugate), then insert the remaining rows one at a time.
+    Double description: start from the simplicial subcone cut out by the
+    leftmost `dim` independent rows, sparsest first, then insert the
+    remaining rows one at a time.  One fraction-free elimination of
+    [rows^T | I] picks the start rows (its pivot columns) and their rays
+    (its right block, +-det times their inverse).
     Each ray carries the bitmask of the processed rows tight at it.  Two
     rays on opposite sides of the new row combine exactly when no third
     ray is tight wherever both are (the combinatorial adjacency test of
@@ -204,7 +212,10 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[i
     budget = vertex_budget()
     unique = sorted({tuple(r) for r in rows if any(r)},
                     key=lambda r: (sum(1 for x in r if x), r))
-    chosen = _echelon(unique, limit=dim)[2]
+    width = len(unique)
+    table = [[r[i] for r in unique] + [int(i == k) for k in range(dim)]
+             for i in range(dim)]
+    det, chosen = _gauss_jordan(table, width)
     if len(chosen) < dim:
         raise MissingOrthantConstraints(
             "some coordinate direction is unconstrained; add the orthant "
@@ -212,13 +223,12 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[i
     basis = [unique[i] for i in chosen]
     processed = basis + [r for i, r in enumerate(unique) if i not in chosen]
 
-    # row j of adj is det times column j of the inverse: tight at every
-    # basis row but row j
-    det, adj = _adjugate(basis)
+    # row j of the right block is det times column j of the inverse: tight
+    # at every basis row but row j
     sign = 1 if det > 0 else -1
     full = (1 << dim) - 1
-    rays = [(primitive_vector([sign * x for x in adj[j]]), full & ~(1 << j))
-            for j in range(dim)]
+    rays = [(primitive_vector([sign * x for x in row[width:]]),
+             full & ~(1 << j)) for j, row in enumerate(table)]
 
     for t in range(dim, len(processed)):
         row = processed[t]
@@ -256,29 +266,11 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[i
     return result
 
 
-def _as_halfspace(item, nvars: int) -> HalfSpace:
-    if isinstance(item, HalfSpace):
-        hs = item
-    else:
-        normal, offset = item
-        hs = HalfSpace.from_rational(normal, offset)
-    if len(hs.normal) != nvars:
-        raise DimensionMismatch(
-            f"half-space normal {hs.normal} has wrong length")
-    return hs
-
-
-def _facets_from_generators(nvars: int,
-                            vertices: Sequence[Point]) -> tuple[HalfSpace, ...]:
-    """Irredundant facets of conv(vertices) + orthant, via the dual cone."""
-    rows = [primitive_vector(list(v) + [1]) for v in vertices]
-    rows += [tuple(int(i == j) for i in range(nvars + 1))
-             for j in range(nvars)]
-    facets = []
-    for w in cone_extreme_rays(rows, nvars + 1):
-        if any(w[:nvars]):
-            facets.append(HalfSpace(w[:nvars], -w[nvars]))
-    return tuple(sorted(facets, key=lambda h: (h.normal, h.offset)))
+def _maximal(items: Sequence, masks: Sequence[int]) -> list:
+    """The items whose incidence mask no other item's mask strictly
+    contains."""
+    return [x for x, m in zip(items, masks)
+            if not any(o & m == m and o != m for o in masks)]
 
 
 def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
@@ -291,9 +283,17 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
     """
     if nvars < 1:
         raise DimensionMismatch("need at least one variable")
-    canonical = []
+    canonical = set()
     for item in halfspaces:
-        hs = _as_halfspace(item, nvars)
+        if isinstance(item, HalfSpace):
+            hs = item
+        else:
+            normal, offset = item
+            hs = HalfSpace.from_rational(normal, offset)
+        # checked as given, and kept in primitive form
+        if len(hs.normal) != nvars:
+            raise DimensionMismatch(
+                f"half-space normal {hs.normal} has wrong length")
         if any(a < 0 for a in hs.normal):
             raise MissingOrthantConstraints(
                 f"half-space {hs.normal} >= {hs.offset} has a negative "
@@ -302,8 +302,8 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
             if hs.offset > 0:
                 raise InfeasibleSystem(f"constraint 0 >= {hs.offset}")
             continue
-        canonical.append(hs)
-    canonical = sorted(set(canonical), key=lambda h: (h.normal, h.offset))
+        canonical.add(HalfSpace.from_rational(hs.normal, hs.offset))
+    canonical = sorted(canonical, key=lambda h: (h.normal, h.offset))
     if not canonical:
         raise EmptyInput("no nontrivial half-spaces given")
 
@@ -318,13 +318,17 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
     if any(x < 0 for r in rays for x in r):
         raise MissingOrthantConstraints(
             "system has recession directions outside the orthant")
-    return RationalPolyhedron(nvars, _facets_from_generators(nvars, verts),
+    # every facet is a row, and a row is one iff its face is maximal; a
+    # row's face inside t = 0 also lies on a facet, so t >= 0 needs no mask
+    masks = [sum(1 << i for i, r in enumerate(rays) if _dot(row, r) == 0)
+             for row in homog]
+    return RationalPolyhedron(nvars, tuple(_maximal(canonical, masks)),
                               verts)
 
 
 def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
     """conv(points) + nonnegative orthant, for nonnegative rational points."""
-    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    pts = sorted({tuple(as_fraction(c) for c in p) for p in points})
     if not pts:
         raise EmptyInput("no points given")
     for p in pts:
@@ -333,13 +337,18 @@ def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
         if any(c < 0 for c in p):
             raise MissingOrthantConstraints(
                 f"point {p} lies outside the nonnegative orthant")
-    facets = _facets_from_generators(nvars, pts)
+    # the facets are the rays of the dual cone, bar the one for t >= 0
+    rows = [primitive_vector(list(p) + [1]) for p in pts]
+    rows += [tuple(int(i == j) for i in range(nvars + 1))
+             for j in range(nvars)]
+    facets = tuple(sorted((HalfSpace(w[:nvars], -w[nvars])
+                           for w in cone_extreme_rays(rows, nvars + 1)
+                           if any(w[:nvars])),
+                          key=lambda h: (h.normal, h.offset)))
     # a point is a vertex unless another point lies on all of its tight
     # facets and on more (as does each vertex of the smallest face through it)
     masks = [_tight_mask(facets, p) for p in pts]
-    verts = tuple(p for p, m in zip(pts, masks)
-                  if not any(o & m == m and o != m for o in masks))
-    return RationalPolyhedron(nvars, facets, verts)
+    return RationalPolyhedron(nvars, facets, tuple(_maximal(pts, masks)))
 
 
 def contains(poly: RationalPolyhedron, point: Sequence) -> bool:
@@ -356,7 +365,7 @@ def equal(lhs: RationalPolyhedron, rhs: RationalPolyhedron) -> bool:
 
 def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
     """Dilation t*P for a positive rational t."""
-    t = Fraction(factor)
+    t = as_fraction(factor)
     if t <= 0:
         raise NonPositiveScale(f"scale factor must be positive, got {factor}")
     facets = tuple(sorted((HalfSpace.from_rational(h.normal, h.offset * t)
@@ -542,9 +551,6 @@ def minimal_lattice_points(poly: RationalPolyhedron,
     zero = [[(i, b - suffix[i][j + 1])
              for i, (normal, b) in enumerate(rows) if normal[j] == 0]
             for j in range(n)]
-    leafpos = [[(i, normal[j], b)
-                for i, (normal, b) in enumerate(rows) if normal[j] > 0]
-               for j in range(n)]
 
     found: list[tuple[int, ...]] = []
     prefix = [0] * n
@@ -553,7 +559,7 @@ def minimal_lattice_points(poly: RationalPolyhedron,
         if j == n:
             for l in range(n):
                 if prefix[l]:
-                    for i, a, b in leafpos[l]:
+                    for i, a, b, _ in pos[l]:
                         if dots[i] - a < b:
                             break
                     else:

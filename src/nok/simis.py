@@ -9,10 +9,10 @@ algorithm of Normaliz (Bruns & Ichim, J. Algebra 324, 2010): a pulling
 triangulation splits the cone into simplicial cells, and by the
 parallelepiped lemma every basis element is a generator of the cone or a
 nonzero lattice point of the half-open fundamental parallelepiped of one
-cell.  The candidates are reduced in increasing order of sum(a) + k, a
-grading that is positive on the cone, so every reducer of a candidate is
-met before it.  The degree bound only filters the result; the work does
-not depend on it.
+cell.  A candidate is reducible exactly when its facet values dominate
+those of another candidate, so the basis is the antichain of
+componentwise-minimal facet values.  The degree bound only filters the
+result; the work does not depend on it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import polyhedron as poly
 from .bodies import (ClassifiedIdeal, newton_polyhedron, symbolic_polyhedron,
                      symbolic_power)
 from .errors import NoCandidate, NonPositiveExponent
-from .ideal import MonomialIdeal, power
+from .ideal import MonomialIdeal, minimal_vectors, power
 from .invariants import (analytic_spread, svd_bounds,
                          symbolic_analytic_spread, vertex_constants)
 from .linalg import _adjugate
@@ -157,12 +157,11 @@ def _cone_basis(body: RationalPolyhedron, bound: int) -> list[HilbertElement]:
     (normal, -offset) for each facet and by t >= 0.  By the parallelepiped
     lemma, every basis element is a generator or a nonzero lattice point
     of the half-open parallelepiped of one simplicial cell of a
-    triangulation (a point with some lambda_i >= 1 splits off g_i).  The
-    candidates are taken in increasing sum(a) + t, which is positive on
-    the cone, and a candidate is kept unless candidate - h lies in the
-    cone for an element h kept before it; a reducer always has a smaller
-    value, so the kept set is the Hilbert basis, degree-0 rays included.
-    Everything is integer arithmetic.
+    triangulation (a point with some lambda_i >= 1 splits off g_i).  A
+    candidate x is kept unless x - h lies in the cone for another
+    candidate h, that is, unless the facet values of h are componentwise
+    at most those of x: the kept set is the Hilbert basis, degree-0 rays
+    included.  Everything is integer arithmetic.
     """
     n = body.nvars
     gens = [poly.primitive_vector(list(v) + [1]) for v in body.vertices]
@@ -174,14 +173,10 @@ def _cone_basis(body: RationalPolyhedron, bound: int) -> list[HilbertElement]:
         candidates.update(_parallelepiped([gens[i] for i in cell]))
     candidates.discard((0,) * (n + 1))
 
-    kept: list[tuple[int, ...]] = []
-    kept_values: list[list[int]] = []
-    for x in sorted(candidates, key=lambda x: (sum(x), x)):
-        values = [poly._dot(r, x) for r in rows]
-        if not any(all(a >= b for a, b in zip(values, hv))
-                   for hv in kept_values):
-            kept.append(x)
-            kept_values.append(values)
+    # the map to facet values is injective (the rows have full rank), so
+    # the kept set is the antichain of componentwise-minimal values
+    by_values = {tuple(poly._dot(r, x) for r in rows): x for x in candidates}
+    kept = [by_values[v] for v in minimal_vectors(by_values)]
     return sorted((HilbertElement(x[:n], x[n]) for x in kept
                    if 1 <= x[n] <= bound),
                   key=lambda e: (e.degree, e.exponent))

@@ -40,8 +40,6 @@ def test_rank_matches_oracle_with_and_without_limit():
         expected = matrix_rank(rows)
         assert rank(rows) == expected
         assert rank(iter(rows)) == expected
-        for limit in range(1, n + 2):
-            assert rank(rows, limit=limit) == min(limit, expected)
 
 
 def test_solve_linear_matches_oracle_on_square_systems():

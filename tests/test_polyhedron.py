@@ -1,18 +1,21 @@
+import itertools
 import math
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from nok import (DEFAULT_VERTEX_BUDGET, BoundTooSmall, EmptyInput, HalfSpace,
-                 InvalidVertexBudget, MissingOrthantConstraints,
-                 NonPositiveScale, PointNotInPolyhedron,
-                 VertexBudgetExceeded, contains,
+from nok import (DEFAULT_VERTEX_BUDGET, BoundTooSmall, CeilingPowerFamily,
+                 EmptyInput, HalfSpace, InexactNumber, InvalidVertexBudget,
+                 MissingOrthantConstraints, NonPositiveScale,
+                 PointNotInPolyhedron, VertexBudgetExceeded, contains,
                  decompose_point, equal, faces, from_halfspaces,
                  hull_up_set, intersect_polyhedra, mdc,
-                 minimal_lattice_points, minimalize, newton_polyhedron,
-                 power, scale, symbolic_polyhedron)
+                 membership_certificate, minimal_lattice_points, minimalize,
+                 newton_okounkov_body, newton_polyhedron, power, real_power,
+                 scale, symbolic_polyhedron)
 from nok.polyhedron import (_tight_mask, cone_extreme_rays,
                             primitive_vector, vertex_budget)
 
@@ -282,6 +285,66 @@ def test_redundant_and_duplicate_rows_give_oracle_vertices():
         assert body == from_halfspaces(rows, n)
 
 
+def degenerate_system(rng, n):
+    """An up-set system with rows of every kind that is not a facet: scaled
+    duplicates as HalfSpace instances, sums of two rows, rows tight at a
+    single vertex, and x_i >= 0 made redundant by x_i >= c."""
+    rows = random_up_set_system(rng, n)
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        rows.append(HalfSpace(tuple(int(i == j) for j in range(n)),
+                              rng.randint(1, 3)))
+    system = list(rows)
+    for _ in range(rng.randint(1, 2)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        k = rng.randint(2, 4)
+        system.append(HalfSpace(tuple(k * x for x in a.normal),
+                                k * a.offset))
+        system.append(HalfSpace(tuple(x + y for x, y in zip(a.normal,
+                                                            b.normal)),
+                                a.offset + b.offset))
+    # the sum of the facets through a vertex is tight there and nowhere
+    # else
+    body = from_halfspaces(rows, n)
+    for v in rng.sample(body.vertices, min(2, len(body.vertices))):
+        tight = [h for h in body.facets if h.slack(v) == 0]
+        normal = tuple(sum(h.normal[j] for h in tight) for j in range(n))
+        system.append(HalfSpace(normal, sum(h.offset for h in tight)))
+    rng.shuffle(system)
+    return system
+
+
+def test_facets_from_row_masks_match_hull_of_vertices():
+    rng = random.Random(73)
+    single_vertex_rows = redundant_orthant = 0
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        system = degenerate_system(rng, n)
+        body = from_halfspaces(system, n)
+        assert list(body.vertices) == brute_force_vertices(system, n)
+        assert body.facets == hull_up_set(body.vertices, n).facets
+        # a non-primitive HalfSpace must not survive beside its primitive
+        # form: both would have the same mask
+        assert all(math.gcd(*h.normal, h.offset) == 1 for h in body.facets)
+        single_vertex_rows += sum(
+            1 for h in system
+            if sum(1 for v in body.vertices if h.slack(v) == 0) == 1
+            and all(h.normal))
+        redundant_orthant += sum(1 for h in system
+                                 if h.offset == 0 and sum(h.normal) == 1
+                                 and h not in body.facets)
+    assert single_vertex_rows > 40 and redundant_orthant > 40
+
+
+def test_halfspace_instances_with_fractional_offsets():
+    # each row reaches the integer elimination in primitive integer form;
+    # a Fraction offset there would be floored by its exact divisions
+    rows = [HalfSpace((0, 4), Fraction(4)), ((0, 3), 0),
+            HalfSpace((4, 0), Fraction(16, 3)), ((0, 1), Fraction(8, 3))]
+    body = from_halfspaces(rows, 2)
+    assert body.vertices == ((Fraction(4, 3), Fraction(8, 3)),)
+    assert body.facets == (HalfSpace((0, 3), 8), HalfSpace((3, 0), 4))
+
+
 def test_simplicial_cone_rays_are_inverse_columns():
     # the extreme rays of {x : Bx >= 0} for a nonsingular B are the
     # columns of its inverse; random B give determinants of both signs,
@@ -306,6 +369,54 @@ def test_simplicial_cone_rays_are_inverse_columns():
                               for i in range(dim)))
         rng.shuffle(rows)
         assert cone_extreme_rays(rows, dim) == sorted(expected)
+
+
+def brute_cone_rays(rows, dim):
+    """Extreme rays of {x : <r, x> >= 0}: the primitive kernel vectors of
+    each dim - 1 rows of rank dim - 1, of either sign, that satisfy every
+    row."""
+    found = set()
+    for subset in itertools.combinations(rows, dim - 1):
+        if matrix_rank(subset) < dim - 1:
+            continue
+        for k in range(dim):
+            unit = tuple(int(i == k) for i in range(dim))
+            x = solve_square(list(subset) + [unit], [0] * (dim - 1) + [1])
+            if x is not None:
+                break
+        den = math.lcm(*(c.denominator for c in x))
+        ints = [int(c * den) for c in x]
+        g = math.gcd(*ints)
+        for sign in (1, -1):
+            ray = tuple(sign * c // g for c in ints)
+            if all(dot(r, ray) >= 0 for r in rows):
+                found.add(ray)
+    return sorted(found)
+
+
+def test_start_basis_skips_a_dependent_sparse_row():
+    # sparsest first: (0, 1, 1), (1, 0, -1), then (1, 1, 0), their sum, so
+    # the start basis must skip it and take (1, 1, 1)
+    rows = [(1, 1, 1), (1, 1, 0), (0, 1, 1), (1, 0, -1)]
+    assert matrix_rank(rows[1:]) == 2
+    assert cone_extreme_rays(rows, 3) == brute_cone_rays(rows, 3)
+    rng = random.Random(79)
+    skipped = 0
+    for _ in range(300):
+        dim = rng.randint(2, 4)
+        rows = []
+        for _ in range(rng.randint(dim, dim + 3)):
+            size = rng.randint(1, 2) if rng.random() < 0.7 else dim
+            support = rng.sample(range(dim), size)
+            rows.append(tuple(rng.choice((-2, -1, 1, 2)) if j in support
+                              else 0 for j in range(dim)))
+        if matrix_rank(rows) < dim:
+            continue
+        # the engine's order: sparsest first, then lexicographic
+        unique = sorted(set(rows), key=lambda r: (sum(map(bool, r)), r))
+        skipped += matrix_rank(unique[:dim]) < dim
+        assert cone_extreme_rays(rows, dim) == brute_cone_rays(rows, dim)
+    assert skipped > 20
 
 
 def test_mdc_of_orthant_is_zero():
@@ -502,7 +613,7 @@ def test_contains_and_decompose_match_fraction_slack():
 
 def test_contains_converts_like_fraction():
     body = hull_up_set([(Fraction(1, 2), Fraction(3, 2))], 2)
-    assert contains(body, (0.5, "3/2"))
+    assert contains(body, ("0.5", "3/2"))
     assert not contains(body, ("1/3", 2))
     assert contains(body, (True, 2))
 
@@ -564,3 +675,48 @@ def test_contains_boundary_points():
     assert contains(body, (Fraction(2), Fraction(0)))
     assert contains(body, (Fraction(1), Fraction(1)))
     assert not contains(body, (Fraction(1), Fraction(1, 2)))
+
+
+def float_sites():
+    """(name, call) for each place a caller's number becomes a Fraction."""
+    ideal = minimalize([(2, 0), (1, 1), (0, 3)])
+    body = newton_polyhedron(ideal)
+    return [
+        ("scale", lambda x: scale(body, x)),
+        ("real_power", lambda x: real_power(ideal, x)),
+        ("ceiling alpha", lambda x: CeilingPowerFamily(ideal, x, 0)),
+        ("ceiling beta", lambda x: CeilingPowerFamily(ideal, 1, x)),
+        ("hull_up_set", lambda x: hull_up_set([(x, 2)], 2)),
+        ("contains", lambda x: contains(body, (x, 3))),
+        ("decompose_point", lambda x: decompose_point(body, (x, 3))),
+        ("membership_certificate",
+         lambda x: membership_certificate(body, (x, 3))),
+        ("primitive_vector", lambda x: primitive_vector((x, 1))),
+        ("HalfSpace.from_rational",
+         lambda x: HalfSpace.from_rational((1, 1), x)),
+        ("from_halfspaces",
+         lambda x: from_halfspaces(orthant(2) + [((1, 1), x)], 2)),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in float_sites()])
+def test_floats_are_refused_where_exact_numbers_are_kept(name):
+    call = dict(float_sites())[name]
+    with pytest.raises(InexactNumber):
+        call(0.5)
+    # an exactly representable float is refused too; the exact forms of
+    # the same number agree with each other
+    assert call(Fraction(1, 2)) == call("1/2"), name
+    assert call(1) == call(Fraction(1)) == call("1"), name
+
+
+def test_float_ceiling_family_fails_at_once():
+    # 0.1 as a float has denominator 2**55, which the scan in
+    # ceiling_scale would run over
+    base = minimalize([(1, 0), (0, 1)])
+    start = time.perf_counter()
+    with pytest.raises(InexactNumber):
+        newton_okounkov_body(CeilingPowerFamily(base, 0.1, -0.05))
+    assert time.perf_counter() - start < 1
+    assert scale(newton_polyhedron(base), "0.1") == scale(
+        newton_polyhedron(base), Fraction(1, 10))
