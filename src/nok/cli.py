@@ -432,16 +432,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a bad budget setting is refused even by verbs that never use it
         poly.vertex_budget()
         result, lines, notes, digest = _run(args)
-    except InvalidVertexBudget as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VertexBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidVertexBudget, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NokError as exc:

@@ -1,68 +1,16 @@
 """Small exact linear-algebra helpers over the rationals.
 
-Everything works on sequences of numbers that mix `int` and
-`fractions.Fraction`; no floats are ever produced.  There are two
-eliminations: `_echelon`, a streaming Gaussian elimination over the
-rationals that serves only `rank` and `solve_linear`, and `_gauss_jordan`,
-a fraction-free Gauss-Jordan elimination of integer rows that never
-leaves the integers; `_adjugate` and every other elimination use it.
+There is one elimination, `_gauss_jordan`, a fraction-free Gauss-Jordan
+elimination of integer rows that never leaves the integers; `rank`,
+`_adjugate` and the certificate solves all use it.  `rank` also takes rows
+that mix `int` and `fractions.Fraction`, and scales each such row to
+integers first; no floats are ever produced.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Iterable, Sequence
-
-
-def _echelon(rows: Iterable[Sequence]):
-    """Keep each row that is independent of the rows kept before it.
-
-    Every incoming row is reduced against the kept rows at their pivot
-    columns; if anything is left, it is scaled so that its first nonzero
-    entry (its pivot) is 1 and kept.  A kept row is zero at the pivot
-    columns of the rows kept before it.  Returns the kept rows and their
-    pivot columns.
-    """
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    # the rows are mostly sparse, so Fraction arithmetic on zero entries
-    # is skipped
-    for row in rows:
-        vec = [Fraction(x) for x in row]
-        for pivot_col, base in zip(pivots, basis):
-            coeff = vec[pivot_col]
-            if coeff:
-                vec = [a - coeff * b if b else a
-                       for a, b in zip(vec, base)]
-        col = next((j for j, a in enumerate(vec) if a), None)
-        if col is None:
-            continue
-        inv = vec[col]
-        basis.append([a / inv if a else a for a in vec])
-        pivots.append(col)
-    return basis, pivots
-
-
-def rank(rows: Iterable[Sequence]) -> int:
-    """Rank of a matrix given as an iterable of rows."""
-    return len(_echelon(rows)[0])
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
-    """One exact solution of a general linear system, or None if the
-    system is inconsistent; free variables are set to zero."""
-    cols = len(rows[0]) if rows else 0
-    basis, pivots = _echelon([*row, b] for row, b in zip(rows, rhs))
-    if cols in pivots:  # a kept row reads 0 = nonzero
-        return None
-    sol = [Fraction(0)] * cols
-    # a kept row is zero left of its pivot and at earlier rows' pivots,
-    # so the later rows' pivot values are all it still needs
-    for base, col in zip(reversed(basis), reversed(pivots)):
-        sol[col] = base[cols] - sum(a * sol[j] for j, a in
-                                    enumerate(base[col + 1:cols], col + 1)
-                                    if a)
-    return sol
 
 
 def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
@@ -110,3 +58,18 @@ def _adjugate(cols: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
             for i in range(m)]
     d, _ = _gauss_jordan(rows, m)
     return d, [row[m:] for row in rows]
+
+
+def rank(rows: Iterable[Sequence]) -> int:
+    """Rank of a matrix given as an iterable of rows.
+
+    A row with Fraction entries is scaled by the lcm of their denominators,
+    which leaves the rank unchanged; the rank is then the pivot count.
+    """
+    ints = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+    if not ints:
+        return 0
+    return len(_gauss_jordan(ints, len(ints[0]))[1])

@@ -12,7 +12,9 @@ Each constructor makes one double-description pass over a pointed cone:
 `from_halfspaces` on the homogenized rows, for the vertices, and
 `hull_up_set` on the dual cone of the points, for the facets.  The other
 side is read off incidence masks: a row (a point) is kept unless another
-is tight at (lies on) strictly more extreme rays (facets).
+is tight at (lies on) strictly more extreme rays (facets).  Those masks
+come from the double description's final check, which takes every ray's
+product with every row once; no constructor recomputes them.
 """
 
 from __future__ import annotations
@@ -193,8 +195,11 @@ def _tight_mask(facets: Sequence[HalfSpace], point: Sequence) -> int:
                if _dot(h.normal, num) == h.offset * den)
 
 
-def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
-    """Extreme rays of the pointed cone {x : <r, x> >= 0 for each row r}.
+def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
+                      dim: int) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the pointed cone {x : <r, x> >= 0 for each row r},
+    sorted, each as a pair (ray, mask): bit i of mask is set when the ray
+    is tight at rows[i].
 
     Double description: start from the simplicial subcone cut out by the
     leftmost `dim` independent rows, sparsest first, then insert the
@@ -205,6 +210,8 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[i
     rays on opposite sides of the new row combine exactly when no third
     ray is tight wherever both are (the combinatorial adjacency test of
     Fukuda & Prodon, "Double description method revisited", 1996).
+    The returned masks come from the final check, which takes each ray's
+    product with every input row and raises NokError on a negative one.
     Raises MissingOrthantConstraints when the rows do not have full rank
     (the cone would contain a line) and VertexBudgetExceeded when the ray
     count exceeds the vertex budget.
@@ -259,11 +266,20 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[i
                 f"ray count {len(rays)} exceeds budget {budget}; "
                 "raise NOK_MAX_VERTICES to continue")
 
-    result = sorted({vec for vec, _ in rays})
-    for vec in result:
-        if any(_dot(row, vec) < 0 for row in processed):
+    result = []
+    for vec in sorted({vec for vec, _ in rays}):
+        dots = [_dot(row, vec) for row in rows]
+        if any(e < 0 for e in dots):
             raise NokError("internal error: ray violates a constraint")
+        result.append((vec, sum(1 << i for i, e in enumerate(dots) if e == 0)))
     return result
+
+
+def _transpose(masks: Sequence[int], count: int) -> list[int]:
+    """Incidence masks read the other way: entry i has bit j set when bit i
+    of masks[j] is set, for i < count."""
+    return [sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1)
+            for i in range(count)]
 
 
 def _maximal(items: Sequence, masks: Sequence[int]) -> list:
@@ -312,16 +328,15 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
     # rays with t > 0 are the vertices, the others recession rays; once no
     # entry is negative, the recession cone is exactly the orthant
     verts = tuple(sorted(tuple(Fraction(x, r[nvars]) for x in r[:nvars])
-                         for r in rays if r[nvars]))
+                         for r, _ in rays if r[nvars]))
     if not verts:
         raise InfeasibleSystem("system has no solutions")
-    if any(x < 0 for r in rays for x in r):
+    if any(x < 0 for r, _ in rays for x in r):
         raise MissingOrthantConstraints(
             "system has recession directions outside the orthant")
     # every facet is a row, and a row is one iff its face is maximal; a
     # row's face inside t = 0 also lies on a facet, so t >= 0 needs no mask
-    masks = [sum(1 << i for i, r in enumerate(rays) if _dot(row, r) == 0)
-             for row in homog]
+    masks = _transpose([m for _, m in rays], len(homog))
     return RationalPolyhedron(nvars, tuple(_maximal(canonical, masks)),
                               verts)
 
@@ -341,14 +356,15 @@ def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
     rows = [primitive_vector(list(p) + [1]) for p in pts]
     rows += [tuple(int(i == j) for i in range(nvars + 1))
              for j in range(nvars)]
-    facets = tuple(sorted((HalfSpace(w[:nvars], -w[nvars])
-                           for w in cone_extreme_rays(rows, nvars + 1)
-                           if any(w[:nvars])),
-                          key=lambda h: (h.normal, h.offset)))
+    pairs = sorted(((HalfSpace(w[:nvars], -w[nvars]), m)
+                    for w, m in cone_extreme_rays(rows, nvars + 1)
+                    if any(w[:nvars])),
+                   key=lambda pair: (pair[0].normal, pair[0].offset))
     # a point is a vertex unless another point lies on all of its tight
     # facets and on more (as does each vertex of the smallest face through it)
-    masks = [_tight_mask(facets, p) for p in pts]
-    return RationalPolyhedron(nvars, facets, tuple(_maximal(pts, masks)))
+    masks = _transpose([m for _, m in pairs], len(pts))
+    return RationalPolyhedron(nvars, tuple(h for h, _ in pairs),
+                              tuple(_maximal(pts, masks)))
 
 
 def contains(poly: RationalPolyhedron, point: Sequence) -> bool:

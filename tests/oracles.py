@@ -33,6 +33,34 @@ def solve_square(matrix, rhs):
     return [aug[r][n] for r in range(n)]
 
 
+def solve_linear(matrix, rhs):
+    """Solve a rational system of any shape by Gauss-Jordan: one solution
+    with the free variables set to zero, or None if it is inconsistent."""
+    n = len(matrix[0]) if matrix else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)]
+           for row, b in zip(matrix, rhs)]
+    pivots = []
+    for col in range(n):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(aug)) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[top], aug[pivot] = aug[pivot], aug[top]
+        lead = aug[top][col]
+        aug[top] = [x / lead for x in aug[top]]
+        for r in range(len(aug)):
+            if r != top and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[top])]
+        pivots.append(col)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * n
+    for top, col in enumerate(pivots):
+        solution[col] = aug[top][n]
+    return solution
+
+
 def matrix_rank(rows):
     work = [[Fraction(x) for x in row] for row in rows]
     rank = 0

@@ -13,10 +13,9 @@ from nok import (ClassifiedIdeal, DimensionMismatch, IdealKind,
                  newton_polyhedron, np_equals_sp, power, real_power, scale,
                  symbolic_polyhedron, symbolic_power)
 
-from oracles import (closure_member_naive, dot,
+from oracles import (closure_member_naive, dot, solve_linear,
                      symbolic_power_by_intersection)
 from nok.bodies import CACHE_SIZE, MembershipCertificate
-from nok.linalg import solve_linear
 
 
 def random_linear_power(rng, n):
@@ -240,7 +239,7 @@ def test_certificate_inside_and_outside_triangle():
 def fraction_certificate(body, point):
     """The certificate by the Fraction route: a slack per facet, the
     candidate vertices by slack, and every subset of them in order of size
-    through solve_linear, as certificates were first built."""
+    through the reference solver, as certificates were first built."""
     x = tuple(Fraction(c) for c in point)
     for hs in body.facets:
         if hs.slack(x) < 0:
