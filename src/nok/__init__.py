@@ -21,8 +21,7 @@ from .errors import (BoundTooSmall, DimensionMismatch, EmptyGeneratorSet,
                      VertexBudgetExceeded)
 from .families import (CeilingPowerFamily, FamilySpec, IntersectionFamily,
                        PowerFamily, StabilizationReport, StabilizationWitness,
-                       SymbolicFamily, ceiling_scale,
-                       closure_family_body_equality, family_analytic_spread,
+                       SymbolicFamily, ceiling_scale, family_analytic_spread,
                        member_ideal, newton_okounkov_body,
                        stabilization_check)
 from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Union
 
 from . import polyhedron as poly
-from .bodies import (ClassifiedIdeal, integral_closure, newton_polyhedron,
-                     symbolic_polyhedron, symbolic_power)
+from .bodies import (ClassifiedIdeal, newton_polyhedron, symbolic_polyhedron,
+                     symbolic_power)
 from .errors import (DimensionMismatch, EmptyList, NokError,
                      NonPositiveExponent, NotProvenNoetherian,
                      UnsupportedIdealClass)
@@ -190,13 +190,3 @@ def family_analytic_spread(family: FamilySpec, c_max: int) -> int:
             "spread formula requires a Noetherian Rees algebra")
     return poly.mdc(newton_okounkov_body(family)) + 1
 
-
-def closure_family_body_equality(family: FamilySpec, k_max: int = 4) -> bool:
-    """Check that the limiting body is blind to integral closure: the
-    Newton polyhedra of I_k and of its closure coincide for k <= k_max."""
-    for k in range(1, k_max + 1):
-        member = member_ideal(family, k)
-        if not poly.equal(newton_polyhedron(integral_closure(member)),
-                          newton_polyhedron(member)):
-            return False
-    return True

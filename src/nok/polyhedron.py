@@ -130,9 +130,13 @@ class RationalPolyhedron:
             raise NoVertices("polyhedron has no vertices")
         _, closed = _closed_masks(self, compact_only=True)
         compact = [m for m, is_compact in closed.items() if is_compact]
-        # the minimal compact masks are the maximal compact faces
-        top = [m for m in compact
-               if not any(o & m == o and o != m for o in compact)]
+        # the minimal compact masks are the maximal compact faces; taken in
+        # increasing popcount, a mask that contains another compact mask
+        # contains a minimal one already kept, so only those are tested
+        top = []
+        for m in sorted(compact, key=int.bit_count):
+            if not any(o & m == o for o in top):
+                top.append(m)
         return max(self.nvars - rank(self.facets[i].normal for i in _bits(m))
                    for m in top)
 
@@ -528,10 +532,35 @@ def minimal_lattice_points(poly: RationalPolyhedron,
 
     Every minimal point lies in the box bounded by the per-coordinate
     ceilings of the vertex coordinates, which is the default search box; a
-    user-supplied box must dominate it.  Depth-first search with two
-    prunes: branches whose best possible completion misses a facet are cut,
-    and values that stay feasible after decrementing the current
-    coordinate are skipped as non-minimal.
+    user-supplied box must dominate it.
+
+    Depth-first search over the coordinates in order, keeping each row's
+    dot product with the prefix.  The normals are nonnegative, so below a
+    node the dot products only grow.  Three cuts keep the work close to
+    the size of the answer:
+
+    - Best completion.  A branch is cut when a row stays unsatisfied even
+      with every later coordinate at its box bound; the current
+      coordinate starts at the least value that leaves each of its rows
+      satisfiable that way.
+    - Lowerability.  A feasible point x is minimal exactly when every set
+      coordinate l (x_l > 0) has a witness: a row i with a_il > 0 and
+      dot_i < b_i + a_il, so that x - e_l violates it.  When the current
+      coordinate has no witness among its rows at the prefix, it has none
+      below the node either, and no larger value gives one: its value
+      loop stops.
+    - Witness rows.  Each earlier set coordinate watches one witness row,
+      first the row that stopped its lowerability test.  A watch dies only
+      when its row's dot product grows, that is when the current
+      coordinate feeds that row, so only the earlier coordinates sharing
+      a row with it are looked at.  A dead watch moves to another witness;
+      when none is left, no completion below is minimal, and the larger
+      values of the current coordinate only grow the same dot products,
+      so its value loop stops.  A live watch stays live when the search
+      backs up and the dot products shrink, so nothing is undone.
+
+    Every leaf is then feasible with a witness for each set coordinate:
+    minimal, with no check at the leaf.
     """
     if not poly.vertices:
         raise NoVertices("polyhedron has no vertices")
@@ -567,19 +596,21 @@ def minimal_lattice_points(poly: RationalPolyhedron,
     zero = [[(i, b - suffix[i][j + 1])
              for i, (normal, b) in enumerate(rows) if normal[j] == 0]
             for j in range(n)]
+    # per coordinate l, its rows as (i, b_i + a_il): row i is a witness
+    # for l while dot_i is below that limit
+    limits = [[(i, b + a) for i, a, b, _ in pos[l]] for l in range(n)]
+    # per coordinate j, the earlier coordinates that share a row with it
+    feeds = [{i for i, _ in limits[j]} for j in range(n)]
+    shared = [[l for l in range(j) if feeds[l] & feeds[j]]
+              for j in range(n)]
 
     found: list[tuple[int, ...]] = []
     prefix = [0] * n
+    watch_row = [0] * n
+    watch_limit = [0] * n
 
     def search(j: int, dots: list[int]):
         if j == n:
-            for l in range(n):
-                if prefix[l]:
-                    for i, a, b, _ in pos[l]:
-                        if dots[i] - a < b:
-                            break
-                    else:
-                        return
             found.append(tuple(prefix))
             return
         for i, threshold in zero[j]:
@@ -600,13 +631,32 @@ def minimal_lattice_points(poly: RationalPolyhedron,
         if start:
             for i, a, _, _ in pj:
                 cur[i] += a * start
+        lj = limits[j]
+        sj = shared[j]
         v = start
         while v <= bj:
             if v:
-                for i, a, b, _ in pj:
-                    if cur[i] - a < b:
+                # lowerability: the first row of j still a witness
+                for i, limit in lj:
+                    if cur[i] < limit:
+                        watch_row[j] = i
+                        watch_limit[j] = limit
                         break
                 else:
+                    break
+                # move each dead watch of an earlier set coordinate
+                dead = False
+                for l in sj:
+                    if prefix[l] and cur[watch_row[l]] >= watch_limit[l]:
+                        for i, limit in limits[l]:
+                            if cur[i] < limit:
+                                watch_row[l] = i
+                                watch_limit[l] = limit
+                                break
+                        else:
+                            dead = True
+                            break
+                if dead:
                     break
             prefix[j] = v
             search(j + 1, cur)

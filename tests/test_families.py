@@ -7,8 +7,8 @@ from nok import (CeilingPowerFamily, DimensionMismatch, EmptyList,
                  IntersectionFamily, NonPositiveExponent,
                  NotProvenNoetherian, PowerFamily, StabilizationReport,
                  SymbolicFamily, UnsupportedIdealClass, ceiling_scale,
-                 classify, closure_family_body_equality, contains, equal,
-                 family_analytic_spread, member_ideal, minimalize,
+                 classify, contains, equal, family_analytic_spread,
+                 integral_closure, member_ideal, minimalize,
                  newton_okounkov_body, newton_polyhedron, scale,
                  stabilization_check, symbolic_polyhedron)
 
@@ -149,9 +149,15 @@ def test_ceiling_scale_negative_beta():
                  scale(newton_polyhedron(base), Fraction(3, 2)))
 
 
-def test_closure_family_body_equality(families):
+def test_integral_closure_keeps_newton_polyhedron(families):
+    # the closure's exponents are the lattice points of NP(I_k): the same
+    # Newton polyhedron, and every generator of I_k among them
     for parsed in families.values():
-        assert closure_family_body_equality(parsed.family)
+        for k in range(1, 5):
+            member = member_ideal(parsed.family, k)
+            closed = integral_closure(member)
+            assert equal(newton_polyhedron(closed), newton_polyhedron(member))
+            assert all(closed.contains_monomial(g) for g in member.generators)
 
 
 def test_family_constructor_validation():

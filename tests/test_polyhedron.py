@@ -19,8 +19,8 @@ from nok import (DEFAULT_VERTEX_BUDGET, BoundTooSmall, CeilingPowerFamily,
 from nok.polyhedron import (_tight_mask, cone_extreme_rays,
                             primitive_vector, vertex_budget)
 
-from oracles import (brute_force_minimal_points, brute_force_vertices, dot,
-                     matrix_rank, solve_square)
+from oracles import (brute_force_minimal_points, brute_force_vertices,
+                     dilate_box, dot, matrix_rank, solve_square)
 
 
 def orthant(n):
@@ -647,6 +647,30 @@ def test_minimal_lattice_points_against_box_scan():
                for j in range(n)]
         expected = brute_force_minimal_points(body.facets, box)
         assert minimal_lattice_points(body) == expected
+
+
+def test_minimal_lattice_points_against_box_scan_higher_dimension(ideals):
+    # in four and five variables most rows feed several coordinates, so
+    # the search moves watched witness rows between coordinates; bodies
+    # whose box holds more than 3000 points are passed over only to bound
+    # the oracle, which is quadratic in the feasible points
+    rng = random.Random(71)
+    checked = 0
+    while checked < 25:
+        n = rng.randint(4, 5)
+        body = from_halfspaces(random_up_set_system(rng, n), n)
+        box = dilate_box(body, 1)
+        if math.prod(b + 1 for b in box) > 3000:
+            continue
+        expected = brute_force_minimal_points(body.facets, box)
+        assert minimal_lattice_points(body) == expected
+        checked += 1
+    for name in ("triangle", "c5", "star43"):
+        sp = symbolic_polyhedron(ideals[name].classified)
+        for k in range(1, 5):
+            expected = brute_force_minimal_points(
+                sp.facets, dilate_box(sp, k), dilate=k)
+            assert minimal_lattice_points(scale(sp, k)) == expected
 
 
 def test_minimal_lattice_points_rejects_small_box():
