@@ -10,7 +10,7 @@ from .bodies import (ClassifiedIdeal, IdealKind, MembershipCertificate,
                      member_integral_closure, member_symbolic,
                      membership_certificate, newton_polyhedron, np_equals_sp,
                      real_power, symbolic_polyhedron, symbolic_power)
-from .errors import (BoundTooSmall, DimensionMismatch, EmptyGeneratorSet,
+from .errors import (DimensionMismatch, EmptyGeneratorSet,
                      EmptyInput, EmptyList, EmptyPrime, InexactNumber,
                      InfeasibleSystem, InvalidVertexBudget,
                      MissingOrthantConstraints, NoCandidate, NokError,

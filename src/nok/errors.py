@@ -59,10 +59,6 @@ class PointNotInPolyhedron(NokError):
     """The given point violates a half-space of the polyhedron."""
 
 
-class BoundTooSmall(NokError):
-    """Lattice enumeration box is smaller than a vertex coordinate ceiling."""
-
-
 class NonPositiveScale(NokError):
     """Polyhedron scaling factor must be positive."""
 

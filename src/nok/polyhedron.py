@@ -14,23 +14,25 @@ Each constructor makes one double-description pass over a pointed cone:
 side is read off incidence masks: a row (a point) is kept unless another
 is tight at (lies on) strictly more extreme rays (facets).  Those masks
 come from the double description's final check, which takes every ray's
-product with every row once; no constructor recomputes them.
+product with every row once.  Each polyhedron carries its vertex x facet
+incidence from that check, and `scale` moves it along with the facets;
+nothing computes it again.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import (BoundTooSmall, DimensionMismatch, EmptyInput, EmptyList,
-                     InexactNumber, InfeasibleSystem, InvalidVertexBudget,
+from .errors import (DimensionMismatch, EmptyInput, EmptyList, InexactNumber,
+                     InfeasibleSystem, InvalidVertexBudget,
                      MissingOrthantConstraints, NoVertices, NokError,
-                     NonPositiveScale, PointNotInPolyhedron,
+                     NonPositiveScale, ParseError, PointNotInPolyhedron,
                      VertexBudgetExceeded)
 from .linalg import _gauss_jordan, rank
 
@@ -57,9 +59,15 @@ def vertex_budget() -> int:
 
 
 def as_fraction(x) -> Fraction:
-    """Fraction(x), refusing a float: it stands for its binary expansion."""
+    """Fraction(x), refusing a float: it stands for its binary expansion.
+    Raises ParseError for a string that Fraction cannot read."""
     if isinstance(x, float):
         raise InexactNumber(f"{x!r} is a float, not an exact rational")
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"expected a rational, got {x!r}") from None
     return Fraction(x)
 
 
@@ -103,11 +111,18 @@ class FaceDescriptor:
 
 @dataclass(frozen=True)
 class RationalPolyhedron:
-    """Canonical two-sided description of an up-set polyhedron."""
+    """Canonical two-sided description of an up-set polyhedron.
+
+    `_vertex_masks` is the incidence from the constructor's double
+    description: bit i of a vertex's mask is set when the vertex lies on
+    facet i.  It is determined by the other fields, so equality, hashing
+    and repr leave it out.
+    """
 
     nvars: int
     facets: tuple[HalfSpace, ...]
     vertices: tuple[Point, ...]
+    _vertex_masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -125,10 +140,10 @@ class RationalPolyhedron:
     def _mdc(self) -> int:
         # derived once per object: cached_property writes the instance
         # __dict__, which a frozen dataclass leaves open, and equality and
-        # hashing see only the fields
+        # hashing see only the compared fields
         if not self.vertices:
             raise NoVertices("polyhedron has no vertices")
-        _, closed = _closed_masks(self, compact_only=True)
+        closed = _closed_masks(self, compact_only=True)
         compact = [m for m, is_compact in closed.items() if is_compact]
         # the minimal compact masks are the maximal compact faces; taken in
         # increasing popcount, a mask that contains another compact mask
@@ -139,11 +154,6 @@ class RationalPolyhedron:
                 top.append(m)
         return max(self.nvars - rank(self.facets[i].normal for i in _bits(m))
                    for m in top)
-
-    @cached_property
-    def _vertex_masks(self) -> tuple[int, ...]:
-        # bit i of a vertex's mask is set when the vertex lies on facet i
-        return tuple(_tight_mask(self.facets, v) for v in self.vertices)
 
     @cached_property
     def _cover_masks(self) -> tuple[int, ...]:
@@ -190,13 +200,6 @@ def _slacks(facets: Sequence[HalfSpace], den: int,
             num: Sequence[int]) -> list[int]:
     """den times each facet's slack at the point num/den."""
     return [_dot(h.normal, num) - h.offset * den for h in facets]
-
-
-def _tight_mask(facets: Sequence[HalfSpace], point: Sequence) -> int:
-    """Bitmask of the facets on which the point lies, tested in integers."""
-    den, num = _clear_denominators(point)
-    return sum(1 << i for i, h in enumerate(facets)
-               if _dot(h.normal, num) == h.offset * den)
 
 
 def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
@@ -286,10 +289,9 @@ def _transpose(masks: Sequence[int], count: int) -> list[int]:
             for i in range(count)]
 
 
-def _maximal(items: Sequence, masks: Sequence[int]) -> list:
-    """The items whose incidence mask no other item's mask strictly
-    contains."""
-    return [x for x, m in zip(items, masks)
+def _maximal(masks: Sequence[int]) -> list[int]:
+    """The indices of the masks that no other mask strictly contains."""
+    return [i for i, m in enumerate(masks)
             if not any(o & m == m and o != m for o in masks)]
 
 
@@ -329,20 +331,26 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
 
     homog = [hs.normal + (-hs.offset,) for hs in canonical]
     rays = cone_extreme_rays(homog + [(0,) * nvars + (1,)], nvars + 1)
-    # rays with t > 0 are the vertices, the others recession rays; once no
-    # entry is negative, the recession cone is exactly the orthant
-    verts = tuple(sorted(tuple(Fraction(x, r[nvars]) for x in r[:nvars])
-                         for r, _ in rays if r[nvars]))
-    if not verts:
+    # rays with t > 0 are the vertices, kept with their row masks, the
+    # others recession rays; once no entry is negative, the recession cone
+    # is exactly the orthant
+    pairs = [(tuple(Fraction(x, r[nvars]) for x in r[:nvars]), m)
+             for r, m in rays if r[nvars]]
+    if not pairs:
         raise InfeasibleSystem("system has no solutions")
     if any(x < 0 for r, _ in rays for x in r):
         raise MissingOrthantConstraints(
             "system has recession directions outside the orthant")
     # every facet is a row, and a row is one iff its face is maximal; a
     # row's face inside t = 0 also lies on a facet, so t >= 0 needs no mask
-    masks = _transpose([m for _, m in rays], len(homog))
-    return RationalPolyhedron(nvars, tuple(_maximal(canonical, masks)),
-                              verts)
+    kept = _maximal(_transpose([m for _, m in rays], len(homog)))
+    # each vertex's row mask, re-indexed to the kept facets; the rays are
+    # sorted as integer vectors, the vertices as Fractions
+    verts, masks = zip(*sorted(
+        (v, sum(1 << k for k, i in enumerate(kept) if m >> i & 1))
+        for v, m in pairs))
+    return RationalPolyhedron(nvars, tuple(canonical[i] for i in kept),
+                              verts, masks)
 
 
 def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
@@ -365,10 +373,13 @@ def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
                     if any(w[:nvars])),
                    key=lambda pair: (pair[0].normal, pair[0].offset))
     # a point is a vertex unless another point lies on all of its tight
-    # facets and on more (as does each vertex of the smallest face through it)
+    # facets and on more (as does each vertex of the smallest face through
+    # it); the kept points' masks are the vertex masks, in facet order
     masks = _transpose([m for _, m in pairs], len(pts))
+    kept = _maximal(masks)
     return RationalPolyhedron(nvars, tuple(h for h, _ in pairs),
-                              tuple(_maximal(pts, masks)))
+                              tuple(pts[i] for i in kept),
+                              tuple(masks[i] for i in kept))
 
 
 def contains(poly: RationalPolyhedron, point: Sequence) -> bool:
@@ -388,11 +399,17 @@ def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
     t = as_fraction(factor)
     if t <= 0:
         raise NonPositiveScale(f"scale factor must be positive, got {factor}")
-    facets = tuple(sorted((HalfSpace.from_rational(h.normal, h.offset * t)
-                           for h in poly.facets),
-                          key=lambda h: (h.normal, h.offset)))
-    verts = tuple(sorted(tuple(c * t for c in v) for v in poly.vertices))
-    return RationalPolyhedron(poly.nvars, facets, verts)
+    # a facet's primitive form can shrink, which reorders the facets; each
+    # vertex mask bit moves to its facet's new index
+    facets, old = zip(*sorted(
+        ((HalfSpace.from_rational(h.normal, h.offset * t), i)
+         for i, h in enumerate(poly.facets)),
+        key=lambda pair: (pair[0].normal, pair[0].offset)))
+    masks = tuple(sum(1 << k for k, i in enumerate(old) if m >> i & 1)
+                  for m in poly._vertex_masks)
+    # t > 0 keeps the vertices' lexicographic order
+    verts = tuple(tuple(c * t for c in v) for v in poly.vertices)
+    return RationalPolyhedron(poly.nvars, facets, verts, masks)
 
 
 def intersect_polyhedra(polys: Sequence[RationalPolyhedron]) -> RationalPolyhedron:
@@ -414,8 +431,7 @@ def _closed_masks(poly: RationalPolyhedron, compact_only: bool):
     no unit ray survives.  A superset mask meets them too: compactness
     passes to subfaces.  So with `compact_only` a mask that is not compact
     is not extended, and every compact closed mask is still reached, along
-    a chain of compact supersets.  Returns the vertex masks and
-    {closed mask reached: compact}.
+    a chain of compact supersets.  Returns {closed mask reached: compact}.
     """
     covers = poly._cover_masks
     vertex_masks = poly._vertex_masks
@@ -432,7 +448,7 @@ def _closed_masks(poly: RationalPolyhedron, compact_only: bool):
                     if closed[c] or not compact_only:
                         fresh.append(c)
         frontier = fresh
-    return vertex_masks, closed
+    return closed
 
 
 def faces(poly: RationalPolyhedron) -> list[FaceDescriptor]:
@@ -444,10 +460,10 @@ def faces(poly: RationalPolyhedron) -> list[FaceDescriptor]:
     compact dimension is attained on a maximal compact face.
     """
     n = poly.nvars
-    vertex_masks, closed = _closed_masks(poly, compact_only=False)
+    closed = _closed_masks(poly, compact_only=False)
     out = []
     for mask in sorted(closed):
-        members = tuple(v for v, mv in zip(poly.vertices, vertex_masks)
+        members = tuple(v for v, mv in zip(poly.vertices, poly._vertex_masks)
                         if mv & mask == mask)
         tight = tuple(_bits(mask))
         normals = [poly.facets[i].normal for i in tight]
@@ -526,13 +542,11 @@ def _decompose(poly: RationalPolyhedron, den: int, num: list[int],
     return anchor, remainder, tight
 
 
-def minimal_lattice_points(poly: RationalPolyhedron,
-                           box_bound: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
     """Componentwise-minimal integer points of an up-set polyhedron.
 
     Every minimal point lies in the box bounded by the per-coordinate
-    ceilings of the vertex coordinates, which is the default search box; a
-    user-supplied box must dominate it.
+    ceilings of the vertex coordinates, which is the search box.
 
     Depth-first search over the coordinates in order, keeping each row's
     dot product with the prefix.  The normals are nonnegative, so below a
@@ -565,19 +579,8 @@ def minimal_lattice_points(poly: RationalPolyhedron,
     if not poly.vertices:
         raise NoVertices("polyhedron has no vertices")
     n = poly.nvars
-    default = tuple(max(math.ceil(v[j]) for v in poly.vertices)
-                    for j in range(n))
-    if box_bound is None:
-        box = default
-    else:
-        box = tuple(int(b) for b in box_bound)
-        if len(box) != n:
-            raise DimensionMismatch("box bound has wrong length")
-        low = [j for j in range(n) if box[j] < default[j]]
-        if low:
-            raise BoundTooSmall(
-                f"box bound {box} is below the vertex ceiling {default} "
-                f"in coordinates {low}")
+    box = tuple(max(math.ceil(v[j]) for v in poly.vertices)
+                for j in range(n))
 
     rows = [(h.normal, h.offset) for h in poly.facets if h.offset > 0]
     if not rows:

@@ -7,17 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from nok import (DEFAULT_VERTEX_BUDGET, BoundTooSmall, CeilingPowerFamily,
-                 EmptyInput, HalfSpace, InexactNumber, InvalidVertexBudget,
-                 MissingOrthantConstraints, NonPositiveScale,
+from nok import (DEFAULT_VERTEX_BUDGET, CeilingPowerFamily, EmptyInput,
+                 HalfSpace, InexactNumber, InvalidVertexBudget,
+                 MissingOrthantConstraints, NonPositiveScale, ParseError,
                  PointNotInPolyhedron, VertexBudgetExceeded, contains,
                  decompose_point, equal, faces, from_halfspaces,
                  hull_up_set, intersect_polyhedra, mdc,
                  membership_certificate, minimal_lattice_points, minimalize,
                  newton_okounkov_body, newton_polyhedron, power, real_power,
                  scale, symbolic_polyhedron)
-from nok.polyhedron import (_tight_mask, cone_extreme_rays,
-                            primitive_vector, vertex_budget)
+from nok.polyhedron import cone_extreme_rays, primitive_vector, vertex_budget
 
 from oracles import (brute_force_minimal_points, brute_force_vertices,
                      dilate_box, dot, matrix_rank, solve_square)
@@ -487,29 +486,40 @@ def test_mdc_is_largest_compact_face_dimension(ideals):
     assert {(n, d) for n in range(1, 6) for d in range(n)} <= seen_dims
 
 
-def test_tight_mask_matches_slack():
-    rng = random.Random(83)
-    tight_fractional = 0
-    for body in fractional_up_sets(89, 60):
-        n = body.nvars
-        verts = body.vertices
-        points = list(verts)
-        for _ in range(6):
-            a, b = rng.choice(verts), rng.choice(verts)
-            w = Fraction(rng.randint(0, 5), 5)
-            # points of the body's edges and faces: mixed denominators
-            points.append(tuple(w * x + (1 - w) * y for x, y in zip(a, b)))
-            # points anywhere, outside the body and the orthant included
-            points.append(tuple(Fraction(rng.randint(-6, 12),
-                                         rng.randint(1, 6))
-                                for _ in range(n)))
-        for p in points:
-            expected = sum(1 << i for i, h in enumerate(body.facets)
-                           if h.slack(p) == 0)
-            assert _tight_mask(body.facets, p) == expected
-            if expected and any(c.denominator > 1 for c in p):
-                tight_fractional += 1
-    assert tight_fractional > 100
+def assert_vertex_masks_match_slack(body):
+    assert len(body._vertex_masks) == len(body.vertices)
+    for v, mask in zip(body.vertices, body._vertex_masks):
+        assert mask == sum(1 << i for i, h in enumerate(body.facets)
+                           if h.slack(v) == 0)
+
+
+def test_carried_vertex_masks_match_slack(ideals):
+    bodies = list(fractional_up_sets(89, 60)) + list(random_hulls(97, 60))
+    rng = random.Random(101)
+    meets = []
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        group = [b for b in bodies if b.nvars == n]
+        meets.append(intersect_polyhedra(rng.sample(group, 2)))
+    for parsed in ideals.values():
+        meets.append(newton_polyhedron(parsed.ideal))
+        if parsed.classified.supports_sp():
+            meets.append(symbolic_polyhedron(parsed.classified))
+    reordered = 0
+    for body in bodies + meets:
+        assert_vertex_masks_match_slack(body)
+        for t in (2, Fraction(3, 2), Fraction(1, 6), 5):
+            scaled = scale(body, t)
+            assert_vertex_masks_match_slack(scaled)
+            # the facets' order before sorting again
+            unsorted = [HalfSpace.from_rational(h.normal, h.offset * t)
+                        for h in body.facets]
+            reordered += list(scaled.facets) != unsorted
+        back = scale(scale(body, 2), Fraction(1, 2))
+        assert back == body and hash(back) == hash(body)
+        assert back._vertex_masks == body._vertex_masks
+    # scalings whose primitive facets shrink move mask bits
+    assert reordered > 10
 
 
 def primitive_by_fractions(vec):
@@ -673,19 +683,10 @@ def test_minimal_lattice_points_against_box_scan_higher_dimension(ideals):
             assert minimal_lattice_points(scale(sp, k)) == expected
 
 
-def test_minimal_lattice_points_rejects_small_box():
+def test_minimal_lattice_points_of_a_simplex_body():
     body = hull_up_set([(Fraction(3), Fraction(0)),
                         (Fraction(0), Fraction(3))], 2)
-    with pytest.raises(BoundTooSmall):
-        minimal_lattice_points(body, box_bound=(2, 2))
-
-
-def test_minimal_lattice_points_accepts_larger_box():
-    body = hull_up_set([(Fraction(3), Fraction(0)),
-                        (Fraction(0), Fraction(3))], 2)
-    default = minimal_lattice_points(body)
-    assert minimal_lattice_points(body, box_bound=(5, 5)) == default
-    assert default == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert minimal_lattice_points(body) == [(0, 3), (1, 2), (2, 1), (3, 0)]
 
 
 def test_vertex_budget(monkeypatch):
@@ -745,6 +746,14 @@ def test_floats_are_refused_where_exact_numbers_are_kept(name):
     # the same number agree with each other
     assert call(Fraction(1, 2)) == call("1/2"), name
     assert call(1) == call(Fraction(1)) == call("1"), name
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0"])
+@pytest.mark.parametrize("name", [name for name, _ in float_sites()])
+def test_malformed_strings_are_parse_errors(name, text):
+    call = dict(float_sites())[name]
+    with pytest.raises(ParseError):
+        call(text)
 
 
 def test_float_ceiling_family_fails_at_once():
