@@ -37,7 +37,6 @@ from .invariants import (analytic_spread, c_degree_compatibility,
 from .simis import (hilbert_basis, normal_rees_generator_degrees, svd_probe,
                     veronese_verify)
 
-_FAMILY_VERBS = frozenset({"family-body", "stabilize"})
 _UNSUPPORTED_NOTE = ("symbolic-power data needs a squarefree ideal, an "
                      "explicit linear-power decomposition, or an ideal "
                      "primary to the maximal ideal")
@@ -76,28 +75,33 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("file", help="ideal or family file")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
+    # each verb sets its handler as run; family picks the file parser
+    common.set_defaults(family=False)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    sub.add_parser("np", parents=[common],
-                   help="Newton polyhedron of the ideal")
-    sub.add_parser("sp", parents=[common],
-                   help="symbolic polyhedron of the ideal")
-    sub.add_parser("spread", parents=[common],
-                   help="analytic spread, plus the symbolic one if defined")
-    sub.add_parser("constants", parents=[common],
-                   help="vertex denominators, c, D, and derived bounds")
+    def verb(name, run, help, **defaults):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run, **defaults)
+        return p
 
-    p = sub.add_parser("symbolic-power", parents=[common],
-                       help="minimal generators of the k-th symbolic power")
+    verb("np", _cmd_np, "Newton polyhedron of the ideal")
+    verb("sp", _cmd_sp, "symbolic polyhedron of the ideal")
+    verb("spread", _cmd_spread,
+         "analytic spread, plus the symbolic one if defined")
+    verb("constants", _cmd_constants,
+         "vertex denominators, c, D, and derived bounds")
+
+    p = verb("symbolic-power", _cmd_symbolic_power,
+             "minimal generators of the k-th symbolic power")
     p.add_argument("-k", type=_positive_int, required=True, metavar="K")
 
-    p = sub.add_parser("real-power", parents=[common],
-                       help="monomials whose exponent lies in r*NP(I)")
+    p = verb("real-power", _cmd_real_power,
+             "monomials whose exponent lies in r*NP(I)")
     p.add_argument("-r", type=_positive_rational, required=True, metavar="P/Q")
 
-    p = sub.add_parser("member", parents=[common],
-                       help="membership of a monomial in a symbolic power "
-                            "or an integral closure")
+    p = verb("member", _cmd_member,
+             "membership of a monomial in a symbolic power or an integral "
+             "closure")
     p.add_argument("-m", "--monomial", required=True,
                    help="monomial such as x*y^2, or an exponent vector "
                         "[1,2,0]")
@@ -108,31 +112,30 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also report a convex-combination or violated-facet "
                         "certificate for the point (exponent)/k")
 
-    p = sub.add_parser("hilbert", parents=[common],
-                       help="degree-bounded Hilbert basis of the cone over "
-                            "the symbolic polyhedron")
+    p = verb("hilbert", _cmd_hilbert,
+             "degree-bounded Hilbert basis of the cone over the symbolic "
+             "polyhedron")
     p.add_argument("--bound", type=_positive_int, default=None, metavar="B",
                    help="degree bound (default: the proven generation bound)")
 
-    p = sub.add_parser("veronese", parents=[common],
-                       help="bounded Veronese check at -d, or a window probe "
-                            "for the least verifying degree")
+    p = verb("veronese", _cmd_veronese,
+             "bounded Veronese check at -d, or a window probe for the least "
+             "verifying degree")
     p.add_argument("-d", type=_positive_int, default=None, metavar="D")
     p.add_argument("--kmax", type=_positive_int, default=4, metavar="K")
 
-    sub.add_parser("normal-rees", parents=[common],
-                   help="generator degrees of the normalized Rees algebra")
+    verb("normal-rees", _cmd_normal_rees,
+         "generator degrees of the normalized Rees algebra")
+    verb("family-body", _cmd_family_body, "limit body of a graded family",
+         family=True)
 
-    sub.add_parser("family-body", parents=[common],
-                   help="limit body of a graded family")
-
-    p = sub.add_parser("stabilize", parents=[common],
-                       help="search for the least c with (1/c)*NP(I_c) equal "
-                            "to the limit body")
+    p = verb("stabilize", _cmd_stabilize,
+             "search for the least c with (1/c)*NP(I_c) equal to the limit "
+             "body", family=True)
     p.add_argument("--cmax", type=_positive_int, default=30, metavar="C")
 
-    sub.add_parser("np-eq-sp", parents=[common],
-                   help="whether the Newton and symbolic polyhedra coincide")
+    verb("np-eq-sp", _cmd_np_eq_sp,
+         "whether the Newton and symbolic polyhedra coincide")
     return parser
 
 
@@ -216,27 +219,26 @@ def _cmd_constants(parsed: ParsedIdeal, args):
     return result, lines, notes
 
 
+def _generator_report(result: dict, title: str, ideal, variables):
+    """result with the ideal's payload and monomials added, and text lines
+    listing the same monomials under title."""
+    monomials = [format_monomial(g, variables) for g in ideal.generators]
+    result.update(ideal_payload(ideal), monomials=monomials)
+    return result, [title, *(f"  {m}" for m in monomials)], []
+
+
 def _cmd_symbolic_power(parsed: ParsedIdeal, args):
     power_k = symbolic_power(parsed.classified, args.k)
-    result = {"k": args.k, **ideal_payload(power_k),
-              "monomials": [format_monomial(g, parsed.variables)
-                            for g in power_k.generators]}
-    lines = [f"I^({args.k}) minimal generators ({len(power_k.generators)}):"]
-    lines.extend(f"  {format_monomial(g, parsed.variables)}"
-                 for g in power_k.generators)
-    return result, lines, []
+    title = f"I^({args.k}) minimal generators ({len(power_k.generators)}):"
+    return _generator_report({"k": args.k}, title, power_k, parsed.variables)
 
 
 def _cmd_real_power(parsed: ParsedIdeal, args):
+    r = frac_to_str(args.r)
     closure = real_power(parsed.ideal, args.r)
-    result = {"r": frac_to_str(args.r), **ideal_payload(closure),
-              "monomials": [format_monomial(g, parsed.variables)
-                            for g in closure.generators]}
-    lines = [f"monomials with exponent in {frac_to_str(args.r)}*NP "
-             f"({len(closure.generators)} minimal):"]
-    lines.extend(f"  {format_monomial(g, parsed.variables)}"
-                 for g in closure.generators)
-    return result, lines, []
+    title = (f"monomials with exponent in {r}*NP "
+             f"({len(closure.generators)} minimal):")
+    return _generator_report({"r": r}, title, closure, parsed.variables)
 
 
 def _cmd_member(parsed: ParsedIdeal, args):
@@ -393,23 +395,6 @@ def _cmd_np_eq_sp(parsed: ParsedIdeal, args):
     return result, [f"NP(I) = SP(I): {'yes' if same else 'no'}"], []
 
 
-_HANDLERS = {
-    "np": _cmd_np,
-    "sp": _cmd_sp,
-    "spread": _cmd_spread,
-    "constants": _cmd_constants,
-    "symbolic-power": _cmd_symbolic_power,
-    "real-power": _cmd_real_power,
-    "member": _cmd_member,
-    "hilbert": _cmd_hilbert,
-    "veronese": _cmd_veronese,
-    "normal-rees": _cmd_normal_rees,
-    "family-body": _cmd_family_body,
-    "stabilize": _cmd_stabilize,
-    "np-eq-sp": _cmd_np_eq_sp,
-}
-
-
 def _run(args) -> tuple[dict, list[str], list[str], str]:
     with open(args.file, "rb") as handle:
         data = handle.read()
@@ -418,11 +403,9 @@ def _run(args) -> tuple[dict, list[str], list[str], str]:
     except UnicodeDecodeError:
         raise ParseError("input file is not valid UTF-8") from None
     digest = sha256_digest(data)
-    if args.verb in _FAMILY_VERBS:
-        parsed = parse_family_text(text)
-    else:
-        parsed = parse_ideal_text(text)
-    result, lines, notes = _HANDLERS[args.verb](parsed, args)
+    # looked up on each call, so a wrapper set on this module is seen
+    parse = parse_family_text if args.family else parse_ideal_text
+    result, lines, notes = args.run(parse(text), args)
     return result, lines, notes, digest
 
 

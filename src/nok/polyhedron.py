@@ -583,8 +583,6 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
                 for j in range(n))
 
     rows = [(h.normal, h.offset) for h in poly.facets if h.offset > 0]
-    if not rows:
-        return [(0,) * n]
     suffix = []
     for normal, _ in rows:
         acc = [0] * (n + 1)

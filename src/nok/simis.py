@@ -209,8 +209,9 @@ def veronese_verify(classified: ClassifiedIdeal, d: int, k_max: int) -> bool:
     if d < 1 or k_max < 1:
         raise NonPositiveExponent("d and k_max must be >= 1")
     base = symbolic_power(classified, d)
+    # k = 1 compares base with itself
     return all(symbolic_power(classified, d * k) == power(base, k)
-               for k in range(1, k_max + 1))
+               for k in range(2, k_max + 1))
 
 
 def svd_probe(classified: ClassifiedIdeal,

@@ -159,6 +159,14 @@ def test_integral_closure_mprimary():
     assert not ideal.contains_monomial((3, 1))
 
 
+@pytest.mark.xfail(strict=True, reason="an m-primary I has I^(k) = I^k, "
+                   "but the lattice points of k*NP(I) give the closure")
+def test_symbolic_power_of_m_primary_is_the_ordinary_power():
+    ci = classify(minimalize([(4, 0), (1, 2), (0, 3)]))
+    assert not member_symbolic(ci, (3, 1), 1)
+    assert symbolic_power(ci, 1) == ci.ideal
+
+
 def test_real_power_fractional():
     ideal = minimalize([(2, 0), (0, 2)])
     half = real_power(ideal, Fraction(1, 2))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import nok.cli
 from nok import frac_to_str
 from nok.cli import main
 
@@ -268,3 +269,44 @@ def test_family_file_on_ideal_verb_exits_two(capsys):
 def test_ideal_file_on_family_verb_exits_two(capsys):
     code, _, err = run(capsys, "stabilize", TRIANGLE)
     assert code == 2
+
+
+def verbs():
+    parser = nok.cli._build_parser()
+    return sorted(next(a.choices for a in parser._actions if a.dest == "verb"))
+
+
+FAMILY_VERBS = {"family-body", "stabilize"}
+REQUIRED = {"symbolic-power": ["-k", "1"], "real-power": ["-r", "1"],
+            "member": ["-m", "x", "-k", "1"]}
+
+
+@pytest.mark.parametrize("verb", verbs())
+def test_every_verb_dispatches_on_its_own_kind(capsys, verb):
+    own, other = (CEILING, TRIANGLE) if verb in FAMILY_VERBS \
+        else (TRIANGLE, CEILING)
+    doc = run_json(capsys, verb, own, *REQUIRED.get(verb, []))
+    assert doc["command"] == verb
+    code, out, _ = run(capsys, verb, other, *REQUIRED.get(verb, []), "--json")
+    assert code == 2 and out == ""
+
+
+def test_parsers_are_looked_up_on_each_call(capsys, monkeypatch):
+    # the parser is built once and cached; a parse function replaced on
+    # the module afterwards, as a tracer does, must still be the one called
+    assert run(capsys, "np", TRIANGLE)[0] == 0
+    calls = []
+
+    def counting(parse):
+        def wrapper(text):
+            calls.append(parse.__name__)
+            return parse(text)
+        return wrapper
+
+    monkeypatch.setattr(nok.cli, "parse_ideal_text",
+                        counting(nok.cli.parse_ideal_text))
+    monkeypatch.setattr(nok.cli, "parse_family_text",
+                        counting(nok.cli.parse_family_text))
+    assert run(capsys, "np", TRIANGLE)[0] == 0
+    assert run(capsys, "stabilize", CEILING, "--cmax", "2")[0] == 0
+    assert calls == ["parse_ideal_text", "parse_family_text"]

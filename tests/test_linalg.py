@@ -23,7 +23,7 @@ def random_matrix(rng, m, n, rank_at_most=None):
             for coeffs in ([entry(rng) for _ in seeds] for _ in range(m))]
 
 
-def test_rank_matches_oracle_with_and_without_limit():
+def test_rank_matches_oracle():
     rng = random.Random(3)
     matrices = [[]]
     for _ in range(120):

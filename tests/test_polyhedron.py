@@ -659,6 +659,16 @@ def test_minimal_lattice_points_against_box_scan():
         assert minimal_lattice_points(body) == expected
 
 
+def test_minimal_lattice_points_of_the_orthant():
+    # no facet has a positive offset, so the search has no rows at all
+    for n in range(1, 5):
+        body = from_halfspaces(orthant(n), n)
+        for factor in (1, 2, Fraction(7, 3)):
+            assert minimal_lattice_points(scale(body, factor)) == [(0,) * n]
+        unit = minimalize([(0,) * n])
+        assert real_power(unit, Fraction(7, 3)) == unit
+
+
 def test_minimal_lattice_points_against_box_scan_higher_dimension(ideals):
     # in four and five variables most rows feed several coordinates, so
     # the search moves watched witness rows between coordinates; bodies
