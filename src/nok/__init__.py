@@ -19,11 +19,11 @@ from .errors import (DimensionMismatch, EmptyGeneratorSet,
                      NoVertices, ParseError, PointNotInPolyhedron,
                      UnknownVariable, UnsupportedIdealClass,
                      VertexBudgetExceeded)
-from .families import (CeilingPowerFamily, FamilySpec, IntersectionFamily,
-                       PowerFamily, StabilizationReport, StabilizationWitness,
-                       SymbolicFamily, ceiling_scale, family_analytic_spread,
-                       member_ideal, newton_okounkov_body,
-                       stabilization_check)
+from .families import (CeilingPowerFamily, FamilyLimit, FamilySpec,
+                       IntersectionFamily, PowerFamily, StabilizationReport,
+                       StabilizationWitness, SymbolicFamily, ceiling_scale,
+                       family_analytic_spread, family_limit, member_ideal,
+                       newton_okounkov_body, stabilization_check)
 from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
                      format_monomial, format_point, frac_to_str,
                      parse_family_file, parse_family_text, parse_ideal_file,

@@ -24,8 +24,7 @@ from .bodies import (member_integral_closure, member_symbolic,
                      symbolic_power)
 from .errors import (InvalidVertexBudget, NokError, ParseError,
                      VertexBudgetExceeded)
-from .families import (CeilingPowerFamily, ceiling_scale, newton_okounkov_body,
-                       stabilization_check)
+from .families import CeilingPowerFamily, family_limit, stabilization_check
 from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
                      format_monomial, format_point, frac_to_str,
                      ideal_payload, parse_family_text, parse_ideal_text,
@@ -130,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
          family=True)
 
     p = verb("stabilize", _cmd_stabilize,
-             "search for the least c with (1/c)*NP(I_c) equal to the limit "
-             "body", family=True)
+             "the least c with (1/c)*NP(I_c) equal to the limit body",
+             family=True)
     p.add_argument("--cmax", type=_positive_int, default=30, metavar="C")
 
     verb("np-eq-sp", _cmd_np_eq_sp,
@@ -350,13 +349,12 @@ def _cmd_normal_rees(parsed: ParsedIdeal, args):
 
 
 def _cmd_family_body(parsed: ParsedFamily, args):
-    body = newton_okounkov_body(parsed.family)
+    body, scale, _ = family_limit(parsed.family)
     result = {"kind": parsed.kind, **polyhedron_payload(body)}
     lines = [f"family kind: {parsed.kind}"]
     lines.extend(_body_lines("limit body", body, parsed.variables))
     notes = []
     if isinstance(parsed.family, CeilingPowerFamily):
-        scale = ceiling_scale(parsed.family)
         result["scale"] = frac_to_str(scale)
         if parsed.family.beta >= 0:
             notes.append(f"body is {frac_to_str(scale)}*NP(base): with "
@@ -384,8 +382,15 @@ def _cmd_stabilize(parsed: ParsedFamily, args):
         lines = [f"not stabilized up to {args.cmax}",
                  f"witness: body vertex {format_point(witness.vertex)} is "
                  f"missing from (1/{witness.k})*NP(I_{witness.k})"]
-        notes.append("bounded search: this does not certify that no "
-                     "stabilizing c exists")
+        if rep.least_c is not None:
+            notes.append(f"exact: the least stabilizing c is {rep.least_c}, "
+                         f"above c_max = {args.cmax}")
+        elif rep.never:
+            notes.append("never stabilizes: beta > 0 keeps "
+                         "ceil(alpha*k + beta)/k above alpha for every k")
+        else:
+            notes.append("bounded search: this does not certify that no "
+                         "stabilizing c exists")
     return result, lines, notes
 
 

@@ -1,10 +1,15 @@
 """Graded families of monomial ideals: member ideals, limiting bodies, and
-the polyhedral stabilization test that certifies a Noetherian Rees algebra.
+the stabilization test that certifies a Noetherian Rees algebra.
 
 Four families are representable: ordinary powers, symbolic powers,
 intersections of powers of several ideals, and ceiling powers
 I_k = base^ceil(alpha*k + beta).  Each has a closed-form limiting body, so
 the union over k of (1/k)NP(I_k) never has to be approximated.
+
+Stabilization is decided on the body's vertices.  Since (1/c)NP(I_c) lies
+in the body, c attains the body iff every vertex v of the body has c*v
+integral and x^(c*v) in I_c.  For power, symbolic and ceiling families
+the least such c has a closed form, so no member ideal is expanded.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import polyhedron as poly
 from .bodies import (ClassifiedIdeal, newton_polyhedron, symbolic_polyhedron,
@@ -20,7 +25,7 @@ from .bodies import (ClassifiedIdeal, newton_polyhedron, symbolic_polyhedron,
 from .errors import (DimensionMismatch, EmptyList, NokError,
                      NonPositiveExponent, NotProvenNoetherian,
                      UnsupportedIdealClass)
-from .ideal import MonomialIdeal, intersect, multiply, power
+from .ideal import MonomialIdeal, intersect, power
 from .polyhedron import Point, RationalPolyhedron
 
 
@@ -96,9 +101,32 @@ class StabilizationWitness:
 
 @dataclass(frozen=True)
 class StabilizationReport:
+    """The least c <= c_max attaining the body, or a witness at c_max.
+
+    A report without c says whether its answer is proven: least_c is the
+    least c attaining the body when that exceeds c_max, and never is set
+    when no c attains it.  With neither, only c <= c_max was searched.
+    """
+
     stabilized: bool
     c: int | None = None
     witness: StabilizationWitness | None = None
+    least_c: int | None = None
+    never: bool = False
+
+
+class FamilyLimit(NamedTuple):
+    """The limiting body of a family and what its closed form decides.
+
+    scale is the s with body = s*NP(base) for a ceiling family, None for
+    the other variants.  least_c is the least c with (1/c)NP(I_c) = body;
+    it is None for a ceiling family that never attains its body, and for
+    an intersection, which has no closed form for it.
+    """
+
+    body: RationalPolyhedron
+    scale: Fraction | None
+    least_c: int | None
 
 
 def member_ideal(family: FamilySpec, k: int) -> MonomialIdeal:
@@ -116,20 +144,23 @@ def member_ideal(family: FamilySpec, k: int) -> MonomialIdeal:
     raise NokError(f"unknown family variant {type(family).__name__}")
 
 
-def ceiling_scale(family: CeilingPowerFamily) -> Fraction:
-    """The scale s with limiting body s*NP(base): the infimum of
-    ceil(alpha*k + beta)/k.
+def _ceiling_minimum(family: CeilingPowerFamily) -> tuple[Fraction,
+                                                          int | None]:
+    """The infimum s of ceil(alpha*k + beta)/k, and the least k attaining
+    it (None when no k does).
 
-    For beta >= 0 the infimum is alpha.  For beta < 0, write alpha = p/q:
-    the exponent at k + q is p more than at k, so a ratio below alpha only
-    grows towards alpha along k, k + q, k + 2q, ...  Any value below alpha
-    is therefore attained at some k <= q, and the minimum over that prefix
-    and alpha is exact.
+    For beta > 0 the infimum is alpha and every ratio lies above it; for
+    beta = 0 it is alpha, first attained at k = denominator(alpha).  For
+    beta < 0, write alpha = p/q: the exponent at k + q is p more than at
+    k, so a ratio at most alpha only grows towards alpha along k, k + q,
+    k + 2q, ...  The least k attaining the infimum is therefore at most
+    q, and the first strict improvement on alpha over that prefix finds
+    it; when there is none, the ratio at q is alpha itself.
     """
     alpha, beta = family.alpha, family.beta
-    if beta >= 0:
-        return alpha
     p, q = alpha.numerator, alpha.denominator
+    if beta >= 0:
+        return alpha, (q if beta == 0 else None)
     u, v = beta.numerator, beta.denominator
     best, best_k = p, q
     for k in range(1, q + 1):
@@ -137,47 +168,105 @@ def ceiling_scale(family: CeilingPowerFamily) -> Fraction:
         exponent = -((-p * k * v - u * q) // (q * v))
         if exponent * best_k < best * k:
             best, best_k = exponent, k
-    return Fraction(best, best_k)
+    return Fraction(best, best_k), best_k
+
+
+def ceiling_scale(family: CeilingPowerFamily) -> Fraction:
+    """The scale s with limiting body s*NP(base): the infimum of
+    ceil(alpha*k + beta)/k, which is alpha for beta >= 0 and is attained
+    at some k <= denominator(alpha) otherwise."""
+    return _ceiling_minimum(family)[0]
+
+
+def _denominator_lcm(body: RationalPolyhedron) -> int:
+    return math.lcm(*(x.denominator for v in body.vertices for x in v))
+
+
+def family_limit(family: FamilySpec) -> FamilyLimit:
+    """The limiting body, closure of the union of (1/k)NP(I_k), by the
+    closed form of each variant, with the least c attaining it."""
+    if isinstance(family, PowerFamily):
+        # NP(I^c) = c*NP(I)
+        return FamilyLimit(newton_polyhedron(family.base), None, 1)
+    if isinstance(family, SymbolicFamily):
+        # every lattice point of c*SP lies in I^(c), so c attains SP once
+        # c*SP has integral vertices
+        body = symbolic_polyhedron(family.base)
+        return FamilyLimit(body, None, _denominator_lcm(body))
+    if isinstance(family, IntersectionFamily):
+        body = poly.intersect_polyhedra(
+            [newton_polyhedron(j) for j in family.components])
+        return FamilyLimit(body, None, None)
+    if isinstance(family, CeilingPowerFamily):
+        # (1/c)NP(I_c) = (e_c/c)*NP(base) with e_c = ceil(alpha*c + beta),
+        # which is the body iff e_c/c is the scale, or the base is the unit
+        # ideal, whose every dilate is the orthant
+        s, k = _ceiling_minimum(family)
+        body = poly.scale(newton_polyhedron(family.base), s)
+        return FamilyLimit(body, s, 1 if family.base.is_unit() else k)
+    raise NokError(f"unknown family variant {type(family).__name__}")
 
 
 def newton_okounkov_body(family: FamilySpec) -> RationalPolyhedron:
     """The limiting body: closure of the union of (1/k)NP(I_k), by the
     closed form of each variant."""
+    return family_limit(family).body
+
+
+def _attained(family: FamilySpec, vertex: Point, c: int) -> bool:
+    """Is the body vertex in (1/c)NP(I_c)?  That polyhedron lies in the
+    body, so the vertex is then one of its vertices: c*vertex is integral
+    and x^(c*vertex) is a generator of I_c."""
     if isinstance(family, PowerFamily):
-        return newton_polyhedron(family.base)
-    if isinstance(family, SymbolicFamily):
-        return symbolic_polyhedron(family.base)
-    if isinstance(family, IntersectionFamily):
-        return poly.intersect_polyhedra(
-            [newton_polyhedron(j) for j in family.components])
+        return True
     if isinstance(family, CeilingPowerFamily):
-        return poly.scale(newton_polyhedron(family.base),
-                          ceiling_scale(family))
-    raise NokError(f"unknown family variant {type(family).__name__}")
+        # NP(base^e) = e*NP(base)
+        ratio = Fraction(c, family.exponent(c))
+        return poly.contains(newton_polyhedron(family.base),
+                             [x * ratio for x in vertex])
+    a = [x * c for x in vertex]
+    if any(x.denominator != 1 for x in a):
+        return False
+    if isinstance(family, SymbolicFamily):
+        return True
+    a = [int(x) for x in a]
+    return all(power(j, c).contains_monomial(a) for j in family.components)
 
 
 def stabilization_check(family: FamilySpec,
                         c_max: int) -> StabilizationReport:
-    """Search for the smallest c <= c_max with (1/c)NP(I_c) equal to the
-    limiting body.
+    """The smallest c <= c_max with (1/c)NP(I_c) equal to the limiting
+    body.
+
+    c attains the body iff every vertex v of the body has c*v integral
+    and x^(c*v) in I_c.  Power, symbolic and ceiling families take the
+    least such c from family_limit and expand no member ideal.  An
+    intersection tests the multiples of the lcm of the body's vertex
+    denominators up to c_max, one power of each component per multiple.
 
     Success certifies that the Rees algebra of the family is Noetherian.
-    Failure only reports that no tested c works, with a witness vertex of
-    the body that (1/c_max)NP(I_{c_max}) misses; it is not a proof of
-    non-Noetherianity.
+    Otherwise the witness is the largest body vertex that
+    (1/c_max)NP(I_{c_max}) misses.  The report's least_c or never then
+    proves the answer; for an intersection it is only a bounded search,
+    not a proof of non-Noetherianity.
     """
-    if c_max < 1:
-        raise NonPositiveExponent(f"c_max must be >= 1, got {c_max}")
-    body = newton_okounkov_body(family)
-    for c in range(1, c_max + 1):
-        scaled = poly.scale(newton_polyhedron(member_ideal(family, c)),
-                            Fraction(1, c))
-        if poly.equal(scaled, body):
-            return StabilizationReport(True, c)
-    # the loop ran to the end, so `scaled` is (1/c_max)NP(I_{c_max})
-    missing = [v for v in body.vertices if not poly.contains(scaled, v)]
+    if isinstance(c_max, bool) or not isinstance(c_max, int) or c_max < 1:
+        raise NonPositiveExponent(
+            f"c_max must be a positive integer, got {c_max!r}")
+    body, _, least_c = family_limit(family)
+    never = False
+    if isinstance(family, IntersectionFamily):
+        step = _denominator_lcm(body)
+        for c in range(step, c_max + 1, step):
+            if all(_attained(family, v, c) for v in body.vertices):
+                return StabilizationReport(True, c)
+    elif least_c is None:
+        never = True
+    elif least_c <= c_max:
+        return StabilizationReport(True, least_c)
+    missing = [v for v in body.vertices if not _attained(family, v, c_max)]
     witness = StabilizationWitness(c_max, c_max, max(missing))
-    return StabilizationReport(False, None, witness)
+    return StabilizationReport(False, None, witness, least_c, never)
 
 
 def family_analytic_spread(family: FamilySpec, c_max: int) -> int:
@@ -189,4 +278,3 @@ def family_analytic_spread(family: FamilySpec, c_max: int) -> int:
             f"no c <= {c_max} attains the limiting body; the analytic "
             "spread formula requires a Noetherian Rees algebra")
     return poly.mdc(newton_okounkov_body(family)) + 1
-

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import nok.cli
+import nok.families
 from nok import frac_to_str
 from nok.cli import main
 
@@ -170,6 +171,33 @@ def test_stabilize_text_matches_expected_phrases(capsys):
     code, out, _ = run(capsys, "stabilize", "families/symbolic_triangle.nok")
     assert code == 0
     assert "stabilized at c = 2" in out
+
+
+def test_stabilize_notes_say_what_is_proven(capsys):
+    notes = run_json(capsys, "stabilize", CEILING, "--cmax", "3")["notes"]
+    assert len(notes) == 1 and notes[0].startswith("never stabilizes: "
+                                                   "beta > 0")
+    notes = run_json(capsys, "stabilize", "families/symbolic_triangle.nok",
+                     "--cmax", "1")["notes"]
+    assert notes == ["exact: the least stabilizing c is 2, above c_max = 1"]
+    notes = run_json(capsys, "stabilize", "families/intersection.nok",
+                     "--cmax", "1")["notes"]
+    assert len(notes) == 1 and notes[0].startswith("bounded search: ")
+
+
+def test_family_verbs_scan_the_ceiling_ratios_once(capsys, monkeypatch,
+                                                   tmp_path):
+    family = tmp_path / "ceiling_wide.nok"
+    family.write_text("family: ceiling\nvars: x, y\ngens: x, y\n"
+                      "alpha: 3/20011\nbeta: -1/20011\n")
+    scans = []
+    scan = nok.families._ceiling_minimum
+    monkeypatch.setattr(nok.families, "_ceiling_minimum",
+                        lambda fam: scans.append(fam) or scan(fam))
+    for verb in ("family-body", "stabilize"):
+        scans.clear()
+        assert run(capsys, verb, str(family))[0] == 0
+        assert len(scans) == 1
 
 
 def test_json_output_is_deterministic(capsys):

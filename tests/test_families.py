@@ -1,16 +1,20 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import nok.families
 from nok import (CeilingPowerFamily, DimensionMismatch, EmptyList,
                  IntersectionFamily, NonPositiveExponent,
                  NotProvenNoetherian, PowerFamily, StabilizationReport,
-                 SymbolicFamily, UnsupportedIdealClass, ceiling_scale,
-                 classify, contains, equal, family_analytic_spread,
-                 integral_closure, member_ideal, minimalize,
-                 newton_okounkov_body, newton_polyhedron, scale,
-                 stabilization_check, symbolic_polyhedron)
+                 StabilizationWitness, SymbolicFamily,
+                 UnsupportedIdealClass, ceiling_scale, classify, contains,
+                 equal, family_analytic_spread, integral_closure,
+                 member_ideal, minimalize, newton_okounkov_body,
+                 newton_polyhedron, scale, stabilization_check,
+                 symbolic_polyhedron)
 
 from oracles import is_graded_family
 
@@ -192,3 +196,119 @@ def test_power_family_members_are_powers():
                                    for g in expected.generators
                                    for h in base.generators])
         assert member_ideal(fam, k) == expected
+
+
+@pytest.mark.parametrize("c_max", [0, -3, True, False, 2.5, "3", None,
+                                   Fraction(2)])
+def test_c_max_must_be_a_positive_int(families, c_max):
+    fam = families["symbolic_triangle"].family
+    with pytest.raises(NonPositiveExponent):
+        stabilization_check(fam, c_max)
+    with pytest.raises(NonPositiveExponent):
+        family_analytic_spread(fam, c_max)
+
+
+def searched_stabilization(family, c_max):
+    """The search the closed forms replaced: expand I_c for every
+    c <= c_max and compare (1/c)NP(I_c) with the body."""
+    body = newton_okounkov_body(family)
+    for c in range(1, c_max + 1):
+        scaled = scale(newton_polyhedron(member_ideal(family, c)),
+                       Fraction(1, c))
+        if equal(scaled, body):
+            return StabilizationReport(True, c)
+    missing = [v for v in body.vertices if not contains(scaled, v)]
+    return StabilizationReport(
+        False, None, StabilizationWitness(c_max, c_max, max(missing)))
+
+
+def seeded_families(rng):
+    """Ceiling families with beta < 0, = 0 and > 0 (some over the unit
+    ideal), symbolic families of random graphs and 3-uniform
+    hypergraphs, power families, and small intersections of primes or
+    of plane ideals."""
+    def ideal(n, top, count):
+        gens = [tuple(rng.randint(0, top) for _ in range(n))
+                for _ in range(count)]
+        return minimalize([g for g in gens if any(g)] or [(1,) * n])
+
+    def prime(n, support):
+        return minimalize([tuple(int(j == i) for j in range(n))
+                           for i in support])
+
+    for i in range(30):
+        alpha = Fraction(rng.randint(1, 30), rng.randint(1, 12))
+        beta = [-Fraction(rng.randint(1, 9), rng.randint(1, 12)), Fraction(0),
+                Fraction(rng.randint(1, 9), rng.randint(1, 6))][i % 3]
+        if alpha + beta <= 0:
+            beta = -(alpha - Fraction(1, 2 * alpha.denominator))
+        base = minimalize([(0, 0)]) if i % 7 == 3 else ideal(2, 2, 3)
+        yield CeilingPowerFamily(base, alpha, beta)
+    for i in range(12):
+        n = rng.randint(3, 5)
+        size = 3 if i % 2 and n > 3 else 2
+        edges = list(itertools.combinations(range(n), size))
+        chosen = rng.sample(edges, rng.randint(2, min(len(edges), 6)))
+        yield SymbolicFamily(classify(minimalize(
+            [tuple(int(j in e) for j in range(n)) for e in chosen])))
+    for _ in range(6):
+        yield PowerFamily(ideal(rng.randint(2, 3), 3, 3))
+    for i in range(12):
+        if i % 2:
+            n = rng.randint(3, 4)
+            pairs = list(itertools.combinations(range(n), 2))
+            components = [prime(n, e)
+                          for e in rng.sample(pairs, rng.randint(2, n))]
+        else:
+            # plane ideals whose Newton polyhedra cross at rational points
+            components = [minimalize([(rng.randint(1, 5), 0),
+                                      (0, rng.randint(1, 5)),
+                                      *([(rng.randint(1, 2), 1)]
+                                        * rng.randint(0, 1))])
+                          for _ in range(rng.randint(1, 3))]
+        yield IntersectionFamily(tuple(components))
+
+
+def test_stabilization_matches_the_expanding_search():
+    rng = random.Random(1414)
+    for family in seeded_families(rng):
+        c_max = rng.choice([1, 2, 3, rng.randint(1, 30)])
+        report = stabilization_check(family, c_max)
+        expected = searched_stabilization(family, c_max)
+        assert (report.stabilized, report.c, report.witness) == (
+            expected.stabilized, expected.c, expected.witness), family
+        if report.stabilized or isinstance(family, IntersectionFamily):
+            assert (report.least_c, report.never) == (None, False)
+        elif report.never:
+            assert report.least_c is None and family.beta > 0
+        else:
+            # the proven least c is what the search finds when it gets there
+            assert report.least_c > c_max
+            assert searched_stabilization(family, report.least_c) == \
+                StabilizationReport(True, report.least_c)
+
+
+def test_power_symbolic_and_ceiling_checks_expand_nothing(
+        families, ideals, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a member ideal was expanded")
+
+    for name in ("power", "symbolic_power", "member_ideal"):
+        monkeypatch.setattr(nok.families, name, refuse)
+    cone = SymbolicFamily(ideals["c5cone"].classified)
+    start = time.perf_counter()
+    assert stabilization_check(cone, 40) == StabilizationReport(True, 30)
+    report = stabilization_check(cone, 29)
+    assert not report.stabilized and report.least_c == 30
+    assert report.witness.c_tested == report.witness.k == 29
+    assert report.witness.vertex in newton_okounkov_body(cone).vertices
+    assert any((29 * x).denominator != 1 for x in report.witness.vertex)
+    report = stabilization_check(families["ceiling"].family, 10**6)
+    assert report.never and report.witness.c_tested == 10**6
+    assert report.witness.vertex == (Fraction(1, 2), Fraction(0))
+    assert time.perf_counter() - start < 5
+    assert stabilization_check(families["power_mprimary"].family, 3) == \
+        StabilizationReport(True, 1)
+    assert stabilization_check(families["symbolic_triangle"].family, 1) == \
+        StabilizationReport(False, None, StabilizationWitness(
+            1, 1, (Fraction(1, 2),) * 3), least_c=2)
