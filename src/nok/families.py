@@ -233,6 +233,31 @@ def _attained(family: FamilySpec, vertex: Point, c: int) -> bool:
     return all(power(j, c).contains_monomial(a) for j in family.components)
 
 
+def _check_c_max(c_max) -> None:
+    if isinstance(c_max, bool) or not isinstance(c_max, int) or c_max < 1:
+        raise NonPositiveExponent(
+            f"c_max must be a positive integer, got {c_max!r}")
+
+
+def _stabilization(family: FamilySpec, limit: FamilyLimit,
+                   c_max: int) -> StabilizationReport:
+    """stabilization_check on the family's limit, computed once."""
+    body, _, least_c = limit
+    never = False
+    if isinstance(family, IntersectionFamily):
+        step = _denominator_lcm(body)
+        for c in range(step, c_max + 1, step):
+            if all(_attained(family, v, c) for v in body.vertices):
+                return StabilizationReport(True, c)
+    elif least_c is None:
+        never = True
+    elif least_c <= c_max:
+        return StabilizationReport(True, least_c)
+    missing = [v for v in body.vertices if not _attained(family, v, c_max)]
+    witness = StabilizationWitness(c_max, c_max, max(missing))
+    return StabilizationReport(False, None, witness, least_c, never)
+
+
 def stabilization_check(family: FamilySpec,
                         c_max: int) -> StabilizationReport:
     """The smallest c <= c_max with (1/c)NP(I_c) equal to the limiting
@@ -250,31 +275,17 @@ def stabilization_check(family: FamilySpec,
     proves the answer; for an intersection it is only a bounded search,
     not a proof of non-Noetherianity.
     """
-    if isinstance(c_max, bool) or not isinstance(c_max, int) or c_max < 1:
-        raise NonPositiveExponent(
-            f"c_max must be a positive integer, got {c_max!r}")
-    body, _, least_c = family_limit(family)
-    never = False
-    if isinstance(family, IntersectionFamily):
-        step = _denominator_lcm(body)
-        for c in range(step, c_max + 1, step):
-            if all(_attained(family, v, c) for v in body.vertices):
-                return StabilizationReport(True, c)
-    elif least_c is None:
-        never = True
-    elif least_c <= c_max:
-        return StabilizationReport(True, least_c)
-    missing = [v for v in body.vertices if not _attained(family, v, c_max)]
-    witness = StabilizationWitness(c_max, c_max, max(missing))
-    return StabilizationReport(False, None, witness, least_c, never)
+    _check_c_max(c_max)
+    return _stabilization(family, family_limit(family), c_max)
 
 
 def family_analytic_spread(family: FamilySpec, c_max: int) -> int:
     """mdc of the limiting body plus one; valid once stabilization is
     certified, refused otherwise."""
-    report = stabilization_check(family, c_max)
-    if not report.stabilized:
+    _check_c_max(c_max)
+    limit = family_limit(family)
+    if not _stabilization(family, limit, c_max).stabilized:
         raise NotProvenNoetherian(
             f"no c <= {c_max} attains the limiting body; the analytic "
             "spread formula requires a Noetherian Rees algebra")
-    return poly.mdc(newton_okounkov_body(family)) + 1
+    return poly.mdc(limit.body) + 1

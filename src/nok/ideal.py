@@ -36,7 +36,8 @@ set, that is exactly when its kept vector divides v.
 `power` squares repeatedly.  Multiplication of monomial ideals is
 associative and commutative, and minimalizing a generating set gives the
 one canonical antichain, so any bracketing of the k factors yields the
-same ideal as k - 1 successive products.
+same ideal as k - 1 successive products.  Each square sums every
+unordered pair of generators once, which halves what it minimalizes.
 """
 
 from __future__ import annotations
@@ -179,11 +180,16 @@ def minimalize(gens: Iterable[Sequence[int]], nvars: int | None = None) -> Monom
 
 
 def multiply(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:
-    """Product ideal: all pairwise exponent sums, minimalized."""
+    """Product ideal: all pairwise exponent sums, minimalized.  A square
+    sums each unordered pair of generators once, as a + b = b + a."""
     if lhs.nvars != rhs.nvars:
         raise DimensionMismatch("variable counts differ")
-    sums = [tuple(map(add, a, b))
-            for a in lhs.generators for b in rhs.generators]
+    gens = lhs.generators
+    if lhs == rhs:
+        sums = [tuple(map(add, a, b))
+                for i, a in enumerate(gens) for b in gens[i:]]
+    else:
+        sums = [tuple(map(add, a, b)) for a in gens for b in rhs.generators]
     return minimalize(sums, lhs.nvars)
 
 

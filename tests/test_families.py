@@ -312,3 +312,32 @@ def test_power_symbolic_and_ceiling_checks_expand_nothing(
     assert stabilization_check(families["symbolic_triangle"].family, 1) == \
         StabilizationReport(False, None, StabilizationWitness(
             1, 1, (Fraction(1, 2),) * 3), least_c=2)
+
+
+def test_spread_and_check_build_the_limit_once(families, monkeypatch):
+    calls = []
+    limit = nok.families.family_limit
+    monkeypatch.setattr(nok.families, "family_limit",
+                        lambda fam: calls.append(fam) or limit(fam))
+    # beta < 0: the limit scans alpha's 20011 ratios, first attained at
+    # k = 13341, where 3k = 1 mod 20011
+    wide = CeilingPowerFamily(minimalize([(1, 0), (0, 1)]),
+                              Fraction(3, 20011), Fraction(-1, 20011))
+    cases = [(wide, 20000, 2), (wide, 13340, None)]
+    cases += [(families[name].family, 12, spread)
+              for name, spread in (("symbolic_triangle", 2),
+                                   ("power_mprimary", 2),
+                                   ("intersection", 2),
+                                   ("ceiling", None))]
+    for family, c_max, spread in cases:
+        calls.clear()
+        if spread is None:
+            with pytest.raises(NotProvenNoetherian):
+                family_analytic_spread(family, c_max)
+        else:
+            assert family_analytic_spread(family, c_max) == spread
+        assert calls == [family]
+        calls.clear()
+        assert stabilization_check(family, c_max).stabilized == \
+            (spread is not None)
+        assert calls == [family]

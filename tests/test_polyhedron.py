@@ -693,6 +693,32 @@ def test_minimal_lattice_points_against_box_scan_higher_dimension(ideals):
             assert minimal_lattice_points(scale(sp, k)) == expected
 
 
+def test_minimal_lattice_points_is_permutation_equivariant(ideals):
+    # the search visits the coordinates in its own order, so the answer on
+    # a body with permuted coordinates must be the permuted answer, sorted
+    # again in the new coordinates
+    rng = random.Random(29)
+    bodies = [from_halfspaces(random_up_set_system(rng, n), n)
+              for n in (2, 3, 4, 5, 6) for _ in range(8)]
+    for name in ("c5cone", "star43", "weighted"):
+        sp = symbolic_polyhedron(ideals[name].classified)
+        bodies += [scale(sp, k) for k in range(1, 5)]
+    for body in bodies:
+        n = body.nvars
+        perm = rng.sample(range(n), n)
+
+        def permute(v):
+            return tuple(v[j] for j in perm)
+
+        image = from_halfspaces([HalfSpace(permute(h.normal), h.offset)
+                                 for h in body.facets], n)
+        points = minimal_lattice_points(image)
+        assert points == sorted(map(permute, minimal_lattice_points(body)))
+        box = dilate_box(image, 1)
+        if math.prod(b + 1 for b in box) <= 3000:
+            assert points == brute_force_minimal_points(image.facets, box)
+
+
 def test_minimal_lattice_points_of_a_simplex_body():
     body = hull_up_set([(Fraction(3), Fraction(0)),
                         (Fraction(0), Fraction(3))], 2)
