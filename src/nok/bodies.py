@@ -20,8 +20,8 @@ from typing import Sequence
 
 from . import polyhedron as poly
 from .errors import NokError, NonPositiveExponent, UnsupportedIdealClass
-from .ideal import (MonomialIdeal, PrimeDecomposition, expand_decomposition,
-                    minimal_primes)
+from .ideal import (MonomialIdeal, PrimeDecomposition, _integral,
+                    expand_decomposition, minimal_primes)
 from .linalg import _gauss_jordan
 from .polyhedron import HalfSpace, Point, RationalPolyhedron
 
@@ -111,22 +111,30 @@ def symbolic_polyhedron(classified: ClassifiedIdeal) -> RationalPolyhedron:
 
 
 def _check_power(k: int):
-    if not isinstance(k, int) or k < 1:
-        raise NonPositiveExponent(f"power index must be a positive integer, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise NonPositiveExponent(
+            f"power index must be a positive integer, got {k!r}")
+
+
+def _member(body: RationalPolyhedron, a: Sequence[int], k: int) -> bool:
+    """Is a/k in the body?  a is an int exponent vector, so each facet
+    test <normal, a/k> >= offset runs in integers, scaled by k."""
+    _check_power(k)
+    a = tuple(a)
+    if not _integral(a):
+        raise NonPositiveExponent(f"bad exponent vector {a}")
+    den, num = poly._cleared_point(body, a)
+    return all(s >= 0 for s in poly._slacks(body.facets, den * k, num))
 
 
 def member_integral_closure(ideal: MonomialIdeal, a: Sequence[int], k: int) -> bool:
     """Is x^a in the integral closure of I^k?  True iff a/k lies in NP(I)."""
-    _check_power(k)
-    point = [Fraction(x, k) for x in a]
-    return poly.contains(newton_polyhedron(ideal), point)
+    return _member(newton_polyhedron(ideal), a, k)
 
 
 def member_symbolic(classified: ClassifiedIdeal, a: Sequence[int], k: int) -> bool:
     """Is x^a in the k-th symbolic power?  True iff a/k lies in SP(I)."""
-    _check_power(k)
-    point = [Fraction(x, k) for x in a]
-    return poly.contains(symbolic_polyhedron(classified), point)
+    return _member(symbolic_polyhedron(classified), a, k)
 
 
 def symbolic_power(classified: ClassifiedIdeal, k: int) -> MonomialIdeal:
@@ -134,7 +142,8 @@ def symbolic_power(classified: ClassifiedIdeal, k: int) -> MonomialIdeal:
     _check_power(k)
     sp = symbolic_polyhedron(classified)
     points = poly.minimal_lattice_points(poly.scale(sp, k))
-    return MonomialIdeal(classified.ideal.nvars, tuple(points))
+    # minimal_lattice_points returns a lex-sorted antichain (its docstring)
+    return MonomialIdeal._proven(classified.ideal.nvars, tuple(points))
 
 
 def real_power(ideal: MonomialIdeal, r) -> MonomialIdeal:
@@ -145,7 +154,8 @@ def real_power(ideal: MonomialIdeal, r) -> MonomialIdeal:
         raise NonPositiveExponent(f"real power needs r > 0, got {r}")
     body = poly.scale(newton_polyhedron(ideal), ratio)
     points = poly.minimal_lattice_points(body)
-    return MonomialIdeal(ideal.nvars, tuple(points))
+    # minimal_lattice_points returns a lex-sorted antichain (its docstring)
+    return MonomialIdeal._proven(ideal.nvars, tuple(points))
 
 
 def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:

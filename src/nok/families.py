@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple, Union
 
 from . import polyhedron as poly
@@ -213,24 +214,33 @@ def newton_okounkov_body(family: FamilySpec) -> RationalPolyhedron:
     return family_limit(family).body
 
 
-def _attained(family: FamilySpec, vertex: Point, c: int) -> bool:
-    """Is the body vertex in (1/c)NP(I_c)?  That polyhedron lies in the
-    body, so the vertex is then one of its vertices: c*vertex is integral
-    and x^(c*vertex) is a generator of I_c."""
+def _missing(family: FamilySpec, vertices: tuple[Point, ...],
+             c: int) -> list[Point]:
+    """The body vertices outside (1/c)NP(I_c).  That polyhedron lies in
+    the body, so a vertex is in it iff it is one of its vertices: c*vertex
+    is integral and x^(c*vertex) is a generator of I_c.  An intersection
+    expands each component's c-th power at most once, on the first vertex
+    with c*vertex integral that needs it."""
     if isinstance(family, PowerFamily):
-        return True
+        return []
     if isinstance(family, CeilingPowerFamily):
         # NP(base^e) = e*NP(base)
         ratio = Fraction(c, family.exponent(c))
-        return poly.contains(newton_polyhedron(family.base),
-                             [x * ratio for x in vertex])
-    a = [x * c for x in vertex]
-    if any(x.denominator != 1 for x in a):
-        return False
-    if isinstance(family, SymbolicFamily):
-        return True
-    a = [int(x) for x in a]
-    return all(power(j, c).contains_monomial(a) for j in family.components)
+        base = newton_polyhedron(family.base)
+        return [v for v in vertices
+                if not poly.contains(base, [x * ratio for x in v])]
+    expanded = cache(lambda j: power(j, c))
+    missing = []
+    for v in vertices:
+        a = [x * c for x in v]
+        if any(x.denominator != 1 for x in a):
+            missing.append(v)
+        elif isinstance(family, IntersectionFamily):
+            a = [int(x) for x in a]
+            if not all(expanded(j).contains_monomial(a)
+                       for j in family.components):
+                missing.append(v)
+    return missing
 
 
 def _check_c_max(c_max) -> None:
@@ -247,13 +257,13 @@ def _stabilization(family: FamilySpec, limit: FamilyLimit,
     if isinstance(family, IntersectionFamily):
         step = _denominator_lcm(body)
         for c in range(step, c_max + 1, step):
-            if all(_attained(family, v, c) for v in body.vertices):
+            if not _missing(family, body.vertices, c):
                 return StabilizationReport(True, c)
     elif least_c is None:
         never = True
     elif least_c <= c_max:
         return StabilizationReport(True, least_c)
-    missing = [v for v in body.vertices if not _attained(family, v, c_max)]
+    missing = _missing(family, body.vertices, c_max)
     witness = StabilizationWitness(c_max, c_max, max(missing))
     return StabilizationReport(False, None, witness, least_c, never)
 

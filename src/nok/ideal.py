@@ -127,6 +127,25 @@ class MonomialIdeal:
     generators: tuple[Vector, ...]
 
     def __post_init__(self):
+        self._check_shape()
+        if list(self.generators) != minimal_vectors(self.generators):
+            raise NokError("generators must be a lex-sorted antichain; "
+                           "use minimalize() to build ideals")
+
+    @classmethod
+    def _proven(cls, nvars: int,
+                generators: tuple[Vector, ...]) -> "MonomialIdeal":
+        """An ideal whose generators the caller has proven to be a
+        lex-sorted antichain: only their shape is checked."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "nvars", nvars)
+        object.__setattr__(ideal, "generators", generators)
+        ideal._check_shape()
+        return ideal
+
+    def _check_shape(self):
+        """At least one variable, at least one generator, and every
+        generator nvars nonnegative ints long."""
         if self.nvars < 1:
             raise DimensionMismatch("need at least one variable")
         if not self.generators:
@@ -140,9 +159,6 @@ class MonomialIdeal:
                         f"expected {self.nvars}")
                 if not _integral(g) or any(e < 0 for e in g):
                     raise NonPositiveExponent(f"bad exponent vector {g}")
-        if list(self.generators) != minimal_vectors(self.generators):
-            raise NokError("generators must be a lex-sorted antichain; "
-                           "use minimalize() to build ideals")
 
     def is_squarefree(self) -> bool:
         return all(e in (0, 1) for g in self.generators for e in g)
@@ -176,7 +192,8 @@ def minimalize(gens: Iterable[Sequence[int]], nvars: int | None = None) -> Monom
         raise EmptyGeneratorSet("no generators given")
     if nvars is None:
         nvars = len(vectors[0])
-    return MonomialIdeal(nvars, tuple(minimal_vectors(vectors)))
+    # minimal_vectors returns the lex-sorted antichain of its input
+    return MonomialIdeal._proven(nvars, tuple(minimal_vectors(vectors)))
 
 
 def multiply(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from nok import (ClassifiedIdeal, DimensionMismatch, IdealKind,
+                 NonPositiveExponent,
                  PrimeComponent, PrimeDecomposition, UnsupportedIdealClass,
                  classify, classify_decomposition, contains, decompose_point,
                  equal, faces, from_halfspaces, hull_up_set, integral_closure,
@@ -376,6 +377,32 @@ def test_symbolic_power_requires_supported_class():
         symbolic_power(ci, 2)
     with pytest.raises(UnsupportedIdealClass):
         member_symbolic(ci, (1, 1), 1)
+
+
+@pytest.mark.parametrize("a", [(1.5, 1, 0), (Fraction(3, 2), 1, 0),
+                               (True, 1, 0), ("1", 1, 0)])
+def test_membership_refuses_non_int_exponents(a):
+    ideal = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    ci = classify(ideal)
+    with pytest.raises(NonPositiveExponent):
+        member_symbolic(ci, a, 1)
+    with pytest.raises(NonPositiveExponent):
+        member_integral_closure(ideal, a, 1)
+    with pytest.raises(DimensionMismatch):
+        member_symbolic(ci, (1, 1), 1)
+    with pytest.raises(DimensionMismatch):
+        member_integral_closure(ideal, (1, 1, 1, 1), 1)
+
+
+@pytest.mark.parametrize("k", [True, False, 0, -1, 1.0, Fraction(2)])
+def test_power_index_must_be_a_positive_int(k):
+    ideal = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    ci = classify(ideal)
+    for call in (lambda: symbolic_power(ci, k),
+                 lambda: member_symbolic(ci, (1, 1, 1), k),
+                 lambda: member_integral_closure(ideal, (1, 1, 1), k)):
+        with pytest.raises(NonPositiveExponent):
+            call()
 
 
 def test_classified_ideal_reports_kind_value():

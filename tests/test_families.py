@@ -314,6 +314,29 @@ def test_power_symbolic_and_ceiling_checks_expand_nothing(
             1, 1, (Fraction(1, 2),) * 3), least_c=2)
 
 
+def test_intersection_check_expands_each_power_once_per_c(families,
+                                                         monkeypatch):
+    expanded = []
+    inner = nok.families.power
+    monkeypatch.setattr(nok.families, "power", lambda ideal, c: (
+        expanded.append((ideal, c)) or inner(ideal, c)))
+    rng = random.Random(1616)
+    cases = [(families["intersection"].family, c_max) for c_max in (1, 2, 5)]
+    cases += [(family, rng.randint(1, 12)) for family in seeded_families(rng)
+              if isinstance(family, IntersectionFamily)]
+    for family, c_max in cases:
+        expanded.clear()
+        stabilization_check(family, c_max)
+        tested = {c for _, c in expanded}
+        assert len(expanded) == len(set(expanded))
+        assert len(expanded) <= len(family.components) * len(tested)
+    # the triangle's three primes: c = 2 attains the body, one power each
+    expanded.clear()
+    fixture = families["intersection"].family
+    assert stabilization_check(fixture, 2) == StabilizationReport(True, 2)
+    assert sorted(c for _, c in expanded) == [2, 2, 2]
+
+
 def test_spread_and_check_build_the_limit_once(families, monkeypatch):
     calls = []
     limit = nok.families.family_limit

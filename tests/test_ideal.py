@@ -1,16 +1,20 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from operator import le
 
 import pytest
 
+import nok.ideal
 from nok import (DimensionMismatch, EmptyGeneratorSet, EmptyList, EmptyPrime,
                  MonomialIdeal, NokError, NonPositiveExponent,
                  NonPositiveMultiplicity, NotSquarefree, PrimeComponent,
-                 PrimeDecomposition,
-                 expand_decomposition, intersect, minimal_primes,
-                 minimal_vectors, minimalize, multiply, power,
-                 saturate_to_prime, unit_vectors)
+                 PrimeDecomposition, classify, expand_decomposition,
+                 from_halfspaces, intersect, minimal_lattice_points,
+                 minimal_primes, minimal_vectors, minimalize, multiply, power,
+                 real_power, saturate_to_prime, symbolic_power, unit_vectors)
+
+from test_polyhedron import random_up_set_system
 
 
 def test_minimal_vectors_drops_dominated():
@@ -372,3 +376,57 @@ def test_saturate_to_prime_zeroes_outside_support():
 
 def test_unit_vectors():
     assert unit_vectors(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def assert_proven(ideal):
+    """The public constructor's check, on an ideal a builder returned."""
+    assert list(ideal.generators) == minimal_vectors(ideal.generators)
+
+
+def test_builders_return_lex_sorted_antichains(ideals):
+    rng = random.Random(1616)
+    built = []
+    for _ in range(60):
+        nvars = rng.randint(1, 5)
+        vectors = [tuple(abs(e) % 7 for e in v)
+                   for v in random_vectors(rng, nvars, rng.randint(1, 12))]
+        ideal = minimalize(vectors, nvars)
+        other = minimalize([tuple(rng.randint(0, 3) for _ in range(nvars))
+                            for _ in range(rng.randint(1, 5))], nvars)
+        support = rng.sample(range(nvars), rng.randint(1, nvars))
+        built += [ideal, multiply(ideal, other), multiply(ideal, ideal),
+                  power(other, rng.randint(1, 4)), intersect([ideal, other]),
+                  saturate_to_prime(ideal, support)]
+    for n in (2, 3, 4):
+        for _ in range(8):
+            body = from_halfspaces(random_up_set_system(rng, n), n)
+            built.append(minimalize(minimal_lattice_points(body)))
+    bases = [parsed.classified for parsed in ideals.values()]
+    bases += [classify(ideal) for ideal in built[-24:]]
+    for classified in bases:
+        for r in (1, Fraction(5, 2), Fraction(2, 3)):
+            built.append(real_power(classified.ideal, r))
+        if classified.supports_sp():
+            built += [symbolic_power(classified, k) for k in (1, 2, 3)]
+    for ideal in built:
+        assert_proven(ideal)
+
+
+def test_builders_prove_minimality_once(ideals, monkeypatch):
+    calls = []
+    inner = nok.ideal.minimal_vectors
+    monkeypatch.setattr(nok.ideal, "minimal_vectors",
+                        lambda vectors: calls.append(1) or inner(vectors))
+    left = minimalize([(2, 0, 1), (0, 1, 1), (1, 1, 0)])
+    right = minimalize([(1, 0, 0), (0, 0, 3)])
+    triangle = ideals["triangle"]
+    for build, expected in (
+            (lambda: minimalize([(1, 2, 0), (0, 1, 1), (3, 0, 0)]), 1),
+            (lambda: multiply(left, right), 1),
+            (lambda: multiply(left, left), 1),
+            (lambda: symbolic_power(triangle.classified, 3), 0),
+            (lambda: symbolic_power(ideals["c5cone"].classified, 4), 0),
+            (lambda: real_power(triangle.ideal, Fraction(5, 2)), 0)):
+        calls.clear()
+        build()
+        assert len(calls) == expected
