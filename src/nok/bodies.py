@@ -20,8 +20,8 @@ from typing import Sequence
 
 from . import polyhedron as poly
 from .errors import NokError, NonPositiveExponent, UnsupportedIdealClass
-from .ideal import (MonomialIdeal, PrimeDecomposition, _integral,
-                    expand_decomposition, minimal_primes)
+from .ideal import (MonomialIdeal, PrimeDecomposition, _check_power,
+                    _integral, expand_decomposition, minimal_primes)
 from .linalg import _gauss_jordan
 from .polyhedron import HalfSpace, Point, RationalPolyhedron
 
@@ -108,12 +108,6 @@ def symbolic_polyhedron(classified: ClassifiedIdeal) -> RationalPolyhedron:
     rows += [HalfSpace(tuple(int(i == j) for j in range(n)), 0)
              for i in range(n)]
     return poly.from_halfspaces(rows, n)
-
-
-def _check_power(k: int):
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise NonPositiveExponent(
-            f"power index must be a positive integer, got {k!r}")
 
 
 def _member(body: RationalPolyhedron, a: Sequence[int], k: int) -> bool:

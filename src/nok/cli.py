@@ -15,6 +15,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import polyhedron as poly
@@ -414,6 +416,42 @@ def _run(args) -> tuple[dict, list[str], list[str], str]:
     return result, lines, notes, digest
 
 
+def _dumps(obj, pad: str = "\n") -> str:
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)`.  With an
+    indent, json runs its pure-Python encoder, value by value; this writer
+    joins a whole list of ints, of strings or of int lists at once.  `pad`
+    is the line break and indent that end a line at obj's depth."""
+    inner = pad + "  "
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return str(obj)
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = (f"{encode_basestring_ascii(key)}: {_dumps(value, inner)}"
+                 for key, value in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(obj) in (list, tuple) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(str, obj)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, obj)
+        elif (kinds <= {list, tuple} and all(obj)
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            row = inner + "  "
+            items = (f"[{row}{(',' + row).join(map(str, v))}{inner}]"
+                     for v in obj)
+        else:
+            items = (_dumps(item, inner) for item in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, (dict, list, tuple)) and obj:
+        # keys other than strings, or a subclass: as json writes it; a JSON
+        # text has no raw line break but those of its indentation
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+    # other scalars and empty containers, by json's C encoder
+    return json.dumps(obj)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -433,7 +471,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         envelope = {"command": args.verb,
                     "input": {"path": args.file, "sha256": digest},
                     "result": result, "notes": notes}
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(_dumps(envelope))
     else:
         print(f"command: {args.verb} {args.file}")
         print(f"input sha256: {digest}")

@@ -5,11 +5,12 @@ componentwise <=) of the exponent vectors of its minimal generators,
 kept in lexicographic order so that equal ideals compare equal.
 
 Divisibility is tested on packed integers.  For one set of vectors,
-`_packing` shifts each coordinate by its minimum over the set, so every
-entry lies in [0, 2^w), where w is the bit length of the largest shifted
-entry.  A vector v becomes the int V with a field of w+1 bits per
-coordinate: v_j - min_j sits at bit offset (n-1-j)*(w+1), so coordinate 0
-has the top field, and the top bit of each field, its guard bit, is 0.
+`_bounds` and `_packer` shift each coordinate by its minimum over the
+set, so every entry lies in [0, 2^w), where w is the bit length of the
+largest shifted entry.  A vector v becomes the int V with a field of w+1
+bits per coordinate: v_j - min_j sits at bit offset (n-1-j)*(w+1), so
+coordinate 0 has the top field, and the top bit of each field, its guard
+bit, is 0.
 Let G be the int whose set bits are exactly the guard bits.  Then m <= v
 componentwise iff ((V | G) - M) & G == G: field j of the difference is
 2^w + v_j - m_j, which lies in [1, 2^(w+1)) because both entries are
@@ -20,18 +21,29 @@ entries too.  Packed ints compare as their vectors do lexicographically,
 and m <= v with m != v gives M < V, so sorting packed ints puts every
 vector after its divisors.
 
-`minimal_vectors` tests a vector against every kept vector at once.  Kept
-vector i sits in slot i of one int K.  A slot is the n fields plus one
-spare bit above them: it is s = n(w+1) + 1 bits wide, slot i starts at
-bit i*s, and its spare bit is T = 2^(s-1) within it.  With E the int that
-has a 1 at the bottom of each used slot, (V | G) * E repeats V | G in
-every slot.  Each field of a slot of (V | G) * E - K lies in
-[1, 2^(w+1)) as above, so each slot holds a value in [1, T) and no slot
-borrows from the next; its guard bits say which entries of v are at least
-those of that slot's kept vector.  OR in the non-guard bits below T of
-every slot (T - 1 - G each) and add E: a slot then reaches T, setting its
-spare bit without carrying further, exactly when all its guard bits were
-set, that is exactly when its kept vector divides v.
+`_antichain`, the filter of `minimal_vectors` and `multiply`, tests a
+vector against every kept vector at once.  Kept vector i sits in slot i
+of one int K.  A slot is the n fields plus one spare bit above them: it
+is s = n(w+1) + 1 bits wide, slot i starts at bit i*s, and its spare bit
+is T = 2^(s-1) within it.  With E the int that has a 1 at the bottom of
+each used slot, (V | G) * E repeats V | G in every slot.  Each field of
+a slot of (V | G) * E - K lies in [1, 2^(w+1)) as above, so each slot
+holds a value in [1, T) and no slot borrows from the next; its guard
+bits say which entries of v are at least those of that slot's kept
+vector.  OR in the non-guard bits below T of every slot (T - 1 - G each)
+and add E: a slot then reaches T, setting its spare bit without carrying
+further, exactly when all its guard bits were set, that is exactly when
+its kept vector divides v.
+
+Packing is linear: for fixed lows l and width w, V is
+sum_j v_j*2^((n-1-j)(w+1)) less a constant fixed by l.  Let s_A and s_B be
+the largest shifted entries of two sets, and pack a from the first with
+lows l_A and b from the second with lows l_B, both with w the bit length
+of s_A + s_B.  Then pack_A(a) + pack_B(b) is a + b packed with lows
+l_A + l_B, as each shifted entry of a + b is at most s_A + s_B < 2^w.
+`multiply` packs each factor's generators once, packs each pairwise sum
+as one int addition, filters those ints as `minimal_vectors` does, and
+builds as tuples only the sums it keeps.
 
 `power` squares repeatedly.  Multiplication of monomial ideals is
 associative and commutative, and minimalizing a generating set gives the
@@ -43,7 +55,8 @@ unordered pair of generators once, which halves what it minimalizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import (chain, combinations_with_replacement, product,
+                       starmap)
 from operator import add, mul
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -66,12 +79,19 @@ def _all_int(vectors: Sequence[Vector], nvars: int) -> bool:
             and set(map(type, chain.from_iterable(vectors))) == {int})
 
 
-def _packing(vectors: Collection[Vector]) -> tuple[int, Callable[[Vector], int]]:
-    """Guard mask G and packing map v -> V for a nonempty set of int vectors
-    of one length (see the module docstring)."""
+def _bounds(vectors: Collection[Vector]) -> tuple[list[int], int]:
+    """Per-coordinate minima of a nonempty set of int vectors of one
+    length, and the largest entry less its coordinate's minimum."""
     columns = list(zip(*vectors))
     lows = [min(col) for col in columns]
     span = max((max(col) - low for col, low in zip(columns, lows)), default=0)
+    return lows, span
+
+
+def _packer(lows: Sequence[int],
+            span: int) -> tuple[int, Callable[[Vector], int]]:
+    """Guard mask G and packing map v -> V for vectors whose entries less
+    `lows` lie in [0, span] (see the module docstring)."""
     width = span.bit_length() + 1
     weights = [1 << o for o in range(width * len(lows) - width, -1, -width)]
     guard = sum(weights) << (width - 1)
@@ -81,6 +101,29 @@ def _packing(vectors: Collection[Vector]) -> tuple[int, Callable[[Vector], int]]
         return sum(map(mul, v, weights)) - base
 
     return guard, pack
+
+
+def _antichain(keys: Iterable[int], guard: int) -> list[int]:
+    """Of distinct packed ints under guard mask G, those of the minimal
+    vectors, in increasing order: lex order of the vectors (see the module
+    docstring)."""
+    slot = guard.bit_length() + 1
+    low_bits = (1 << (slot - 1)) - 1 - guard
+    kept: list[int] = []
+    # the module docstring's K and E, then T - 1 - G and T in every used
+    # slot; slot i belongs to kept[i]
+    packed = ones = fills = spares = 0
+    offset = 0
+    for p in sorted(keys):
+        if ((((p | guard) * ones - packed) | fills) + ones) & spares:
+            continue
+        kept.append(p)
+        packed |= p << offset
+        ones |= 1 << offset
+        fills |= low_bits << offset
+        offset += slot
+        spares |= 1 << (offset - 1)
+    return kept
 
 
 def minimal_vectors(vectors: Iterable[Sequence[int]]) -> list[Vector]:
@@ -96,27 +139,10 @@ def minimal_vectors(vectors: Iterable[Sequence[int]]) -> list[Vector]:
                     f"vector {v} has length {len(v)}, expected {nvars}")
             if not _integral(v):
                 raise NonPositiveExponent(f"bad exponent vector {v}")
-    guard, pack = _packing(vectors)
-    # packing is injective and monotone for both orders: sorting the packed
-    # ints dedupes, sorts lexicographically, and puts divisors first
+    guard, pack = _packer(*_bounds(vectors))
+    # packing is injective, so equal packed ints are equal vectors
     by_packed = dict(zip(map(pack, vectors), vectors))
-    slot = guard.bit_length() + 1
-    low_bits = (1 << (slot - 1)) - 1 - guard
-    kept: list[Vector] = []
-    # the module docstring's K and E, then T - 1 - G and T in every used
-    # slot; slot i belongs to kept[i]
-    packed = ones = fills = spares = 0
-    offset = 0
-    for p in sorted(by_packed):
-        if ((((p | guard) * ones - packed) | fills) + ones) & spares:
-            continue
-        kept.append(by_packed[p])
-        packed |= p << offset
-        ones |= 1 << offset
-        fills |= low_bits << offset
-        offset += slot
-        spares |= 1 << (offset - 1)
-    return kept
+    return [by_packed[p] for p in _antichain(by_packed, guard)]
 
 
 @dataclass(frozen=True)
@@ -173,7 +199,7 @@ class MonomialIdeal:
         t = tuple(a)
         if not _integral(t):
             raise NonPositiveExponent(f"bad exponent vector {t}")
-        guard, pack = _packing(self.generators + (t,))
+        guard, pack = _packer(*_bounds(self.generators + (t,)))
         raised = pack(t) | guard
         return any((raised - pack(g)) & guard == guard
                    for g in self.generators)
@@ -197,23 +223,40 @@ def minimalize(gens: Iterable[Sequence[int]], nvars: int | None = None) -> Monom
 
 
 def multiply(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:
-    """Product ideal: all pairwise exponent sums, minimalized.  A square
-    sums each unordered pair of generators once, as a + b = b + a."""
+    """Product ideal: the minimal pairwise exponent sums.  Packing is
+    linear, so each sum is packed as one int addition, and only the kept
+    sums are built.  A square sums each unordered pair once, as
+    a + b = b + a."""
     if lhs.nvars != rhs.nvars:
         raise DimensionMismatch("variable counts differ")
-    gens = lhs.generators
+    gens, rgens = lhs.generators, rhs.generators
+    (lows, span), (rlows, rspan) = _bounds(gens), _bounds(rgens)
+    # one field width for both factors, wide enough for every sum
+    guard, pack = _packer(lows, span + rspan)
+    _, rpack = _packer(rlows, span + rspan)
     if lhs == rhs:
-        sums = [tuple(map(add, a, b))
-                for i, a in enumerate(gens) for b in gens[i:]]
+        packed = combinations_with_replacement(map(pack, gens), 2)
+        pairs = combinations_with_replacement(gens, 2)
     else:
-        sums = [tuple(map(add, a, b)) for a in gens for b in rhs.generators]
-    return minimalize(sums, lhs.nvars)
+        packed = product(map(pack, gens), map(rpack, rgens))
+        pairs = product(gens, rgens)
+    # packed sum -> one pair with that sum; equal sums are equal vectors
+    by_sum = dict(zip(starmap(add, packed), pairs))
+    # _antichain keeps the minimal sums, in lex order
+    return MonomialIdeal._proven(lhs.nvars, tuple(
+        tuple(map(add, *by_sum[p])) for p in _antichain(by_sum, guard)))
+
+
+def _check_power(k: int):
+    """Refuse an exponent that is not an int >= 1; a bool is not one."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise NonPositiveExponent(
+            f"power index must be a positive integer, got {k!r}")
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th ordinary power, k >= 1, by repeated squaring."""
-    if k < 1:
-        raise NonPositiveExponent(f"power exponent must be >= 1, got {k}")
+    _check_power(k)
     result = ideal
     # the binary digits of k after the leading 1, most significant first
     for digit in bin(k)[3:]:

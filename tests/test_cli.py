@@ -1,4 +1,5 @@
 import json
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -338,3 +339,46 @@ def test_parsers_are_looked_up_on_each_call(capsys, monkeypatch):
     assert run(capsys, "np", TRIANGLE)[0] == 0
     assert run(capsys, "stabilize", CEILING, "--cmax", "2")[0] == 0
     assert calls == ["parse_ideal_text", "parse_family_text"]
+
+
+def fixture_queries(ideals, families):
+    """Every verb on every fixture, with small arguments."""
+    for name, parsed in ideals.items():
+        path = f"ideals/{name}.nok"
+        ones = "[" + ",".join(["1"] * parsed.ideal.nvars) + "]"
+        for verb in ("np", "sp", "spread", "constants", "np-eq-sp",
+                     "normal-rees", "hilbert"):
+            yield [verb, path]
+        yield ["symbolic-power", path, "-k", "2"]
+        yield ["real-power", path, "-r", "3/2"]
+        yield ["member", path, "-m", ones, "-k", "2", "--certificate"]
+        yield ["member", path, "-m", ones, "-k", "2", "--closure",
+               "--certificate"]
+        yield ["veronese", path, "-d", "2", "--kmax", "2"]
+    for name in families:
+        yield ["family-body", f"families/{name}.nok"]
+        yield ["stabilize", f"families/{name}.nok", "--cmax", "8"]
+
+
+def test_json_writer_matches_json_dumps(capsys, monkeypatch, ideals,
+                                       families):
+    dumps = nok.cli._dumps
+    envelopes = []
+    monkeypatch.setattr(nok.cli, "_dumps",
+                        lambda obj: envelopes.append(obj) or "")
+    for argv in fixture_queries(ideals, families):
+        assert main(argv + ["--json"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(envelopes) > 100
+    edge_cases = [[], {}, [[]], [[], [1]], [()], {"a": []}, "",
+                  "naïve ∑ \u00a0 \"quoted\" \\ \n\t \U0001d11e",
+                  ["é", "x"],
+                  True, False, None, [True, 1], [None, "a"], -7, [-7, 0, 3],
+                  2 ** 64 + 1, [-(2 ** 70), 2 ** 70], [[-1, 2 ** 65], [0]],
+                  (1, 2), ((1, 2), (3,)), ("a", "b"), 1.5, [0.5, 1],
+                  {"b": 1, "a": {"d": [], "c": [[1, 2], [3, 4]]}},
+                  {"x": (True, None)}, {1: "int keys", 2: [3]}, (),
+                  OrderedDict(b=[1], a=OrderedDict(c=2))]
+    for obj in envelopes + edge_cases:
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)

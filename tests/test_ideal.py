@@ -235,6 +235,71 @@ def test_power_matches_iterated_pairwise_product():
                 power(ideal, k)
 
 
+def brute_product(lhs, rhs):
+    return brute_minimal([tuple(x + y for x, y in zip(a, b))
+                          for a in lhs.generators for b in rhs.generators])
+
+
+def boundary_ideal(rng, nvars, w):
+    # entries at and around the field boundary 2^w of one factor; a sum
+    # of two such factors reaches 2^(w+1) and so the boundary of the
+    # product's fields
+    pool = [0, 1, 2 ** w - 1, 2 ** w, 2 ** w + 1, 2 ** (w + 1) - 1]
+    return minimalize([tuple(rng.choice(pool) for _ in range(nvars))
+                       for _ in range(rng.randint(1, 8))], nvars)
+
+
+def test_multiply_matches_every_pairwise_sum_minimalized():
+    rng = random.Random(1717)
+    ideals = [minimalize([(0,)]), minimalize([(3,)]),
+              minimalize([(2,), (5,)]), minimalize([(0, 0, 0)]),
+              minimalize([(2, 0, 1)]), minimalize([(1, 0), (0, 1)])]
+    for _ in range(120):
+        nvars = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            ideals.append(boundary_ideal(rng, nvars, rng.randint(0, 20)))
+        else:
+            vectors = [tuple(abs(e) for e in v)
+                       for v in random_vectors(rng, nvars,
+                                               rng.randint(1, 12))]
+            ideals.append(minimalize(vectors, nvars))
+    by_nvars = {}
+    for ideal in ideals:
+        by_nvars.setdefault(ideal.nvars, []).append(ideal)
+    for group in by_nvars.values():
+        for lhs in group:
+            rhs = rng.choice(group)
+            unit = minimalize([(0,) * lhs.nvars])
+            for a, b in ((lhs, rhs), (rhs, lhs), (lhs, lhs), (lhs, unit),
+                         (unit, lhs)):
+                assert list(multiply(a, b).generators) == brute_product(a, b)
+
+
+def test_multiply_at_the_field_boundaries():
+    # the left factor alone fits w-bit fields and the right one 1-bit
+    # fields, but their sums need w + 1 bits; both factors, and the sum,
+    # straddle 2^w
+    for w in (1, 2, 7, 8, 20):
+        top, over = 2 ** w - 1, 2 ** w
+        lhs = minimalize([(top, 0), (0, top), (1, 1)])
+        rhs = minimalize([(1, 0), (0, 1)])
+        wide = minimalize([(over, 0), (0, over), (top, 1)])
+        for a, b in ((lhs, rhs), (rhs, lhs), (lhs, wide), (wide, wide),
+                     (lhs, lhs)):
+            assert list(multiply(a, b).generators) == brute_product(a, b)
+        # a one-generator factor has span 0, so the other factor's span
+        # alone sizes the fields
+        assert multiply(minimalize([(top, 0)]), rhs).generators == \
+            ((top, 1), (over, 0))
+
+
+def test_power_refuses_what_is_not_a_positive_int():
+    ideal = minimalize([(1, 1), (0, 2)])
+    for k in (True, False, 0, -1, 2.0, Fraction(2), "2", None):
+        with pytest.raises(NonPositiveExponent):
+            power(ideal, k)
+
+
 def test_power_distributes_over_membership():
     rng = random.Random(11)
     for _ in range(30):
@@ -413,10 +478,13 @@ def test_builders_return_lex_sorted_antichains(ideals):
 
 
 def test_builders_prove_minimality_once(ideals, monkeypatch):
+    # one pass of the antichain filter per minimalize and per product,
+    # none for the lattice-point builders
     calls = []
-    inner = nok.ideal.minimal_vectors
-    monkeypatch.setattr(nok.ideal, "minimal_vectors",
-                        lambda vectors: calls.append(1) or inner(vectors))
+    inner = nok.ideal._antichain
+    monkeypatch.setattr(nok.ideal, "_antichain",
+                        lambda keys, guard: calls.append(1)
+                        or inner(keys, guard))
     left = minimalize([(2, 0, 1), (0, 1, 1), (1, 1, 0)])
     right = minimalize([(1, 0, 0), (0, 0, 3)])
     triangle = ideals["triangle"]
