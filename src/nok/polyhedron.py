@@ -546,32 +546,54 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
     """Componentwise-minimal integer points of an up-set polyhedron.
 
     Every minimal point lies in the box bounded by the per-coordinate
-    ceilings of the vertex coordinates, which is the search box.
+    ceilings of the vertex coordinates, which is the search box.  Its far
+    corner dominates every vertex, so it lies in the body.
 
     Depth-first search over the coordinates, keeping each row (facet with
     a positive offset) dot product with the prefix.  The normals are
-    nonnegative, so below a node the dot products only grow.  Three cuts
+    nonnegative, so below a node the dot products only grow.  Three rules
     keep the work close to the size of the answer:
 
-    - Best completion.  A branch is cut when a row stays unsatisfied even
-      with every later coordinate at its box bound; the current
-      coordinate starts at the least value that leaves each of its rows
-      satisfiable that way.
+    - Best completion.  The current coordinate starts at the least value
+      that leaves each of its rows satisfiable with every later coordinate
+      at its box bound.  No branch is ever cut for a row: at node j every
+      row has dot_i + suffix_i(j) >= b_i, where suffix_i(j) is the row's
+      product with the box on coordinates j and later.  At the root that
+      is the box corner; below, the start value keeps it for the rows of
+      j, a row that j does not feed keeps it unchanged, and the box bound
+      of j itself meets the rows of j, so the start lies in the box.
     - Lowerability.  A feasible point x is minimal exactly when every set
       coordinate l (x_l > 0) has a witness: a row i with a_il > 0 and
       dot_i < b_i + a_il, so that x - e_l violates it.  When the current
       coordinate has no witness among its rows at the prefix, it has none
       below the node either, and no larger value gives one: its value
       loop stops.
-    - Witness rows.  Each earlier set coordinate watches one witness row,
-      first the row that stopped its lowerability test.  A watch dies only
-      when its row's dot product grows, that is when the current
-      coordinate feeds that row, so only the earlier coordinates sharing
-      a row with it are looked at.  A dead watch moves to another witness;
-      when none is left, no completion below is minimal, and the larger
-      values of the current coordinate only grow the same dot products,
-      so its value loop stops.  A live watch stays live when the search
-      backs up and the dot products shrink, so nothing is undone.
+    - Earlier witnesses.  A witness dies only when its row's dot product
+      grows, that is when the current coordinate feeds that row, so at
+      each value only the earlier set coordinates sharing a row with the
+      current one are tested again.  When one has no witness left, no
+      completion below is minimal, and the larger values of the current
+      coordinate only grow the same dot products, so its value loop
+      stops.  Backing up shrinks the dot products, so nothing is undone.
+
+    Packed rows (guard bits after Lamport, "Multiple byte processing with
+    full-word instructions", CACM 18, 1975).  All dot products share one
+    int.  Row i owns field i, w + 1 bits from bit i(w + 1): w value bits
+    and a guard bit 2^w above them, where w is the bit length of the
+    largest full-box product suffix_i(0).  The search carries D, whose
+    field i holds 2^w + dot_i; every value stays in the box, so
+    dot_i <= suffix_i(0) < 2^w and a value step, one add of the packed
+    column of the current coordinate, carries into no guard.  T_l holds
+    b_i + a_il in the field of each row i of l and 0 elsewhere.  Field i
+    of D - T_l is then 2^w + dot_i - b_i - a_il.  It is below 2^(w+1).
+    It is positive, as l is tested only while it is set, so that
+    dot_i >= a_il, and b_i <= suffix_i(0) < 2^w because the box corner
+    lies in the body.  So no field borrows from the next, and the guard
+    of field i survives exactly when row i is no witness for l: l has a
+    witness exactly when D - T_l loses a guard bit.  That is one
+    subtraction and one mask per coordinate tested, for the current
+    coordinate's lowerability and for each earlier coordinate that
+    shares a row with it.
 
     The coordinates are visited most constrained first: in decreasing
     number of rows they feed, ties by index (first-fail, Haralick &
@@ -580,14 +602,25 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
     when a later coordinate, forced up by the best-completion cut, takes
     the last witness of an earlier one; a coordinate that feeds many rows
     moves many dot products at once, so deciding it early forces those
-    rises, and the dead watches they cause, near the root.  The rows and
+    rises, and the lost witnesses they cause, near the root.  The rows and
     the box are permuted once, and each point is mapped back.
 
-    The last coordinate takes its value in closed form, `start`.  Each of
-    its rows has dot >= b at `start`, so at `start + 1` none is a witness;
-    and when `start > 0`, the row that set `start` had dot < b one step
-    below, so it is a witness.  The last level only moves the watches of
-    the earlier coordinates, then records the point.
+    The last coordinate takes its value in closed form, w, the least value
+    that meets each of its rows.  Each of its rows has dot >= b at w, so
+    at w + 1 none is a witness; and when w > 0, a row that set w had
+    dot < b one step below, so it is a witness.  The last level only tests
+    the earlier coordinates that share a row with it, then records the
+    point.
+
+    The coordinate before it, u, walks a staircase: each level returns the
+    step of its caller to the next value, 1 except at the last level.
+    After u's value v, with the last coordinate at w > 0, the rows that
+    w - 1 leaves unmet are those with g_i = b_i - dot_i - (w - 1) a_iw > 0;
+    u steps to v plus the largest ceil(g_i / a_iu) over them, the first
+    value at which w drops.  Below that value w stays the same, so every
+    skipped point (..., v', w) dominates the feasible point (..., v, w) and
+    is not minimal.  When w = 0, or when an unmet row has a_iu = 0, w never
+    drops again and every larger value of u is skipped the same way.
 
     Every recorded point is then feasible with a witness for each set
     coordinate: minimal, with no check at the end.
@@ -602,94 +635,100 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
     box = [max(math.ceil(v[j]) for v in poly.vertices) for j in order]
     rows = [([normal[j] for j in order], b) for normal, b in rows]
 
-    suffix = []
-    for normal, _ in rows:
-        acc = [0] * (n + 1)
+    # field i holds row i's dot product in its low `width` bits and a guard
+    # bit above them; `guards` has every guard bit set, as has each packed
+    # dot product the search carries
+    width = max((_dot(normal, box) for normal, _ in rows),
+                default=0).bit_length()
+    low = (1 << width) - 1
+    guards = 0
+    # per coordinate j: its packed column, the packed limits b_i + a_ij of
+    # its rows, those rows with a positive threshold b_i - suffix_i(j+1) as
+    # (shift, a_ij, threshold), and the mask of the rows it feeds
+    column = [0] * n
+    limits = [0] * n
+    fed: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    feeds = [0] * n
+    # the last coordinate's rows as (shift, a_i last, b_i, a_i of the
+    # coordinate before it)
+    last_rows = []
+    for i, (normal, b) in enumerate(rows):
+        shift = i * (width + 1)
+        guards |= 1 << (shift + width)
+        rest = 0
         for j in range(n - 1, -1, -1):
-            acc[j] = acc[j + 1] + normal[j] * box[j]
-        suffix.append(acc)
-    # per-depth row views: rows the current coordinate feeds (pos) and the
-    # rest, with best-possible-completion thresholds baked in
-    pos = [[(i, normal[j], b, suffix[i][j + 1])
-            for i, (normal, b) in enumerate(rows) if normal[j] > 0]
-           for j in range(n)]
-    zero = [[(i, b - suffix[i][j + 1])
-             for i, (normal, b) in enumerate(rows) if normal[j] == 0]
-            for j in range(n)]
-    # per coordinate l, its rows as (i, b_i + a_il): row i is a witness
-    # for l while dot_i is below that limit
-    limits = [[(i, b + a) for i, a, b, _ in pos[l]] for l in range(n)]
-    # per coordinate j, the earlier coordinates that share a row with it
-    feeds = [{i for i, _ in limits[j]} for j in range(n)]
-    shared = [[l for l in range(j) if feeds[l] & feeds[j]]
-              for j in range(n)]
+            a = normal[j]
+            if a:
+                column[j] += a << shift
+                limits[j] += (b + a) << shift
+                feeds[j] |= 1 << i
+                if b > rest:
+                    fed[j].append((shift, a, b - rest))
+                rest += a * box[j]
+        if normal[-1]:
+            last_rows.append((shift, normal[-1], b,
+                              normal[-2] if n > 1 else 0))
+    shared = [[l for l in range(j) if feeds[l] & feeds[j]] for j in range(n)]
 
     found: list[tuple[int, ...]] = []
     prefix = [0] * n
-    watch_row = [0] * n
-    watch_limit = [0] * n
     last = n - 1
+    # a step past every box bound
+    past = max(box) + 1
 
-    def settle(j: int, cur: list[int]) -> bool:
-        # move each dead watch of an earlier set coordinate sharing a row
-        # with j; False when one has no witness left
-        for l in shared[j]:
-            if prefix[l] and cur[watch_row[l]] >= watch_limit[l]:
-                for i, limit in limits[l]:
-                    if cur[i] < limit:
-                        watch_row[l] = i
-                        watch_limit[l] = limit
-                        break
-                else:
-                    return False
-        return True
-
-    def search(j: int, dots: list[int]):
-        for i, threshold in zero[j]:
-            if dots[i] < threshold:
-                return
-        start = 0
-        bj = box[j]
-        pj = pos[j]
-        for i, a, b, rest in pj:
-            need = b - dots[i] - rest
-            if need > 0:
-                q = -(-need // a)
-                if q > start:
-                    start = q
-        if start > bj:
-            return
-        cur = list(dots)
-        if start:
-            for i, a, _, _ in pj:
-                cur[i] += a * start
+    def search(j: int, dots: int) -> int:
+        # returns the step of the coordinate before j to its next value
         if j == last:
-            # the closed form: start is the only value, and its own witness
-            if not start or settle(j, cur):
-                prefix[j] = start
-                found.append(tuple(prefix))
-            return
-        lj = limits[j]
-        v = start
-        while v <= bj:
+            # the closed form w, and the step to the first value at which
+            # it drops; past the box when w = 0 or when an unmet row of
+            # w - 1 is one the coordinate before does not feed
+            w = 0
+            step = past
+            for shift, a, b, au in last_rows:
+                gap = b - (dots >> shift & low)
+                if gap > 0:
+                    q = -(-gap // a)
+                    if q >= w:
+                        r = -(-(gap - (q - 1) * a) // au) if au else past
+                        if q > w:
+                            w = q
+                            step = r
+                        elif r > step:
+                            step = r
+            if w:
+                dots += w * column[j]
+                for l in shared[j]:
+                    if prefix[l] and (dots - limits[l]) & guards == guards:
+                        return step
+            prefix[j] = w
+            found.append(tuple(prefix))
+            return step
+        # the best-completion start
+        v = 0
+        for shift, a, threshold in fed[j]:
+            gap = threshold - (dots >> shift & low)
+            if gap > 0:
+                q = -(-gap // a)
+                if q > v:
+                    v = q
+        cj = column[j]
+        dots += v * cj
+        mine = [limits[j]] + [limits[l] for l in shared[j] if prefix[l]]
+        bj = box[j]
+        while True:
             if v:
-                # lowerability: the first row of j still a witness
-                for i, limit in lj:
-                    if cur[i] < limit:
-                        watch_row[j] = i
-                        watch_limit[j] = limit
-                        break
-                else:
-                    break
-                if not settle(j, cur):
-                    break
+                for t in mine:
+                    if (dots - t) & guards == guards:
+                        prefix[j] = 0
+                        return 1
             prefix[j] = v
-            search(j + 1, cur)
-            v += 1
-            if v <= bj:
-                for i, a, _, _ in pj:
-                    cur[i] += a
+            step = search(j + 1, dots)
+            v += step
+            if v > bj:
+                break
+            dots += step * cj
         prefix[j] = 0
+        return 1
 
-    search(0, [0] * len(rows))
+    search(0, guards)
     return sorted(tuple(point[t] for t in inverse) for point in found)

@@ -15,11 +15,12 @@ from nok import (DEFAULT_VERTEX_BUDGET, CeilingPowerFamily, EmptyInput,
                  hull_up_set, intersect_polyhedra, mdc,
                  membership_certificate, minimal_lattice_points, minimalize,
                  newton_okounkov_body, newton_polyhedron, power, real_power,
-                 scale, symbolic_polyhedron)
+                 scale, symbolic_polyhedron, symbolic_power)
 from nok.polyhedron import cone_extreme_rays, primitive_vector, vertex_budget
 
 from oracles import (brute_force_minimal_points, brute_force_vertices,
-                     dilate_box, dot, matrix_rank, solve_square)
+                     dilate_box, dot, matrix_rank, solve_square,
+                     symbolic_power_by_intersection)
 
 
 def orthant(n):
@@ -671,9 +672,10 @@ def test_minimal_lattice_points_of_the_orthant():
 
 def test_minimal_lattice_points_against_box_scan_higher_dimension(ideals):
     # in four and five variables most rows feed several coordinates, so
-    # the search moves watched witness rows between coordinates; bodies
-    # whose box holds more than 3000 points are passed over only to bound
-    # the oracle, which is quadratic in the feasible points
+    # each value step tests the witnesses of the earlier coordinates that
+    # share a row with it; bodies whose box holds more than 3000 points are
+    # passed over only to bound the oracle, which is quadratic in the
+    # feasible points
     rng = random.Random(71)
     checked = 0
     while checked < 25:
@@ -717,6 +719,109 @@ def test_minimal_lattice_points_is_permutation_equivariant(ideals):
         box = dilate_box(image, 1)
         if math.prod(b + 1 for b in box) <= 3000:
             assert points == brute_force_minimal_points(image.facets, box)
+
+
+def search_order(body):
+    """The order in which minimal_lattice_points visits the coordinates:
+    decreasing number of positive-offset facets fed, ties by index."""
+    rows = [h.normal for h in body.facets if h.offset > 0]
+    return sorted(range(body.nvars),
+                  key=lambda j: (-sum(1 for a in rows if a[j] > 0), j))
+
+
+def field_extreme(body):
+    """The largest value a packed row field of minimal_lattice_points must
+    hold, the largest full-box dot product; and whether a witness limit
+    b + a of some row exceeds the field's value bits."""
+    box = dilate_box(body, 1)
+    rows = [h for h in body.facets if h.offset > 0]
+    top = max(dot(h.normal, box) for h in rows)
+    return top, any(h.offset + a > 1 << top.bit_length()
+                    for h in rows for a in h.normal)
+
+
+def check_against_box_scan(body):
+    box = dilate_box(body, 1)
+    expected = brute_force_minimal_points(body.facets, box)
+    assert minimal_lattice_points(body) == expected
+    return expected
+
+
+def test_minimal_lattice_points_at_the_field_width_boundaries():
+    # the search packs the row dot products into fields as wide as the bit
+    # length of the largest full-box dot product: 2^t - 1 fills t value
+    # bits, and 2^t and 2^t + 1 need one more, which a field one bit short
+    # would take from its guard.  A witness limit above the value bits
+    # subtracts without a borrow only because a coordinate is tested while
+    # it is set
+    rng = random.Random(83)
+    targets = {(1 << t) + d for t in range(2, 7) for d in (-1, 0, 1)}
+    checked = {}
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        base = from_halfspaces(random_up_set_system(rng, n), n)
+        for k in range(1, 10):
+            body = scale(base, k)
+            key = field_extreme(body)
+            box = dilate_box(body, 1)
+            if (key[0] not in targets or checked.get(key, 0) == 3
+                    or math.prod(b + 1 for b in box) > 1000):
+                continue
+            check_against_box_scan(body)
+            checked[key] = checked.get(key, 0) + 1
+    assert {top for top, _ in checked} == targets
+    assert sum(n for (_, above), n in checked.items() if above) >= 3
+
+
+def test_minimal_lattice_points_in_one_and_two_variables():
+    # with one variable the root is the last coordinate and takes its
+    # closed form; with two the root walks the staircase
+    rng = random.Random(89)
+    for n in (1, 2):
+        for _ in range(40):
+            body = from_halfspaces(random_up_set_system(rng, n), n)
+            for k in (1, 2, Fraction(7, 3), 5):
+                check_against_box_scan(scale(body, k))
+    assert minimal_lattice_points(
+        from_halfspaces([HalfSpace((3,), 7)], 1)) == [(3,)]
+    body = from_halfspaces(orthant(2) + [HalfSpace((1, 2), 5)], 2)
+    assert minimal_lattice_points(body) == [(0, 3), (1, 2), (3, 1), (5, 0)]
+
+
+def test_minimal_lattice_points_when_the_staircase_stops():
+    # the staircase stops when the last coordinate reaches 0, and when a
+    # row that its value just meets gets nothing from the coordinate
+    # before it; both happen on these bodies, in the search's own order
+    rng = random.Random(97)
+    zero = unfed = 0
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        body = from_halfspaces(random_up_set_system(rng, n), n)
+        box = dilate_box(body, 1)
+        if math.prod(b + 1 for b in box) > 2000:
+            continue
+        *_, u, last = search_order(body)
+        points = check_against_box_scan(body)
+        zero += any(p[last] == 0 and p[u] > 0 for p in points)
+        unfed += any(h.offset > 0 and h.normal[last] and not h.normal[u]
+                     for h in body.facets)
+    assert zero >= 20 and unfed >= 20
+    # x3 is visited last and x2 before it; 2*x1 + x3 >= 3 does not get x2
+    body = from_halfspaces(orthant(3) + [
+        HalfSpace((1, 1, 1), 4), HalfSpace((1, 1, 0), 2),
+        HalfSpace((2, 0, 1), 3)], 3)
+    assert search_order(body)[1:] == [1, 2]
+    check_against_box_scan(body)
+
+
+@pytest.mark.parametrize("name", ["star43", "c5"])
+def test_symbolic_powers_match_the_intersection_oracle(ideals, name):
+    # I^(k) read off the lattice points of k*SP(I), against the literal
+    # intersection of the primary components' powers
+    ci = ideals[name].classified
+    for k in range(1, 13):
+        assert symbolic_power(ci, k) == \
+            symbolic_power_by_intersection(ci.decomposition, k)
 
 
 def test_minimal_lattice_points_of_a_simplex_body():
