@@ -302,7 +302,8 @@ class PrimeComponent:
 
     def indicator(self, nvars: int) -> Vector:
         """0/1 vector marking the prime's variables."""
-        return tuple(1 if j in set(self.variables) else 0 for j in range(nvars))
+        chosen = set(self.variables)
+        return tuple(1 if j in chosen else 0 for j in range(nvars))
 
     def ideal(self, nvars: int) -> MonomialIdeal:
         """The prime itself, as a monomial ideal."""
@@ -356,32 +357,35 @@ def minimal_primes(ideal: MonomialIdeal) -> PrimeDecomposition:
 
     Recursive branch on an uncovered edge; supersets of an already-found
     cover are pruned, and a final antichain filter keeps the minimal ones.
+    Edges and covers are bitmasks of variable indices.
     """
     if not ideal.is_squarefree():
         raise NotSquarefree("minimal prime computation needs a squarefree ideal")
     if ideal.is_unit():
         raise NokError("the unit ideal has no minimal primes")
-    edges = [frozenset(j for j, e in enumerate(g) if e)
+    n = ideal.nvars
+    edges = [sum(1 << j for j, e in enumerate(g) if e)
              for g in ideal.generators]
-    found: list[frozenset[int]] = []
+    found: list[int] = []
 
-    def extend(cover: set[int], remaining: list[frozenset[int]]):
-        if any(f <= cover for f in found):
+    def extend(cover: int, remaining: list[int]):
+        if any(f & cover == f for f in found):
             return
-        open_edge = next((e for e in remaining if not (e & cover)), None)
-        if open_edge is None:
-            found.append(frozenset(cover))
+        # `remaining` holds exactly the edges that miss the cover
+        if not remaining:
+            found.append(cover)
             return
-        for v in sorted(open_edge):
-            cover.add(v)
-            extend(cover, [e for e in remaining if v not in e])
-            cover.remove(v)
+        open_edge = remaining[0]
+        for v in range(n):
+            bit = 1 << v
+            if open_edge & bit:
+                extend(cover | bit, [e for e in remaining if not e & bit])
 
-    extend(set(), edges)
-    minimal = [c for c in found if not any(d < c for d in found)]
-    comps = tuple(PrimeComponent(tuple(sorted(c)), 1)
-                  for c in sorted(minimal, key=sorted))
-    return PrimeDecomposition(ideal.nvars, comps)
+    extend(0, edges)
+    minimal = [c for c in found
+               if not any(d & c == d and d != c for d in found)]
+    covers = sorted(tuple(j for j in range(n) if c >> j & 1) for c in minimal)
+    return PrimeDecomposition(n, tuple(PrimeComponent(c, 1) for c in covers))
 
 
 def saturate_to_prime(ideal: MonomialIdeal, prime: Iterable[int]) -> MonomialIdeal:

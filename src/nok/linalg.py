@@ -2,9 +2,20 @@
 
 There is one elimination, `_gauss_jordan`, a fraction-free Gauss-Jordan
 elimination of integer rows that never leaves the integers; `rank`,
-`_adjugate` and the certificate solves all use it.  `rank` also takes rows
-that mix `int` and `fractions.Fraction`, and scales each such row to
-integers first; no floats are ever produced.
+`_adjugate`, the certificate solves and the double description's start
+basis all use it.  `rank` also takes rows that mix `int` and
+`fractions.Fraction`, and scales each such row to integers first; no
+floats are ever produced.
+
+A row that is zero in the pivot column costs nothing when the pivot
+equals the previous one.  With f = 0 the Bareiss update of an entry x
+is (pivot * x - 0 * y) // prev = pivot * x // prev, an exact division
+like every other, as Sylvester's identity makes the result a minor of
+the input.  When pivot = prev it is x itself, so the row is left as it
+is; otherwise the row is only scaled.  The double description's start
+basis meets this at every unit pivot: the orthant rows x_i >= 0 of each
+polyhedron give unit columns, where pivot = prev = 1 and every other
+row is zero.
 """
 
 from __future__ import annotations
@@ -22,8 +33,10 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
     swapped up as the pivot row, and every other row becomes
     (pivot * row - f * pivot_row) // prev, with f its entry in the column
     and prev the previous pivot.  By Sylvester's identity every entry is
-    then a minor of the input, so each division is exact.  A column that
-    is zero in every remaining row gets no pivot.  Returns (d, pivots): the
+    then a minor of the input, so each division is exact.  A row with
+    f = 0 is left as it is when pivot = prev and only scaled otherwise
+    (see the module docstring).  A column that is zero in every
+    remaining row gets no pivot.  Returns (d, pivots): the
     pivot columns in order, and d the last pivot (1 if there is none).
     Row k is then d at pivots[k] and zero at the other pivot columns, and
     the rows after the last pivot row are zero in the first `ncols`
@@ -33,6 +46,9 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
     pivots: list[int] = []
     for col in range(ncols):
         k = len(pivots)
+        if k == len(rows):
+            # every row holds a pivot
+            break
         p = next((i for i in range(k, len(rows)) if rows[i][col]), None)
         if p is None:
             continue
@@ -40,10 +56,14 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
         pivot_row = rows[k]
         pivot = pivot_row[col]
         for i, row in enumerate(rows):
-            if i != k:
-                f = row[col]
+            if i == k:
+                continue
+            f = row[col]
+            if f:
                 rows[i] = [(pivot * x - f * y) // prev
                            for x, y in zip(row, pivot_row)]
+            elif pivot != prev:
+                rows[i] = [pivot * x // prev for x in row]
         prev = pivot
         pivots.append(col)
     return prev, pivots

@@ -17,6 +17,14 @@ come from the double description's final check, which takes every ray's
 product with every row once.  Each polyhedron carries its vertex x facet
 incidence from that check, and `scale` moves it along with the facets;
 nothing computes it again.
+
+Construction is integer end to end.  `hull_up_set` keeps int
+coordinates as ints through its dedupe, its sort and its rows;
+`from_halfspaces` makes each row primitive once and sorts its vertices
+by an exact integer key; the double description, its start elimination
+included, runs on int rows and rays.  Fractions appear only in the
+stored vertices, built once each.  The double description's final check
+stays: every ray is tested against every input row.
 """
 
 from __future__ import annotations
@@ -212,11 +220,16 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
     leftmost `dim` independent rows, sparsest first, then insert the
     remaining rows one at a time.  One fraction-free elimination of
     [rows^T | I] picks the start rows (its pivot columns) and their rays
-    (its right block, +-det times their inverse).
-    Each ray carries the bitmask of the processed rows tight at it.  Two
-    rays on opposite sides of the new row combine exactly when no third
-    ray is tight wherever both are (the combinatorial adjacency test of
-    Fukuda & Prodon, "Double description method revisited", 1996).
+    (its right block, +-det times their inverse); the sparse rows come
+    first, so most of its pivots are units and leave the other rows as
+    they are.
+    Each ray carries the bitmask of the processed rows tight at it.  One
+    pass over the rays per inserted row sorts them by the sign of their
+    product with it.  Two rays on opposite sides of the new row combine
+    exactly when no third ray is tight wherever both are (the
+    combinatorial adjacency test of Fukuda & Prodon, "Double description
+    method revisited", 1996).  Everything stays in integers: a new ray is
+    the integer combination divided by its gcd.
     The returned masks come from the final check, which takes each ray's
     product with every input row and raises NokError on a negative one.
     Raises MissingOrthantConstraints when the rows do not have full rank
@@ -225,7 +238,7 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
     """
     budget = vertex_budget()
     unique = sorted({tuple(r) for r in rows if any(r)},
-                    key=lambda r: (sum(1 for x in r if x), r))
+                    key=lambda r: (len(r) - r.count(0), r))
     width = len(unique)
     table = [[r[i] for r in unique] + [int(i == k) for k in range(dim)]
              for i in range(dim)]
@@ -238,21 +251,30 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
     processed = basis + [r for i, r in enumerate(unique) if i not in chosen]
 
     # row j of the right block is det times column j of the inverse: tight
-    # at every basis row but row j
-    sign = 1 if det > 0 else -1
+    # at every basis row but row j; dividing by the gcd signed like det
+    # makes it primitive and points it into the cone
     full = (1 << dim) - 1
-    rays = [(primitive_vector([sign * x for x in row[width:]]),
-             full & ~(1 << j)) for j, row in enumerate(table)]
+    rays = []
+    for j, row in enumerate(table):
+        vec = row[width:]
+        g = math.gcd(*vec) if det > 0 else -math.gcd(*vec)
+        rays.append((tuple(x // g for x in vec), full & ~(1 << j)))
 
     for t in range(dim, len(processed)):
         row = processed[t]
-        evals = [(_dot(row, vec), vec, tight) for vec, tight in rays]
-        keep = [(vec, tight | (1 << t) if e == 0 else tight)
-                for e, vec, tight in evals if e >= 0]
-        plus = [(e, vec, tight) for e, vec, tight in evals if e > 0]
-        minus = [(e, vec, tight) for e, vec, tight in evals if e < 0]
+        bit = 1 << t
         masks = [tight for _, tight in rays]
-        fresh = []
+        keep, plus, minus = [], [], []
+        for ray in rays:
+            vec, tight = ray
+            e = sum(map(mul, row, vec))
+            if e > 0:
+                keep.append(ray)
+                plus.append((e, vec, tight))
+            elif e < 0:
+                minus.append((e, vec, tight))
+            else:
+                keep.append((vec, tight | bit))
         for ep, vp, tp in plus:
             for em, vm, tm in minus:
                 common = tp & tm
@@ -263,11 +285,12 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
                 if any(o & common == common and o != tp and o != tm
                        for o in masks):
                     continue
-                # tight where both rays are, and at the new row
-                combo = primitive_vector(
-                    [ep * x - em * y for x, y in zip(vm, vp)])
-                fresh.append((combo, common | (1 << t)))
-        rays = keep + fresh
+                # tight where both rays are, and at the new row; a sum of
+                # two rays of a pointed cone, so never zero
+                combo = [ep * x - em * y for x, y in zip(vm, vp)]
+                g = math.gcd(*combo)
+                keep.append((tuple(x // g for x in combo), common | bit))
+        rays = keep
         if len(rays) > budget:
             raise VertexBudgetExceeded(
                 f"ray count {len(rays)} exceeds budget {budget}; "
@@ -312,7 +335,8 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
         else:
             normal, offset = item
             hs = HalfSpace.from_rational(normal, offset)
-        # checked as given, and kept in primitive form
+        # checked as given, and kept in primitive form: a pair is made
+        # primitive before its checks, a HalfSpace after them
         if len(hs.normal) != nvars:
             raise DimensionMismatch(
                 f"half-space normal {hs.normal} has wrong length")
@@ -324,7 +348,8 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
             if hs.offset > 0:
                 raise InfeasibleSystem(f"constraint 0 >= {hs.offset}")
             continue
-        canonical.add(HalfSpace.from_rational(hs.normal, hs.offset))
+        canonical.add(HalfSpace.from_rational(hs.normal, hs.offset)
+                      if hs is item else hs)
     canonical = sorted(canonical, key=lambda h: (h.normal, h.offset))
     if not canonical:
         raise EmptyInput("no nontrivial half-spaces given")
@@ -334,8 +359,7 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
     # rays with t > 0 are the vertices, kept with their row masks, the
     # others recession rays; once no entry is negative, the recession cone
     # is exactly the orthant
-    pairs = [(tuple(Fraction(x, r[nvars]) for x in r[:nvars]), m)
-             for r, m in rays if r[nvars]]
+    pairs = [(r, m) for r, m in rays if r[nvars]]
     if not pairs:
         raise InfeasibleSystem("system has no solutions")
     if any(x < 0 for r, _ in rays for x in r):
@@ -344,28 +368,38 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
     # every facet is a row, and a row is one iff its face is maximal; a
     # row's face inside t = 0 also lies on a facet, so t >= 0 needs no mask
     kept = _maximal(_transpose([m for _, m in rays], len(homog)))
-    # each vertex's row mask, re-indexed to the kept facets; the rays are
-    # sorted as integer vectors, the vertices as Fractions
-    verts, masks = zip(*sorted(
-        (v, sum(1 << k for k, i in enumerate(kept) if m >> i & 1))
-        for v, m in pairs))
+    # the vertices r/t sort as the integer vectors r*(lcm/t), lcm that of
+    # their t, and become Fractions once; each vertex's row mask is
+    # re-indexed to the kept facets
+    lcm = math.lcm(*(r[nvars] for r, _ in pairs))
+    pairs.sort(key=lambda pair: [x * (lcm // pair[0][nvars])
+                                 for x in pair[0][:nvars]])
+    verts = tuple(tuple(Fraction(x, r[nvars]) for x in r[:nvars])
+                  for r, _ in pairs)
+    masks = tuple(sum(1 << k for k, i in enumerate(kept) if m >> i & 1)
+                  for _, m in pairs)
     return RationalPolyhedron(nvars, tuple(canonical[i] for i in kept),
                               verts, masks)
 
 
 def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
     """conv(points) + nonnegative orthant, for nonnegative rational points."""
-    pts = sorted({tuple(as_fraction(c) for c in p) for p in points})
+    # int coordinates stay ints through the dedupe, the sort and the rows;
+    # only the kept vertices become Fractions
+    pts = sorted({tuple(c if type(c) is int else as_fraction(c) for c in p)
+                  for p in points})
     if not pts:
         raise EmptyInput("no points given")
     for p in pts:
         if len(p) != nvars:
-            raise DimensionMismatch(f"point {p} has wrong length")
+            raise DimensionMismatch(
+                f"point {tuple(map(Fraction, p))} has wrong length")
         if any(c < 0 for c in p):
             raise MissingOrthantConstraints(
-                f"point {p} lies outside the nonnegative orthant")
+                f"point {tuple(map(Fraction, p))} lies outside the "
+                "nonnegative orthant")
     # the facets are the rays of the dual cone, bar the one for t >= 0
-    rows = [primitive_vector(list(p) + [1]) for p in pts]
+    rows = [primitive_vector(p + (1,)) for p in pts]
     rows += [tuple(int(i == j) for i in range(nvars + 1))
              for j in range(nvars)]
     pairs = sorted(((HalfSpace(w[:nvars], -w[nvars]), m)
@@ -378,7 +412,8 @@ def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
     masks = _transpose([m for _, m in pairs], len(pts))
     kept = _maximal(masks)
     return RationalPolyhedron(nvars, tuple(h for h, _ in pairs),
-                              tuple(pts[i] for i in kept),
+                              tuple(tuple(map(Fraction, pts[i]))
+                                    for i in kept),
                               tuple(masks[i] for i in kept))
 
 

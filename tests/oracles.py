@@ -81,6 +81,31 @@ def matrix_rank(rows):
     return rank
 
 
+def bareiss_every_row(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination that updates every row at
+    every pivot, zero or not: the reference for linalg._gauss_jordan,
+    which skips the rows the update leaves unchanged.  In place; returns
+    (d, pivots) as _gauss_jordan does."""
+    prev = 1
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[col]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[col]
+                rows[i] = [(pivot * x - f * y) // prev
+                           for x, y in zip(row, pivot_row)]
+        prev = pivot
+        pivots.append(col)
+    return prev, pivots
+
+
 def brute_force_vertices(halfspaces, nvars):
     """Vertices as basic feasible solutions: solve every nvars-subset of
     facet rows and keep the feasible solutions."""

@@ -376,13 +376,15 @@ def brute_force_min_covers(nvars, supports):
 
 
 def test_minimal_primes_against_vertex_cover_enumeration():
+    # up to 7 variables, many edges of size 3 as in gt2sharp; the
+    # components must come back in sorted order
     rng = random.Random(23)
-    for _ in range(60):
-        n = rng.randint(2, 5)
+    for _ in range(150):
+        n = rng.randint(2, 7)
         gens = []
-        for _ in range(rng.randint(1, 5)):
-            size = rng.randint(1, n)
-            support = rng.sample(range(n), size)
+        for _ in range(rng.randint(1, 7)):
+            size = rng.choice((2, 3, 3, rng.randint(1, n)))
+            support = rng.sample(range(n), min(size, n))
             vec = [0] * n
             for i in support:
                 vec[i] = 1
@@ -393,9 +395,10 @@ def test_minimal_primes_against_vertex_cover_enumeration():
         supports = [tuple(i for i, e in enumerate(g) if e)
                     for g in ideal.generators]
         expected = brute_force_min_covers(n, supports)
-        got = sorted(comp.variables for comp in
-                     minimal_primes(ideal).components)
-        assert got == expected
+        dec = minimal_primes(ideal)
+        assert dec.nvars == n
+        assert dec.components == tuple(PrimeComponent(c, 1)
+                                       for c in expected)
 
 
 def test_minimal_primes_triangle():

@@ -261,6 +261,34 @@ def test_hull_vertices_ignore_repeated_dominated_and_face_points():
         assert body == base
 
 
+def test_hull_reads_int_fraction_str_and_mixed_points_alike():
+    # int coordinates stay ints inside hull_up_set; the body, its vertex
+    # masks and the Fraction type of every vertex coordinate must not
+    # depend on how the points were written
+    rng = random.Random(107)
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        whole = [tuple(rng.randint(0, 5) for _ in range(n))
+                 for _ in range(rng.randint(1, 6))]
+        halves = [tuple(Fraction(rng.randint(0, 10), rng.choice((1, 2, 3)))
+                        for _ in range(n))
+                  for _ in range(rng.randint(0, 2))]
+        forms = [
+            whole + halves,
+            [tuple(map(Fraction, p)) for p in whole] + halves,
+            [tuple(map(str, p)) for p in whole + halves],
+            # each coordinate in its own form, and repeats across forms
+            [tuple(rng.choice((c, Fraction(c), str(c))) for c in p)
+             for p in whole + halves + rng.sample(whole, 1)],
+        ]
+        bodies = [hull_up_set(points, n) for points in forms]
+        for body in bodies:
+            assert body == bodies[0]
+            assert body._vertex_masks == bodies[0]._vertex_masks
+            assert all(type(c) is Fraction
+                       for v in body.vertices for c in v)
+
+
 def test_redundant_and_duplicate_rows_give_oracle_vertices():
     rng = random.Random(67)
     for _ in range(60):
@@ -432,6 +460,37 @@ def test_start_basis_skips_a_dependent_sparse_row():
     assert duplicated > 20
 
 
+def test_rays_and_masks_of_constructor_shaped_cones():
+    # the rows hull_up_set and from_halfspaces hand the engine: unit rows
+    # (the orthant, and t >= 0 for from_halfspaces) plus dense rows, up
+    # to dim 7, with duplicate and dependent rows
+    rng = random.Random(109)
+    for case in range(72):
+        n = 1 + case // 2 % 6
+        dim = n + 1
+        units = [tuple(int(i == j) for i in range(dim)) for j in range(n)]
+        dense = []
+        for _ in range(rng.randint(1, 3 if n > 4 else 5)):
+            entries = [rng.choice((0, 1, 2, 3)) for _ in range(n)]
+            if case % 2:
+                # a hull row: a point with t = 1
+                dense.append(tuple(entries) + (1,))
+            else:
+                # a half-space row: normal, then minus the offset
+                entries[rng.randrange(n)] += 1
+                dense.append(tuple(entries) + (-rng.randint(1, 6),))
+        if case % 2 == 0:
+            units.append(tuple(int(i == n) for i in range(dim)))
+        if rng.random() < 0.5:
+            dense.append(rng.choice(dense))
+        if len(dense) > 1 and rng.random() < 0.5:
+            a, b = rng.sample(dense, 2)
+            dense.append(tuple(x + y for x, y in zip(a, b)))
+        rows = units + dense
+        rng.shuffle(rows)
+        assert_rays_and_masks(rows, dim)
+
+
 def test_mdc_of_orthant_is_zero():
     body = from_halfspaces(orthant(3), 3)
     assert mdc(body) == 0
@@ -488,6 +547,8 @@ def test_mdc_is_largest_compact_face_dimension(ideals):
 
 
 def assert_vertex_masks_match_slack(body):
+    # construction runs in integers; the stored vertices are Fractions
+    assert all(type(c) is Fraction for v in body.vertices for c in v)
     assert len(body._vertex_masks) == len(body.vertices)
     for v, mask in zip(body.vertices, body._vertex_masks):
         assert mask == sum(1 << i for i, h in enumerate(body.facets)
