@@ -31,7 +31,7 @@ from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
                      format_monomial, format_point, frac_to_str,
                      ideal_payload, parse_family_text, parse_ideal_text,
                      parse_monomial_text, point_payload, polyhedron_payload,
-                     sha256_digest, str_to_frac)
+                     read_input, str_to_frac)
 from .invariants import (analytic_spread, c_degree_compatibility,
                          invariant_report, svd_bounds,
                          symbolic_analytic_spread)
@@ -403,13 +403,7 @@ def _cmd_np_eq_sp(parsed: ParsedIdeal, args):
 
 
 def _run(args) -> tuple[dict, list[str], list[str], str]:
-    with open(args.file, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ParseError("input file is not valid UTF-8") from None
-    digest = sha256_digest(data)
+    text, digest = read_input(args.file)
     # looked up on each call, so a wrapper set on this module is seen
     parse = parse_family_text if args.family else parse_ideal_text
     result, lines, notes = args.run(parse(text), args)

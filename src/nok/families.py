@@ -26,7 +26,7 @@ from .bodies import (ClassifiedIdeal, newton_polyhedron, symbolic_polyhedron,
 from .errors import (DimensionMismatch, EmptyList, NokError,
                      NonPositiveExponent, NotProvenNoetherian,
                      UnsupportedIdealClass)
-from .ideal import MonomialIdeal, intersect, power
+from .ideal import MonomialIdeal, _check_power, intersect, power
 from .polyhedron import Point, RationalPolyhedron
 
 
@@ -132,8 +132,7 @@ class FamilyLimit(NamedTuple):
 
 def member_ideal(family: FamilySpec, k: int) -> MonomialIdeal:
     """The k-th ideal of the family, k >= 1."""
-    if not isinstance(k, int) or k < 1:
-        raise NonPositiveExponent(f"family index must be >= 1, got {k}")
+    _check_power(k, "family index")
     if isinstance(family, PowerFamily):
         return power(family.base, k)
     if isinstance(family, SymbolicFamily):
@@ -243,12 +242,6 @@ def _missing(family: FamilySpec, vertices: tuple[Point, ...],
     return missing
 
 
-def _check_c_max(c_max) -> None:
-    if isinstance(c_max, bool) or not isinstance(c_max, int) or c_max < 1:
-        raise NonPositiveExponent(
-            f"c_max must be a positive integer, got {c_max!r}")
-
-
 def _stabilization(family: FamilySpec, limit: FamilyLimit,
                    c_max: int) -> StabilizationReport:
     """stabilization_check on the family's limit, computed once."""
@@ -285,14 +278,14 @@ def stabilization_check(family: FamilySpec,
     proves the answer; for an intersection it is only a bounded search,
     not a proof of non-Noetherianity.
     """
-    _check_c_max(c_max)
+    _check_power(c_max, "c_max")
     return _stabilization(family, family_limit(family), c_max)
 
 
 def family_analytic_spread(family: FamilySpec, c_max: int) -> int:
     """mdc of the limiting body plus one; valid once stabilization is
     certified, refused otherwise."""
-    _check_c_max(c_max)
+    _check_power(c_max, "c_max")
     limit = family_limit(family)
     if not _stabilization(family, limit, c_max).stabilized:
         raise NotProvenNoetherian(

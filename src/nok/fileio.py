@@ -94,8 +94,17 @@ def str_to_frac(text: str, line: int | None = None,
                          column) from None
 
 
-def sha256_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:12]
+def read_input(path: str) -> tuple[str, str]:
+    """A file's text, decoded as UTF-8, and the first 12 hex digits of
+    the sha256 of its bytes.  Bytes that are not UTF-8 raise ParseError;
+    a path that cannot be read raises OSError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError("input file is not valid UTF-8") from None
+    return text, hashlib.sha256(data).hexdigest()[:12]
 
 
 def _records(text: str) -> list[_Record]:
@@ -297,8 +306,7 @@ def parse_ideal_text(text: str) -> ParsedIdeal:
 
 
 def parse_ideal_file(path: str) -> ParsedIdeal:
-    with open(path, encoding="utf-8") as handle:
-        return parse_ideal_text(handle.read())
+    return parse_ideal_text(read_input(path)[0])
 
 
 def parse_family_text(text: str) -> ParsedFamily:
@@ -362,8 +370,7 @@ def parse_family_text(text: str) -> ParsedFamily:
 
 
 def parse_family_file(path: str) -> ParsedFamily:
-    with open(path, encoding="utf-8") as handle:
-        return parse_family_text(handle.read())
+    return parse_family_text(read_input(path)[0])
 
 
 def parse_monomial_text(text: str, variables: Sequence[str]) -> tuple[int, ...]:

@@ -4,7 +4,9 @@ A monomial ideal in n variables is stored as the antichain (under
 componentwise <=) of the exponent vectors of its minimal generators,
 kept in lexicographic order so that equal ideals compare equal.
 
-Divisibility is tested on packed integers.  For one set of vectors,
+Divisibility within a set of vectors is tested on packed integers; one
+membership query compares entries directly, as packing the generators
+would cost more than the test.  For one set of vectors,
 `_bounds` and `_packer` shift each coordinate by its minimum over the
 set, so every entry lies in [0, 2^w), where w is the bit length of the
 largest shifted entry.  A vector v becomes the int V with a field of w+1
@@ -57,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import (chain, combinations_with_replacement, product,
                        starmap)
-from operator import add, mul
+from operator import add, le, mul
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (DimensionMismatch, EmptyGeneratorSet, EmptyList,
@@ -194,15 +196,12 @@ class MonomialIdeal:
 
     def contains_monomial(self, a: Sequence[int]) -> bool:
         """Membership of x^a in the ideal (some generator divides it)."""
-        if len(a) != self.nvars:
-            raise DimensionMismatch(f"point {a} has wrong length")
         t = tuple(a)
+        if len(t) != self.nvars:
+            raise DimensionMismatch(f"point {t} has wrong length")
         if not _integral(t):
             raise NonPositiveExponent(f"bad exponent vector {t}")
-        guard, pack = _packer(*_bounds(self.generators + (t,)))
-        raised = pack(t) | guard
-        return any((raised - pack(g)) & guard == guard
-                   for g in self.generators)
+        return any(all(map(le, g, t)) for g in self.generators)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True when other is a subset of self, as ideals."""
@@ -247,11 +246,13 @@ def multiply(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:
         tuple(map(add, *by_sum[p])) for p in _antichain(by_sum, guard)))
 
 
-def _check_power(k: int):
-    """Refuse an exponent that is not an int >= 1; a bool is not one."""
+def _check_power(k: int, what: str = "power index"):
+    """Refuse a count that is not an int >= 1, naming it `what`: a bool,
+    a float or a string is not one.  Every count argument of the library
+    (a power, a family index, a degree or search bound) is checked here."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise NonPositiveExponent(
-            f"power index must be a positive integer, got {k!r}")
+            f"{what} must be a positive integer, got {k!r}")
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:

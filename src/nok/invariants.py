@@ -13,8 +13,7 @@ from typing import NamedTuple
 from . import polyhedron as poly
 from .bodies import (ClassifiedIdeal, newton_polyhedron, np_equals_sp,
                      symbolic_polyhedron)
-from .errors import NonPositiveExponent, UnsupportedIdealClass
-from .ideal import MonomialIdeal
+from .ideal import MonomialIdeal, _check_power
 
 
 class VertexConstants(NamedTuple):
@@ -83,14 +82,12 @@ def verify_np_scaled_sp(classified: ClassifiedIdeal, d: int) -> bool:
 
     Equivalent to every vertex of d*SP(I) being integral: the dilate is
     the hull of its lattice points exactly when its vertices are lattice
-    points, and NP(I^(d)) is that hull.  This avoids expanding the
-    generators of I^(d).
+    points, and NP(I^(d)) is that hull.  The vertex d*v is integral iff
+    the lcm of v's denominators divides d, so all are iff their lcm c
+    does.  Neither I^(d) nor the dilate is built.
     """
-    if d < 1:
-        raise NonPositiveExponent(f"dilation must be >= 1, got {d}")
-    sp = symbolic_polyhedron(classified)
-    return all(coord.denominator == 1
-               for v in poly.scale(sp, d).vertices for coord in v)
+    _check_power(d, "dilation")
+    return d % vertex_constants(classified).c == 0
 
 
 def svd_bounds(classified: ClassifiedIdeal) -> SvdBounds:

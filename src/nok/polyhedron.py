@@ -82,7 +82,8 @@ def as_fraction(x) -> Fraction:
 def primitive_vector(vec: Sequence) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to coprime integers."""
     ints = list(vec)
-    # integer vectors (every double-description ray) skip the Fractions
+    # integer vectors (the rows hull_up_set builds from integer points,
+    # HalfSpaces given with integer entries) skip the Fractions
     if not all(type(x) is int for x in ints):
         ints = _clear_denominators(ints)[1]
     g = math.gcd(*ints)

@@ -25,8 +25,8 @@ from typing import Sequence
 from . import polyhedron as poly
 from .bodies import (ClassifiedIdeal, newton_polyhedron, symbolic_polyhedron,
                      symbolic_power)
-from .errors import NoCandidate, NonPositiveExponent
-from .ideal import MonomialIdeal, minimal_vectors, power
+from .errors import NoCandidate
+from .ideal import MonomialIdeal, _check_power, minimal_vectors, power
 from .invariants import (analytic_spread, svd_bounds,
                          symbolic_analytic_spread, vertex_constants)
 from .linalg import _adjugate
@@ -188,8 +188,7 @@ def hilbert_basis(classified: ClassifiedIdeal,
     the default bound max{ell_s*D - 1, D} makes the result exhaustive."""
     limit = _theorem_bound(classified)
     bound = limit if degree_bound is None else degree_bound
-    if bound < 1:
-        raise NonPositiveExponent(f"degree bound must be >= 1, got {bound}")
+    _check_power(bound, "degree bound")
     sp = symbolic_polyhedron(classified)
     elements = _cone_basis(sp, bound)
     degrees = frozenset(e.degree for e in elements)
@@ -206,8 +205,8 @@ def sgt_exact(classified: ClassifiedIdeal) -> int:
 def veronese_verify(classified: ClassifiedIdeal, d: int, k_max: int) -> bool:
     """Bounded certificate that I^(dk) = (I^(d))^k for k <= k_max; not a
     proof for all k."""
-    if d < 1 or k_max < 1:
-        raise NonPositiveExponent("d and k_max must be >= 1")
+    _check_power(d, "Veronese degree d")
+    _check_power(k_max, "k_max")
     base = symbolic_power(classified, d)
     # k = 1 compares base with itself
     return all(symbolic_power(classified, d * k) == power(base, k)

@@ -141,10 +141,16 @@ def test_contains_monomial_matches_pairwise_divisibility():
         vectors = [tuple(abs(e) for e in v)
                    for v in random_vectors(rng, nvars, rng.randint(1, 12))]
         ideal = minimalize(vectors, nvars)
-        for point in random_vectors(rng, nvars, 10):
+        points = random_vectors(rng, nvars, 10)
+        # each generator, and each one below it in one positive coordinate
+        for g in ideal.generators:
+            points.append(g)
+            points += [g[:j] + (e - 1,) + g[j + 1:]
+                       for j, e in enumerate(g) if e]
+        for point in points:
             expected = any(all(a <= b for a, b in zip(g, point))
                            for g in ideal.generators)
-            assert ideal.contains_monomial(point) == expected
+            assert ideal.contains_monomial(point) == expected, point
 
 
 def test_minimalize_builds_canonical_ideal():
@@ -200,6 +206,11 @@ def test_contains_monomial_is_divisibility():
     assert ideal.contains_monomial((2, 5))
     assert not ideal.contains_monomial((1, 0))
     assert not ideal.contains_monomial((0, 2))
+    for point in ((1, 1, 0), (3,)):
+        with pytest.raises(DimensionMismatch):
+            ideal.contains_monomial(point)
+    with pytest.raises(NonPositiveExponent):
+        ideal.contains_monomial((True, 3))
 
 
 def test_contains_ideal():

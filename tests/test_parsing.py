@@ -6,14 +6,24 @@ from nok import (CeilingPowerFamily, HalfSpace, IdealKind, IntersectionFamily,
                  NonPositiveMultiplicity, ParseError, PowerFamily,
                  SymbolicFamily, UnknownVariable, UnsupportedIdealClass,
                  format_halfspace, format_monomial, format_point, frac_to_str,
-                 parse_family_text, parse_ideal_text, parse_monomial_text,
-                 str_to_frac)
+                 parse_family_file, parse_family_text, parse_ideal_file,
+                 parse_ideal_text, parse_monomial_text, str_to_frac)
 
 
 def err(fn, *args):
     with pytest.raises(ParseError) as info:
         fn(*args)
     return info.value
+
+
+@pytest.mark.parametrize("parse", [parse_ideal_file, parse_family_file])
+def test_file_parsers_refuse_non_utf8_bytes(parse, tmp_path):
+    target = tmp_path / "binary.nok"
+    target.write_bytes(b"vars: x\xff\xfe\n")
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        parse(str(target))
+    with pytest.raises(OSError):
+        parse(str(tmp_path / "absent.nok"))
 
 
 def test_gens_round_trip():
