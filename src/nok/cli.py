@@ -413,8 +413,9 @@ def _run(args) -> tuple[dict, list[str], list[str], str]:
 def _dumps(obj, pad: str = "\n") -> str:
     """The text of `json.dumps(obj, sort_keys=True, indent=2)`.  With an
     indent, json runs its pure-Python encoder, value by value; this writer
-    joins a whole list of ints, of strings or of int lists at once.  `pad`
-    is the line break and indent that end a line at obj's depth."""
+    joins a whole list of ints or of strings at once, and formats a whole
+    list of int lists with one % operation.  `pad` is the line break and
+    indent that end a line at obj's depth."""
     inner = pad + "  "
     if type(obj) is str:
         return encode_basestring_ascii(obj)
@@ -426,15 +427,21 @@ def _dumps(obj, pad: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if type(obj) in (list, tuple) and obj:
         kinds = set(map(type, obj))
+        flat = (tuple(chain.from_iterable(obj))
+                if kinds <= {list, tuple} and all(obj) else ())
         if kinds == {int}:
             items = map(str, obj)
         elif kinds == {str}:
             items = map(encode_basestring_ascii, obj)
-        elif (kinds <= {list, tuple} and all(obj)
-              and set(map(type, chain.from_iterable(obj))) == {int}):
+        elif flat and set(map(type, flat)) == {int}:
+            # rows of ints: one %d template per row length, filled in by a
+            # single % over all the entries
             row = inner + "  "
-            items = (f"[{row}{(',' + row).join(map(str, v))}{inner}]"
-                     for v in obj)
+            lengths = list(map(len, obj))
+            template = {k: f"[{row}{(',' + row).join(['%d'] * k)}{inner}]"
+                        for k in set(lengths)}
+            items = [("," + inner).join(map(template.__getitem__, lengths))
+                     % flat]
         else:
             items = (_dumps(item, inner) for item in obj)
         return "[" + inner + ("," + inner).join(items) + pad + "]"

@@ -71,11 +71,16 @@ class _Record:
 
 
 def frac_to_str(value) -> str:
-    """Canonical text form of a rational: 'p' or 'p/q' in lowest terms."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical text form of a rational: 'p' or 'p/q' in lowest terms.
+    An int or a Fraction is formatted as it is; anything else goes through
+    `as_fraction`, which raises InexactNumber for a float."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is not Fraction:
+        value = poly.as_fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def str_to_frac(text: str, line: int | None = None,

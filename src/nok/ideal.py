@@ -292,14 +292,18 @@ class PrimeComponent:
     def __post_init__(self):
         if not self.variables:
             raise EmptyPrime("a prime component needs at least one variable")
+        # a bool is an int to Python, but not a variable index or a count
+        if any(type(v) is not int for v in self.variables):
+            raise DimensionMismatch(
+                f"variable indices must be ints, got {self.variables!r}")
         if tuple(sorted(set(self.variables))) != self.variables:
             object.__setattr__(self, "variables",
                                tuple(sorted(set(self.variables))))
         if any(v < 0 for v in self.variables):
             raise DimensionMismatch("negative variable index")
-        if self.multiplicity < 1:
+        if type(self.multiplicity) is not int or self.multiplicity < 1:
             raise NonPositiveMultiplicity(
-                f"multiplicity must be >= 1, got {self.multiplicity}")
+                f"multiplicity must be an int >= 1, got {self.multiplicity!r}")
 
     def indicator(self, nvars: int) -> Vector:
         """0/1 vector marking the prime's variables."""

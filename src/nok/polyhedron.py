@@ -13,18 +13,19 @@ Each constructor makes one double-description pass over a pointed cone:
 `hull_up_set` on the dual cone of the points, for the facets.  The other
 side is read off incidence masks: a row (a point) is kept unless another
 is tight at (lies on) strictly more extreme rays (facets).  Those masks
-come from the double description's final check, which takes every ray's
-product with every row once.  Each polyhedron carries its vertex x facet
-incidence from that check, and `scale` moves it along with the facets;
-nothing computes it again.
+are the ones the double description carries through its insertions,
+where each ray is classified against each row exactly once; no product
+is taken again (`cone_extreme_rays` proves why none is needed).  Each
+polyhedron carries its vertex x facet incidence from them, and `scale`
+moves it along with the facets; nothing computes it again.
 
 Construction is integer end to end.  `hull_up_set` keeps int
 coordinates as ints through its dedupe, its sort and its rows;
 `from_halfspaces` makes each row primitive once and sorts its vertices
 by an exact integer key; the double description, its start elimination
-included, runs on int rows and rays.  Fractions appear only in the
-stored vertices, built once each.  The double description's final check
-stays: every ray is tested against every input row.
+included, runs on int rows and rays; `scale` dilates each facet by an
+integer product and one gcd.  Fractions appear only in the stored
+vertices.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatch, EmptyInput, EmptyList, InexactNumber,
                      InfeasibleSystem, InvalidVertexBudget,
-                     MissingOrthantConstraints, NoVertices, NokError,
+                     MissingOrthantConstraints, NoVertices,
                      NonPositiveScale, ParseError, PointNotInPolyhedron,
                      VertexBudgetExceeded)
 from .linalg import _gauss_jordan, rank
@@ -231,8 +232,28 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
     combinatorial adjacency test of Fukuda & Prodon, "Double description
     method revisited", 1996).  Everything stays in integers: a new ray is
     the integer combination divided by its gcd.
-    The returned masks come from the final check, which takes each ray's
-    product with every input row and raises NokError on a negative one.
+
+    The returned masks are the carried ones, and no product is taken
+    again: every kept ray is nonnegative on every processed row, and its
+    carried mask is exactly the set of processed rows tight at it.  By
+    induction over the inserted rows:
+    - a start ray is tight at every basis row but one, and positive on
+      that one, by the choice of its sign;
+    - a ray is kept as it is when its product with the inserted row is
+      zero (and gets that row's bit) or positive (and does not), and
+      dropped when it is negative;
+    - a new ray is ep*vm - em*vp with ep > 0 > em, a combination of a
+      plus ray and a minus ray with positive weights ep and -em.  So its
+      product with the inserted row is ep*em - em*ep = 0, and with an
+      earlier row it is nonnegative, and zero exactly where both rays are
+      tight: its mask is `common | bit`.
+    No ray appears twice: the new rays lie inside distinct 2-faces of the
+    cone before the insertion, and the kept rays are its extreme rays.
+    The rows that are never processed are the zero rows, tight at every
+    ray, and the duplicates, whose products are those of their processed
+    copy.  So bit i of a returned mask is set exactly when the ray is
+    tight at rows[i], and no ray is negative on any row.  The full
+    products stay in the tests, as the oracle of these masks.
     Raises MissingOrthantConstraints when the rows do not have full rank
     (the cone would contain a line) and VertexBudgetExceeded when the ray
     count exceeds the vertex budget.
@@ -297,13 +318,13 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
                 f"ray count {len(rays)} exceeds budget {budget}; "
                 "raise NOK_MAX_VERTICES to continue")
 
-    result = []
-    for vec in sorted({vec for vec, _ in rays}):
-        dots = [_dot(row, vec) for row in rows]
-        if any(e < 0 for e in dots):
-            raise NokError("internal error: ray violates a constraint")
-        result.append((vec, sum(1 << i for i, e in enumerate(dots) if e == 0)))
-    return result
+    # each input row's bit in the carried masks is that of its processed
+    # copy; a zero row has none, and is tight at every ray
+    position = {r: 1 << p for p, r in enumerate(processed)}
+    bits = [position.get(tuple(r), 0) for r in rows]
+    zeros = sum(1 << i for i, b in enumerate(bits) if not b)
+    return [(vec, zeros | sum(1 << i for i, b in enumerate(bits) if tight & b))
+            for vec, tight in sorted(rays)]
 
 
 def _transpose(masks: Sequence[int], count: int) -> list[int]:
@@ -435,12 +456,20 @@ def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
     t = as_fraction(factor)
     if t <= 0:
         raise NonPositiveScale(f"scale factor must be positive, got {factor}")
-    # a facet's primitive form can shrink, which reorders the facets; each
-    # vertex mask bit moves to its facet's new index
+    # with t = p/q, facet <a, x> >= b of P is <q*a, x> >= p*b on t*P, in
+    # integers; dividing by the gcd makes it primitive.  That can shrink a
+    # facet, which reorders the facets; each vertex mask bit moves to its
+    # facet's new index
+    p, q = t.numerator, t.denominator
+    dilated = []
+    for i, h in enumerate(poly.facets):
+        normal = [q * a for a in h.normal]
+        offset = p * h.offset
+        g = math.gcd(offset, *normal)
+        dilated.append((HalfSpace(tuple(a // g for a in normal), offset // g),
+                        i))
     facets, old = zip(*sorted(
-        ((HalfSpace.from_rational(h.normal, h.offset * t), i)
-         for i, h in enumerate(poly.facets)),
-        key=lambda pair: (pair[0].normal, pair[0].offset)))
+        dilated, key=lambda pair: (pair[0].normal, pair[0].offset)))
     masks = tuple(sum(1 << k for k, i in enumerate(old) if m >> i & 1)
                   for m in poly._vertex_masks)
     # t > 0 keeps the vertices' lexicographic order
@@ -639,7 +668,11 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
     the last witness of an earlier one; a coordinate that feeds many rows
     moves many dot products at once, so deciding it early forces those
     rises, and the lost witnesses they cause, near the root.  The rows and
-    the box are permuted once, and each point is mapped back.
+    the box are permuted once.  Every value loop counts up and each prefix
+    records at most one point, so the points come out in increasing
+    lexicographic order of the visited coordinates: in the identity order
+    they are returned as they are, in another each is mapped back and the
+    list sorted again.
 
     The last coordinate takes its value in closed form, w, the least value
     that meets each of its rows.  Each of its rows has dot >= b at w, so
@@ -767,4 +800,6 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
         return 1
 
     search(0, guards)
-    return sorted(tuple(point[t] for t in inverse) for point in found)
+    if order == list(range(n)):
+        return found
+    return sorted(map(itemgetter(*inverse), found))

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -382,3 +383,24 @@ def test_json_writer_matches_json_dumps(capsys, monkeypatch, ideals,
                   OrderedDict(b=[1], a=OrderedDict(c=2))]
     for obj in envelopes + edge_cases:
         assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_json_writer_int_rows_match_json_dumps():
+    # lists of int rows are written by one template per row length;
+    # ragged rows, one-entry rows, negative ints and ints beyond 64 bits,
+    # alone and nested under keys
+    big = 2 ** 64
+    cases = [[[1, 2, 3], [4], [5, 6], [7, 8, 9], [10]],
+             [[0], [-1], [big]],
+             [(1,), (2, 3)],
+             [[-5, big + 1, -(big ** 2)], [3, -3]],
+             [[1, 2]] * 4 + [[3]] * 3,
+             {"rows": [[9, -9], [big], [0, 0, 0]], "more": [[1]]}]
+    rng = random.Random(151)
+    for _ in range(40):
+        cases.append([[rng.choice((0, 1, -7, 12, big, -big - 3))
+                       for _ in range(rng.randint(1, 6))]
+                      for _ in range(rng.randint(1, 8))])
+    for obj in cases:
+        assert nok.cli._dumps(obj) == json.dumps(obj, sort_keys=True,
+                                                 indent=2)

@@ -349,6 +349,19 @@ def test_prime_component_validation():
         PrimeComponent((0, 1), 0)
 
 
+@pytest.mark.parametrize("variables, multiplicity, error", [
+    ((0, 1), True, NonPositiveMultiplicity),
+    ((0, 1), 2.5, NonPositiveMultiplicity),
+    ((0, 1.5), 1, DimensionMismatch),
+    ((True, 2), 1, DimensionMismatch),
+])
+def test_prime_component_refuses_non_int_fields(variables, multiplicity,
+                                                error):
+    # a bool is an int to Python, but neither a count nor an index
+    with pytest.raises(error):
+        PrimeComponent(variables, multiplicity)
+
+
 def test_prime_component_ideal_and_indicator():
     comp = PrimeComponent((0, 2), 2)
     assert comp.ideal(3).generators == ((0, 0, 1), (1, 0, 0))

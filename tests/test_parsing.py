@@ -2,12 +2,26 @@ from fractions import Fraction
 
 import pytest
 
-from nok import (CeilingPowerFamily, HalfSpace, IdealKind, IntersectionFamily,
-                 NonPositiveMultiplicity, ParseError, PowerFamily,
-                 SymbolicFamily, UnknownVariable, UnsupportedIdealClass,
-                 format_halfspace, format_monomial, format_point, frac_to_str,
-                 parse_family_file, parse_family_text, parse_ideal_file,
-                 parse_ideal_text, parse_monomial_text, str_to_frac)
+from nok import (CeilingPowerFamily, HalfSpace, IdealKind, InexactNumber,
+                 IntersectionFamily, NonPositiveMultiplicity, ParseError,
+                 PowerFamily, SymbolicFamily, UnknownVariable,
+                 UnsupportedIdealClass, format_halfspace, format_monomial,
+                 format_point, frac_to_str, parse_family_file,
+                 parse_family_text, parse_ideal_file, parse_ideal_text,
+                 parse_monomial_text, str_to_frac)
+
+
+def test_frac_to_str_formats_ints_and_fractions_and_refuses_floats():
+    assert frac_to_str(7) == "7"
+    assert frac_to_str(-3) == "-3"
+    assert frac_to_str(2 ** 70) == str(2 ** 70)
+    assert frac_to_str(Fraction(6, 4)) == "3/2"
+    assert frac_to_str(Fraction(-8, 2)) == "-4"
+    assert frac_to_str("4/6") == "2/3"
+    assert frac_to_str(True) == "1"
+    for value in (0.5, 2.0):
+        with pytest.raises(InexactNumber):
+            frac_to_str(value)
 
 
 def err(fn, *args):

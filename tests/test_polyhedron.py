@@ -142,6 +142,22 @@ def test_scale_round_trip_and_mdc_invariance():
             sorted(tuple(factor * c for c in v) for v in body.vertices)
 
 
+def test_scale_matches_from_halfspaces_of_the_dilated_facets():
+    # scale dilates each facet in integers and moves the vertex masks; the
+    # oracle builds t*P from scratch out of the Fraction-dilated facets
+    bodies = list(random_up_sets(131, 12)) + list(random_hulls(137, 12))
+    bodies += fractional_up_sets(139, 12)
+    for body in bodies:
+        n = body.nvars
+        for t in (Fraction(1, 3), Fraction(3, 2), 4, Fraction(7, 5)):
+            scaled = scale(body, t)
+            oracle = from_halfspaces([(h.normal, h.offset * t)
+                                      for h in body.facets], n)
+            assert scaled.facets == oracle.facets
+            assert scaled.vertices == oracle.vertices
+            assert scaled._vertex_masks == oracle._vertex_masks
+
+
 def test_scale_rejects_nonpositive():
     body = hull_up_set([(Fraction(1), Fraction(1))], 2)
     with pytest.raises(NonPositiveScale):
@@ -491,6 +507,45 @@ def test_rays_and_masks_of_constructor_shaped_cones():
         assert_rays_and_masks(rows, dim)
 
 
+def with_zero_and_duplicate_rows(rng, rows, dim):
+    """rows with zero rows and repeated rows, one of them as a list,
+    mixed in at random places."""
+    rows = list(rows)
+    for _ in range(rng.randint(1, 2)):
+        rows.insert(rng.randint(0, len(rows)), (0,) * dim)
+    for _ in range(rng.randint(1, 2)):
+        rows.insert(rng.randint(0, len(rows)), rng.choice(rows))
+    copy = rng.choice([r for r in rows if any(r)])
+    rows.insert(rng.randint(0, len(rows)), list(copy))
+    return rows
+
+
+def test_rays_and_masks_of_constructor_rows_with_zero_and_duplicate_rows():
+    # the rows the two constructors hand the engine, built as they build
+    # them from seeded inputs: hull_up_set's dual rows (each point with
+    # t = 1, then the orthant) and from_halfspaces' homogenized rows (each
+    # primitive half-space with minus its offset, then t >= 0).  A zero
+    # row is tight at every ray, and a repeated row has its copy's bit,
+    # although the engine processes neither
+    rng = random.Random(113)
+    for case in range(80):
+        n = rng.randint(1, 4)
+        dim = n + 1
+        units = [tuple(int(i == j) for i in range(dim)) for j in range(n)]
+        if case % 2:
+            points = {tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                            for _ in range(n))
+                      for _ in range(rng.randint(1, 6))}
+            rows = [primitive_vector(p + (1,)) for p in sorted(points)]
+            rows += units
+        else:
+            system = random_up_set_system(rng, n)
+            rows = [h.normal + (-h.offset,) for h in system]
+            rows.append(tuple(int(i == n) for i in range(dim)))
+        assert_rays_and_masks(with_zero_and_duplicate_rows(rng, rows, dim),
+                              dim)
+
+
 def test_mdc_of_orthant_is_zero():
     body = from_halfspaces(orthant(3), 3)
     assert mdc(body) == 0
@@ -806,6 +861,26 @@ def check_against_box_scan(body):
     expected = brute_force_minimal_points(body.facets, box)
     assert minimal_lattice_points(body) == expected
     return expected
+
+
+def test_minimal_lattice_points_in_identity_and_other_orders():
+    # the search records its points in lexicographic order of the visited
+    # coordinates; in the identity order they are returned as recorded,
+    # in another they are mapped back and sorted again
+    rng = random.Random(149)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 15:
+        n = rng.randint(2, 4)
+        body = from_halfspaces(random_up_set_system(rng, n), n)
+        box = dilate_box(body, 1)
+        if math.prod(b + 1 for b in box) > 2000:
+            continue
+        identity = search_order(body) == list(range(n))
+        if seen[identity] == 15:
+            continue
+        points = check_against_box_scan(body)
+        assert points == sorted(points)
+        seen[identity] += 1
 
 
 def test_minimal_lattice_points_at_the_field_width_boundaries():
