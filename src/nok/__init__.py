@@ -16,9 +16,8 @@ from .errors import (DimensionMismatch, EmptyGeneratorSet,
                      MissingOrthantConstraints, NoCandidate, NokError,
                      NonPositiveExponent, NonPositiveMultiplicity,
                      NonPositiveScale, NotProvenNoetherian, NotSquarefree,
-                     NoVertices, ParseError, PointNotInPolyhedron,
-                     UnknownVariable, UnsupportedIdealClass,
-                     VertexBudgetExceeded)
+                     NoVertices, ParseError, UnknownVariable,
+                     UnsupportedIdealClass, VertexBudgetExceeded)
 from .families import (CeilingPowerFamily, FamilyLimit, FamilySpec,
                        IntersectionFamily, PowerFamily, StabilizationReport,
                        StabilizationWitness, SymbolicFamily, ceiling_scale,
@@ -30,16 +29,14 @@ from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
                      parse_ideal_text, parse_monomial_text, str_to_frac)
 from .ideal import (MonomialIdeal, PrimeComponent, PrimeDecomposition,
                     expand_decomposition, intersect, minimal_primes,
-                    minimal_vectors, minimalize, multiply, power,
-                    saturate_to_prime, unit_vectors)
+                    minimal_vectors, minimalize, multiply, power)
 from .invariants import (InvariantReport, SgtBounds, SvdBounds,
                          VertexConstants, analytic_spread,
                          c_degree_compatibility, invariant_report,
                          sgt_bounds, svd_bounds, symbolic_analytic_spread,
                          verify_np_scaled_sp, vertex_constants)
-from .polyhedron import (DEFAULT_VERTEX_BUDGET, FaceDescriptor, HalfSpace,
-                         RationalPolyhedron, contains, decompose_point,
-                         equal, faces, from_halfspaces, hull_up_set,
+from .polyhedron import (DEFAULT_VERTEX_BUDGET, HalfSpace, RationalPolyhedron,
+                         contains, equal, from_halfspaces, hull_up_set,
                          intersect_polyhedra, mdc, minimal_lattice_points,
                          scale)
 from .simis import (HilbertBasisReport, HilbertElement, hilbert_basis,

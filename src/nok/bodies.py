@@ -167,12 +167,13 @@ class MembershipCertificate:
     """Auditable witness for a polyhedron membership answer.
 
     Inside: point = sum(weight_i * vertex_i) + remainder with positive
-    weights summing to 1 and a nonnegative remainder.  The vertices lie on
-    the compact face that decompose_point puts the point minus the
-    remainder on; they are the first subset of that face's vertices, by
-    size and then in vertex order, whose hull holds that point, so they
-    are affinely independent (see _convex_combination).  Outside: the
-    first facet the point violates.
+    weights summing to 1 and a nonnegative remainder.  The point minus the
+    remainder lies on a compact face, reached by walking down each
+    coordinate that is free on the current face, in order (see
+    polyhedron._decompose).  The vertices are the first subset of that
+    face's vertices, by size and then in vertex order, whose hull holds
+    that point, so they are affinely independent (see
+    _convex_combination).  Outside: the first facet the point violates.
     """
 
     inside: bool

@@ -55,10 +55,6 @@ class NoVertices(NokError):
     """The polyhedron has no vertices; compact-face analysis is undefined."""
 
 
-class PointNotInPolyhedron(NokError):
-    """The given point violates a half-space of the polyhedron."""
-
-
 class NonPositiveScale(NokError):
     """Polyhedron scaling factor must be positive."""
 

@@ -203,12 +203,6 @@ class MonomialIdeal:
             raise NonPositiveExponent(f"bad exponent vector {t}")
         return any(all(map(le, g, t)) for g in self.generators)
 
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        """True when other is a subset of self, as ideals."""
-        if other.nvars != self.nvars:
-            raise DimensionMismatch("variable counts differ")
-        return all(self.contains_monomial(g) for g in other.generators)
-
 
 def minimalize(gens: Iterable[Sequence[int]], nvars: int | None = None) -> MonomialIdeal:
     """Canonical MonomialIdeal generated by an arbitrary set of exponent vectors."""
@@ -391,24 +385,3 @@ def minimal_primes(ideal: MonomialIdeal) -> PrimeDecomposition:
                if not any(d & c == d and d != c for d in found)]
     covers = sorted(tuple(j for j in range(n) if c >> j & 1) for c in minimal)
     return PrimeDecomposition(n, tuple(PrimeComponent(c, 1) for c in covers))
-
-
-def saturate_to_prime(ideal: MonomialIdeal, prime: Iterable[int]) -> MonomialIdeal:
-    """Zero out every generator exponent outside the prime, then minimalize.
-
-    This computes R ∩ I·R_p for a monomial prime p: inverting the variables
-    outside p erases their exponents.
-    """
-    keep = set(prime)
-    if not keep:
-        raise EmptyPrime("cannot saturate to the empty prime")
-    if max(keep) >= ideal.nvars or min(keep) < 0:
-        raise DimensionMismatch("prime variable index out of range")
-    gens = [tuple(e if j in keep else 0 for j, e in enumerate(g))
-            for g in ideal.generators]
-    return minimalize(gens, ideal.nvars)
-
-
-def unit_vectors(nvars: int) -> list[Vector]:
-    """Standard basis vectors, handy for building primes and rays."""
-    return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]

@@ -41,8 +41,7 @@ from typing import Iterable, Sequence
 from .errors import (DimensionMismatch, EmptyInput, EmptyList, InexactNumber,
                      InfeasibleSystem, InvalidVertexBudget,
                      MissingOrthantConstraints, NoVertices,
-                     NonPositiveScale, ParseError, PointNotInPolyhedron,
-                     VertexBudgetExceeded)
+                     NonPositiveScale, ParseError, VertexBudgetExceeded)
 from .linalg import _gauss_jordan, rank
 
 Point = tuple[Fraction, ...]
@@ -105,19 +104,6 @@ class HalfSpace:
         prim = primitive_vector(list(normal) + [offset])
         return cls(prim[:-1], prim[-1])
 
-    def slack(self, point: Sequence) -> Fraction:
-        return sum(a * x for a, x in zip(self.normal, point)) - self.offset
-
-
-@dataclass(frozen=True)
-class FaceDescriptor:
-    """A face of a polyhedron, recorded by its tight facets and vertices."""
-
-    tight_facets: tuple[int, ...]
-    vertex_set: tuple[Point, ...]
-    dim: int
-    compact: bool
-
 
 @dataclass(frozen=True)
 class RationalPolyhedron:
@@ -153,9 +139,26 @@ class RationalPolyhedron:
         # hashing see only the compared fields
         if not self.vertices:
             raise NoVertices("polyhedron has no vertices")
-        closed = _closed_masks(self, compact_only=True)
+        covers = self._cover_masks
+        vertex_masks = self._vertex_masks
+        # the closure of the vertex masks under intersection, through
+        # compact masks only (see mdc): a closed mask is the set of facets
+        # tight on its face, which is compact when the mask meets every
+        # cover mask, so that no unit ray survives.  {mask reached: compact}
+        closed = dict.fromkeys(vertex_masks, True)
+        frontier = list(closed)
+        while frontier:
+            fresh = []
+            for a in frontier:
+                for b in vertex_masks:
+                    c = a & b
+                    if c not in closed:
+                        closed[c] = all(c & cover for cover in covers)
+                        if closed[c]:
+                            fresh.append(c)
+            frontier = fresh
         compact = [m for m, is_compact in closed.items() if is_compact]
-        # the minimal compact masks are the maximal compact faces; taken in
+        # each minimal compact mask is a maximal compact face; taken in
         # increasing popcount, a mask that contains another compact mask
         # contains a minimal one already kept, so only those are tested
         top = []
@@ -247,7 +250,7 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
       product with the inserted row is ep*em - em*ep = 0, and with an
       earlier row it is nonnegative, and zero exactly where both rays are
       tight: its mask is `common | bit`.
-    No ray appears twice: the new rays lie inside distinct 2-faces of the
+    No ray appears twice: each new ray lies inside its own 2-face of the
     cone before the insertion, and the kept rays are its extreme rays.
     The rows that are never processed are the zero rows, tight at every
     ray, and the duplicates, whose products are those of their processed
@@ -487,92 +490,31 @@ def intersect_polyhedra(polys: Sequence[RationalPolyhedron]) -> RationalPolyhedr
     return from_halfspaces(combined, nvars)
 
 
-def _closed_masks(poly: RationalPolyhedron, compact_only: bool):
-    """The closure of the vertex incidence masks under intersection.
-
-    A closed mask is exactly the set of facets tight on its face.  The face
-    is compact exactly when the mask meets every per-coordinate cover mask
-    (the facets with a positive normal entry at that coordinate), so that
-    no unit ray survives.  A superset mask meets them too: compactness
-    passes to subfaces.  So with `compact_only` a mask that is not compact
-    is not extended, and every compact closed mask is still reached, along
-    a chain of compact supersets.  Returns {closed mask reached: compact}.
-    """
-    covers = poly._cover_masks
-    vertex_masks = poly._vertex_masks
-    # every vertex is a compact face
-    closed = dict.fromkeys(vertex_masks, True)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in vertex_masks:
-                c = a & b
-                if c not in closed:
-                    closed[c] = all(c & cover for cover in covers)
-                    if closed[c] or not compact_only:
-                        fresh.append(c)
-        frontier = fresh
-    return closed
-
-
-def faces(poly: RationalPolyhedron) -> list[FaceDescriptor]:
-    """All faces meeting the vertex set: closures of vertex incidence masks.
-
-    A face's dimension is nvars minus the rank of its tight normals.  Two
-    facts let `mdc` skip most of them: compactness passes to subfaces, and
-    a face's dimension is at least that of each subface, so the largest
-    compact dimension is attained on a maximal compact face.
-    """
-    n = poly.nvars
-    closed = _closed_masks(poly, compact_only=False)
-    out = []
-    for mask in sorted(closed):
-        members = tuple(v for v, mv in zip(poly.vertices, poly._vertex_masks)
-                        if mv & mask == mask)
-        tight = tuple(_bits(mask))
-        normals = [poly.facets[i].normal for i in tight]
-        out.append(FaceDescriptor(tight, members, n - rank(normals),
-                                  closed[mask]))
-    out.sort(key=lambda f: (f.dim, f.tight_facets))
-    return out
-
-
 def mdc(poly: RationalPolyhedron) -> int:
     """Maximum dimension of a compact face (every vertex is one, so >= 0).
 
-    Two facts keep the work to the size of the answer.  Compactness passes
-    to subfaces, so the closure of the vertex masks never extends a mask
-    that is not compact.  And a face's dimension is at least that of each
-    of its subfaces, so the maximum is attained on a maximal compact face:
-    only the minimal compact masks are ranked.  Computed once per
-    polyhedron object.
+    Each face through a vertex is the set of points tight at a closed
+    mask: an intersection of vertex incidence masks.  Its dimension is
+    nvars minus the rank of its tight normals.  Two facts keep the work to
+    the size of the answer.  Compactness passes to subfaces, so the
+    closure of the vertex masks never extends a mask that is not compact.
+    And a face's dimension is at least that of each of its subfaces, so
+    the maximum is attained on a maximal compact face: only the minimal
+    compact masks are ranked.  Computed once per polyhedron object.
     """
     return poly._mdc
 
 
-def decompose_point(poly: RationalPolyhedron, point: Sequence) -> tuple[Point, Point]:
-    """Split a point of P as u + r with u in a compact face and r >= 0.
+def _decompose(poly: RationalPolyhedron, den: int, num: list[int],
+               slacks: list[int]) -> tuple[Point, Point, int]:
+    """Split the point num/den of P, whose scaled facet slacks (see
+    _slacks) are given, as u + r with u in a compact face and r >= 0;
+    returns (u, r, the mask of the facets tight at u).
 
     Walks down each coordinate direction that is free on the current
     minimal face, in order.  A step down coordinate j makes a facet with a
     positive entry at j tight, and leaves the tight facets tight (they are
     zero at j), so one pass over the coordinates reaches a compact face.
-    """
-    den, num = _cleared_point(poly, point)
-    slacks = _slacks(poly.facets, den, num)
-    if any(s < 0 for s in slacks):
-        raise PointNotInPolyhedron(f"{tuple(point)} is not in the polyhedron")
-    anchor, remainder, _ = _decompose(poly, den, num, slacks)
-    return anchor, remainder
-
-
-def _decompose(poly: RationalPolyhedron, den: int, num: list[int],
-               slacks: list[int]) -> tuple[Point, Point, int]:
-    """decompose_point for the point num/den of P, whose scaled facet
-    slacks (see _slacks) are given; also returns the mask of the facets
-    tight at u.
-
     The walk keeps u as U/D and the facet slacks at u as D*slack, all in
     integers.  A step of length lam = p/q down coordinate j lowers U[j] by
     D*lam and slack i by a_ij*lam; D grows to lcm(D, q) first, scaling U

@@ -4,6 +4,7 @@ box scans, a self-contained Gaussian solver) and shares no algorithmic
 code with the package, only its public data types."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,6 +13,12 @@ from nok import intersect, power
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def slack(h, x):
+    """<normal, x> - offset: nonnegative exactly when x satisfies the
+    half-space h."""
+    return dot(h.normal, x) - h.offset
 
 
 def solve_square(matrix, rhs):
@@ -79,6 +86,65 @@ def matrix_rank(rows):
                            for x, y in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+@dataclass(frozen=True)
+class FaceDescriptor:
+    """A face of a polyhedron, recorded by its tight facets and vertices."""
+
+    tight_facets: tuple
+    vertex_set: tuple
+    dim: int
+    compact: bool
+
+
+def faces(body):
+    """Every face meeting the vertex set, sorted by dimension and then by
+    tight facets: the closure under intersection of the vertex incidence
+    masks, read off the facet slacks and extended through every mask.  A
+    face's dimension is nvars minus the rank of its tight normals; it is
+    compact when each coordinate has a tight normal positive there, so
+    that no unit ray lies in it.  The reference for mdc, which extends
+    compact masks only and ranks the maximal compact faces alone."""
+    n = body.nvars
+    masks = [sum(1 << i for i, h in enumerate(body.facets)
+                 if slack(h, v) == 0) for v in body.vertices]
+    closed = set(masks)
+    while True:
+        more = {a & b for a in closed for b in masks} - closed
+        if not more:
+            break
+        closed |= more
+    out = []
+    for mask in closed:
+        tight = tuple(i for i in range(len(body.facets)) if mask >> i & 1)
+        normals = [body.facets[i].normal for i in tight]
+        members = tuple(v for v, m in zip(body.vertices, masks)
+                        if m & mask == mask)
+        compact = all(any(a[j] > 0 for a in normals) for j in range(n))
+        out.append(FaceDescriptor(tight, members, n - matrix_rank(normals),
+                                  compact))
+    out.sort(key=lambda f: (f.dim, f.tight_facets))
+    return out
+
+
+def fraction_decompose(body, point):
+    """The split point = u + r of a point of the body, with u on a compact
+    face and r >= 0, on Fraction slacks: walk down each coordinate that is
+    free on the current face, in order, to the nearest facet.  The
+    reference for the walk in integers behind membership_certificate."""
+    x = tuple(Fraction(c) for c in point)
+    u = x
+    while True:
+        tight = [h for h in body.facets if slack(h, u) == 0]
+        free = next((j for j in range(body.nvars)
+                     if all(h.normal[j] == 0 for h in tight)), None)
+        if free is None:
+            break
+        lam = min(Fraction(slack(h, u), h.normal[free])
+                  for h in body.facets if h.normal[free] > 0)
+        u = tuple(c - lam if j == free else c for j, c in enumerate(u))
+    return u, tuple(a - b for a, b in zip(x, u))
 
 
 def bareiss_every_row(rows, ncols):

@@ -7,15 +7,15 @@ import pytest
 from nok import (ClassifiedIdeal, DimensionMismatch, IdealKind,
                  NonPositiveExponent,
                  PrimeComponent, PrimeDecomposition, UnsupportedIdealClass,
-                 classify, classify_decomposition, contains, decompose_point,
-                 equal, faces, from_halfspaces, hull_up_set, integral_closure,
+                 classify, classify_decomposition, contains, equal,
+                 from_halfspaces, hull_up_set, integral_closure,
                  member_integral_closure, member_symbolic,
                  membership_certificate, minimal_primes, minimalize,
                  newton_polyhedron, np_equals_sp, power, real_power, scale,
                  symbolic_polyhedron, symbolic_power)
 
-from oracles import (closure_member_naive, dot, solve_linear,
-                     symbolic_power_by_intersection)
+from oracles import (closure_member_naive, dot, faces, fraction_decompose,
+                     slack, solve_linear, symbolic_power_by_intersection)
 from nok.bodies import CACHE_SIZE, MembershipCertificate
 
 
@@ -246,17 +246,18 @@ def test_certificate_inside_and_outside_triangle():
 
 
 def fraction_certificate(body, point):
-    """The certificate by the Fraction route: a slack per facet, the
-    candidate vertices by slack, and every subset of them in order of size
-    through the reference solver, as certificates were first built."""
+    """The certificate by the Fraction route: a slack per facet, the walk
+    down to a compact face on Fraction slacks, the candidate vertices by
+    slack, and every subset of them in order of size through the reference
+    solver, as certificates were first built."""
     x = tuple(Fraction(c) for c in point)
     for hs in body.facets:
-        if hs.slack(x) < 0:
+        if slack(hs, x) < 0:
             return MembershipCertificate(inside=False, violated=hs)
-    anchor, remainder = decompose_point(body, x)
-    tight = [h for h in body.facets if h.slack(anchor) == 0]
+    anchor, remainder = fraction_decompose(body, x)
+    tight = [h for h in body.facets if slack(h, anchor) == 0]
     candidates = [v for v in body.vertices
-                  if all(h.slack(v) == 0 for h in tight)]
+                  if all(slack(h, v) == 0 for h in tight)]
     for size in range(1, len(candidates) + 1):
         for subset in combinations(candidates, size):
             rows = [[v[i] for v in subset] for i in range(len(anchor))]

@@ -12,7 +12,7 @@ from nok import (DimensionMismatch, EmptyGeneratorSet, EmptyList, EmptyPrime,
                  PrimeDecomposition, classify, expand_decomposition,
                  from_halfspaces, intersect, minimal_lattice_points,
                  minimal_primes, minimal_vectors, minimalize, multiply, power,
-                 real_power, saturate_to_prime, symbolic_power, unit_vectors)
+                 real_power, symbolic_power)
 
 from test_polyhedron import random_up_set_system
 
@@ -211,13 +211,6 @@ def test_contains_monomial_is_divisibility():
             ideal.contains_monomial(point)
     with pytest.raises(NonPositiveExponent):
         ideal.contains_monomial((True, 3))
-
-
-def test_contains_ideal():
-    big = minimalize([(1, 0), (0, 1)])
-    small = minimalize([(1, 1)])
-    assert big.contains_ideal(small)
-    assert not small.contains_ideal(big)
 
 
 def test_multiply_and_power_agree():
@@ -460,16 +453,6 @@ def test_squarefree_ideal_equals_expanded_minimal_primes():
         assert expand_decomposition(minimal_primes(ideal)) == ideal
 
 
-def test_saturate_to_prime_zeroes_outside_support():
-    ideal = minimalize([(1, 2, 1), (0, 1, 3)])
-    saturated = saturate_to_prime(ideal, (1,))
-    assert saturated == minimalize([(0, 1, 0)])
-
-
-def test_unit_vectors():
-    assert unit_vectors(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-
 def assert_proven(ideal):
     """The public constructor's check, on an ideal a builder returned."""
     assert list(ideal.generators) == minimal_vectors(ideal.generators)
@@ -485,10 +468,8 @@ def test_builders_return_lex_sorted_antichains(ideals):
         ideal = minimalize(vectors, nvars)
         other = minimalize([tuple(rng.randint(0, 3) for _ in range(nvars))
                             for _ in range(rng.randint(1, 5))], nvars)
-        support = rng.sample(range(nvars), rng.randint(1, nvars))
         built += [ideal, multiply(ideal, other), multiply(ideal, ideal),
-                  power(other, rng.randint(1, 4)), intersect([ideal, other]),
-                  saturate_to_prime(ideal, support)]
+                  power(other, rng.randint(1, 4)), intersect([ideal, other])]
     for n in (2, 3, 4):
         for _ in range(8):
             body = from_halfspaces(random_up_set_system(rng, n), n)

@@ -10,8 +10,7 @@ import pytest
 from nok import (DEFAULT_VERTEX_BUDGET, CeilingPowerFamily, EmptyInput,
                  HalfSpace, InexactNumber, InvalidVertexBudget,
                  MissingOrthantConstraints, NonPositiveScale, ParseError,
-                 PointNotInPolyhedron, VertexBudgetExceeded, contains,
-                 decompose_point, equal, faces, from_halfspaces,
+                 VertexBudgetExceeded, contains, equal, from_halfspaces,
                  hull_up_set, intersect_polyhedra, mdc,
                  membership_certificate, minimal_lattice_points, minimalize,
                  newton_okounkov_body, newton_polyhedron, power, real_power,
@@ -19,8 +18,8 @@ from nok import (DEFAULT_VERTEX_BUDGET, CeilingPowerFamily, EmptyInput,
 from nok.polyhedron import cone_extreme_rays, primitive_vector, vertex_budget
 
 from oracles import (brute_force_minimal_points, brute_force_vertices,
-                     dilate_box, dot, matrix_rank, solve_square,
-                     symbolic_power_by_intersection)
+                     dilate_box, dot, faces, fraction_decompose, matrix_rank,
+                     slack, solve_square, symbolic_power_by_intersection)
 
 
 def orthant(n):
@@ -245,7 +244,7 @@ def test_face_dimensions_match_member_oracle(ideals):
             # the members are the vertices on every tight facet
             assert face.vertex_set == tuple(
                 v for v in body.vertices
-                if all(body.facets[i].slack(v) == 0
+                if all(slack(body.facets[i], v) == 0
                        for i in face.tight_facets))
 
 
@@ -350,7 +349,7 @@ def degenerate_system(rng, n):
     # else
     body = from_halfspaces(rows, n)
     for v in rng.sample(body.vertices, min(2, len(body.vertices))):
-        tight = [h for h in body.facets if h.slack(v) == 0]
+        tight = [h for h in body.facets if slack(h, v) == 0]
         normal = tuple(sum(h.normal[j] for h in tight) for j in range(n))
         system.append(HalfSpace(normal, sum(h.offset for h in tight)))
     rng.shuffle(system)
@@ -371,7 +370,7 @@ def test_facets_from_row_masks_match_hull_of_vertices():
         assert all(math.gcd(*h.normal, h.offset) == 1 for h in body.facets)
         single_vertex_rows += sum(
             1 for h in system
-            if sum(1 for v in body.vertices if h.slack(v) == 0) == 1
+            if sum(1 for v in body.vertices if slack(h, v) == 0) == 1
             and all(h.normal))
         redundant_orthant += sum(1 for h in system
                                  if h.offset == 0 and sum(h.normal) == 1
@@ -607,7 +606,7 @@ def assert_vertex_masks_match_slack(body):
     assert len(body._vertex_masks) == len(body.vertices)
     for v, mask in zip(body.vertices, body._vertex_masks):
         assert mask == sum(1 << i for i, h in enumerate(body.facets)
-                           if h.slack(v) == 0)
+                           if slack(h, v) == 0)
 
 
 def test_carried_vertex_masks_match_slack(ideals):
@@ -684,30 +683,18 @@ def test_decompose_point_postconditions():
         for _ in range(4):
             base = body.vertices[rng.randrange(len(body.vertices))]
             point = tuple(c + Fraction(rng.randint(0, 6), 3) for c in base)
-            anchor, moved = decompose_point(body, point)
+            cert = membership_certificate(body, point)
+            moved = cert.remainder
+            anchor = tuple(p - m for p, m in zip(point, moved))
             assert contains(body, anchor)
             assert all(m >= 0 for m in moved)
-            assert tuple(a + m for a, m in zip(anchor, moved)) == point
+            # the anchor is the certificate's convex combination
+            assert tuple(sum(w * v[j] for w, v in zip(cert.weights,
+                                                     cert.vertices))
+                         for j in range(n)) == anchor
             # the anchor sits on the boundary: some facet is tight
             assert any(dot(h.normal, anchor) == h.offset
                        for h in body.facets) or not body.facets
-
-
-def fraction_decompose(body, point):
-    """decompose_point's walk on Fraction slacks: the reference for the
-    walk in integers."""
-    x = tuple(Fraction(c) for c in point)
-    u = x
-    while True:
-        tight = [h for h in body.facets if h.slack(u) == 0]
-        free = next((j for j in range(body.nvars)
-                     if all(h.normal[j] == 0 for h in tight)), None)
-        if free is None:
-            break
-        lam = min(Fraction(h.slack(u), h.normal[free])
-                  for h in body.facets if h.normal[free] > 0)
-        u = tuple(c - lam if j == free else c for j, c in enumerate(u))
-    return u, tuple(a - b for a, b in zip(x, u))
 
 
 def mixed_points(rng, body, count):
@@ -733,16 +720,17 @@ def test_contains_and_decompose_match_fraction_slack():
     on_facet = outside = rescaled = 0
     for body in bodies:
         for p in mixed_points(rng, body, 8):
-            slacks = [h.slack(p) for h in body.facets]
+            slacks = [slack(h, p) for h in body.facets]
             inside = all(s >= 0 for s in slacks)
             assert contains(body, p) == inside
+            cert = membership_certificate(body, p)
             if not inside:
                 outside += 1
-                with pytest.raises(PointNotInPolyhedron):
-                    decompose_point(body, p)
+                assert not cert.inside
                 continue
             on_facet += 0 in slacks
-            got = decompose_point(body, p)
+            got = (tuple(x - r for x, r in zip(p, cert.remainder)),
+                   cert.remainder)
             assert got == fraction_decompose(body, p)
             assert all(type(c) is Fraction for part in got for c in part)
             # a step whose length has a denominator new to the walk
@@ -756,12 +744,6 @@ def test_contains_converts_like_fraction():
     assert contains(body, ("0.5", "3/2"))
     assert not contains(body, ("1/3", 2))
     assert contains(body, (True, 2))
-
-
-def test_decompose_point_requires_membership():
-    body = hull_up_set([(Fraction(1), Fraction(1))], 2)
-    with pytest.raises(PointNotInPolyhedron):
-        decompose_point(body, (Fraction(0), Fraction(0)))
 
 
 def test_minimal_lattice_points_against_box_scan():
@@ -1003,7 +985,6 @@ def float_sites():
         ("ceiling beta", lambda x: CeilingPowerFamily(ideal, 1, x)),
         ("hull_up_set", lambda x: hull_up_set([(x, 2)], 2)),
         ("contains", lambda x: contains(body, (x, 3))),
-        ("decompose_point", lambda x: decompose_point(body, (x, 3))),
         ("membership_certificate",
          lambda x: membership_certificate(body, (x, 3))),
         ("primitive_vector", lambda x: primitive_vector((x, 1))),
