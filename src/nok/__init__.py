@@ -24,9 +24,10 @@ from .families import (CeilingPowerFamily, FamilyLimit, FamilySpec,
                        family_analytic_spread, family_limit, member_ideal,
                        newton_okounkov_body, stabilization_check)
 from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
-                     format_monomial, format_point, frac_to_str,
-                     parse_family_file, parse_family_text, parse_ideal_file,
-                     parse_ideal_text, parse_monomial_text, str_to_frac)
+                     format_monomial, format_monomials, format_point,
+                     frac_to_str, parse_family_file, parse_family_text,
+                     parse_ideal_file, parse_ideal_text, parse_monomial_text,
+                     str_to_frac)
 from .ideal import (MonomialIdeal, PrimeComponent, PrimeDecomposition,
                     expand_decomposition, intersect, minimal_primes,
                     minimal_vectors, minimalize, multiply, power)

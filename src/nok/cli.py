@@ -28,10 +28,10 @@ from .errors import (InvalidVertexBudget, NokError, ParseError,
                      VertexBudgetExceeded)
 from .families import CeilingPowerFamily, family_limit, stabilization_check
 from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
-                     format_monomial, format_point, frac_to_str,
-                     ideal_payload, parse_family_text, parse_ideal_text,
-                     parse_monomial_text, point_payload, polyhedron_payload,
-                     read_input, str_to_frac)
+                     format_monomial, format_monomials, format_point,
+                     frac_to_str, ideal_payload, parse_family_text,
+                     parse_ideal_text, parse_monomial_text, point_payload,
+                     polyhedron_payload, read_input, str_to_frac)
 from .invariants import (analytic_spread, c_degree_compatibility,
                          invariant_report, svd_bounds,
                          symbolic_analytic_spread)
@@ -223,7 +223,7 @@ def _cmd_constants(parsed: ParsedIdeal, args):
 def _generator_report(result: dict, title: str, ideal, variables):
     """result with the ideal's payload and monomials added, and text lines
     listing the same monomials under title."""
-    monomials = [format_monomial(g, variables) for g in ideal.generators]
+    monomials = format_monomials(ideal.generators, variables)
     result.update(ideal_payload(ideal), monomials=monomials)
     return result, [title, *(f"  {m}" for m in monomials)], []
 
@@ -305,9 +305,10 @@ def _cmd_hilbert(parsed: ParsedIdeal, args):
     }
     lines = [f"hilbert basis elements ({len(rep.elements)}), "
              f"degree bound {rep.degree_bound_used}:"]
-    lines.extend(f"  degree {e.degree}: "
-                 f"{format_monomial(e.exponent, parsed.variables)}"
-                 for e in rep.elements)
+    monomials = format_monomials((e.exponent for e in rep.elements),
+                                 parsed.variables)
+    lines.extend(f"  degree {e.degree}: {m}"
+                 for e, m in zip(rep.elements, monomials))
     lines.append(f"degrees: {', '.join(str(d) for d in degrees)}")
     lines.append(f"sgt: {rep.sgt}")
     lines.append(f"lcm of degrees: {lcm_degrees}")

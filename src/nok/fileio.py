@@ -25,7 +25,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import polyhedron as poly
 from .bodies import ClassifiedIdeal, classify, classify_decomposition
@@ -386,15 +386,24 @@ def parse_monomial_text(text: str, variables: Sequence[str]) -> tuple[int, ...]:
 
 # serialization
 
+def format_monomials(vectors: Iterable[Sequence[int]],
+                     variables: Sequence[str]) -> list[str]:
+    """Each exponent vector, all of one length, as a monomial such as
+    x^2*y, or 1 when no exponent is positive.  One table per variable,
+    built once for the whole list, maps each positive exponent in its
+    column to its term."""
+    rows = [tuple(v) for v in vectors]
+    tables = [{e: name if e == 1 else f"{name}^{e}"
+               for e in set(column) if e > 0}
+              for name, column in zip(variables, zip(*rows))]
+    # a missing exponent reads None, which the filter drops with the term
+    return ["*".join(filter(None, map(dict.get, tables, row))) or "1"
+            for row in rows]
+
+
 def format_monomial(exponents: Sequence[int],
                     variables: Sequence[str]) -> str:
-    terms = []
-    for name, e in zip(variables, exponents):
-        if e == 1:
-            terms.append(name)
-        elif e > 1:
-            terms.append(f"{name}^{e}")
-    return "*".join(terms) if terms else "1"
+    return format_monomials([exponents], variables)[0]
 
 
 def format_point(point: Point) -> str:

@@ -45,7 +45,13 @@ of s_A + s_B.  Then pack_A(a) + pack_B(b) is a + b packed with lows
 l_A + l_B, as each shifted entry of a + b is at most s_A + s_B < 2^w.
 `multiply` packs each factor's generators once, packs each pairwise sum
 as one int addition, filters those ints as `minimal_vectors` does, and
-builds as tuples only the sums it keeps.
+builds as tuples only the sums it keeps.  `_every_sum` packs the same
+way to decide whether every vector of a third set t is such a sum: it
+puts the packed sums in a set and looks up each t packed with lows
+l_A + l_B.  An entry of t outside [l_A + l_B, l_A + l_B + s_A + s_B]
+is outside every sum, and packing it could borrow from or carry into a
+neighbouring field and collide with a packed sum, so such a t is
+refused before it is packed.
 
 `power` squares repeatedly.  Multiplication of monomial ideals is
 associative and commutative, and minimalizing a generating set gives the
@@ -238,6 +244,30 @@ def multiply(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:
     # _antichain keeps the minimal sums, in lex order
     return MonomialIdeal._proven(lhs.nvars, tuple(
         tuple(map(add, *by_sum[p])) for p in _antichain(by_sum, guard)))
+
+
+def _every_sum(targets: Sequence[Vector], lhs: Sequence[Vector],
+               rhs: Sequence[Vector]) -> bool:
+    """True when every target is exactly a + b with a in lhs and b in rhs,
+    for nonempty lhs and rhs of int vectors of one length: one set of
+    packed sums, one lookup per target (see the module docstring)."""
+    (lows, span), (rlows, rspan) = _bounds(lhs), _bounds(rhs)
+    top = span + rspan
+    tlows = list(map(add, lows, rlows))
+    # a target with an entry outside the sums' range is no sum, and
+    # packing it could collide with one
+    if any(min(column) < low or max(column) > low + top
+           for column, low in zip(zip(*targets), tlows)):
+        return False
+    # multiply's shared field width, wide enough for every sum
+    _, pack = _packer(lows, top)
+    _, rpack = _packer(rlows, top)
+    _, tpack = _packer(tlows, top)
+    rpacked = list(map(rpack, rhs))
+    sums = set()
+    for p in map(pack, lhs):
+        sums.update(map(p.__add__, rpacked))
+    return sums.issuperset(map(tpack, targets))
 
 
 def _check_power(k: int, what: str = "power index"):

@@ -26,7 +26,9 @@ from . import polyhedron as poly
 from .bodies import (ClassifiedIdeal, newton_polyhedron, symbolic_polyhedron,
                      symbolic_power)
 from .errors import NoCandidate
-from .ideal import MonomialIdeal, _check_power, minimal_vectors, power
+# `power` is kept in this namespace only for the benchmark's tracer test
+from .ideal import (MonomialIdeal, Vector, _check_power, _every_sum,
+                    minimal_vectors, power)
 from .invariants import (analytic_spread, svd_bounds,
                          symbolic_analytic_spread, vertex_constants)
 from .linalg import _adjugate
@@ -202,15 +204,47 @@ def sgt_exact(classified: ClassifiedIdeal) -> int:
     return hilbert_basis(classified).sgt
 
 
+def _veronese_holds(classified: ClassifiedIdeal, d: int, k_max: int,
+                    built: dict[int, tuple[Vector, ...]]) -> bool:
+    """`veronese_verify` without its argument checks.  `built` maps an
+    index i to the generators of I^(i): each power is read from it when
+    there and stored in it when computed."""
+    def generators(i: int) -> tuple[Vector, ...]:
+        if i not in built:
+            built[i] = symbolic_power(classified, i).generators
+        return built[i]
+
+    base = previous = generators(d)
+    for k in range(2, k_max + 1):
+        current = generators(d * k)
+        if not _every_sum(current, previous, base):
+            return False
+        previous = current
+    return True
+
+
 def veronese_verify(classified: ClassifiedIdeal, d: int, k_max: int) -> bool:
     """Bounded certificate that I^(dk) = (I^(d))^k for k <= k_max; not a
-    proof for all k."""
+    proof for all k.
+
+    Write K_k for the minimal generators of I^(dk), the minimal lattice
+    points of dk*P for the up-set polyhedron P.  Each step k = 2..k_max
+    builds no product ideal: it checks that every g in K_k is exactly a
+    sum s + b with s in K_(k-1) and b in K_1.  This decides
+    I^(dk) = (I^(d))^k once the earlier steps have shown
+    (I^(d))^(k-1) = K_(k-1), and the loop stops at the first failing k:
+    - P is convex, so s + b lies in d(k-1)*P + d*P = dk*P, and the
+      product (I^(d))^k, generated by these sums, lies in I^(dk);
+    - if equality holds, g lies in the product, so g dominates some
+      s + b; that sum lies in I^(dk), so it dominates some g' in K_k,
+      and g' <= g forces g' = g = s + b, as K_k is an antichain;
+    - conversely, if every g is such a sum, every generator of I^(dk)
+      lies in the product.
+    k = 1 compares I^(d) with itself.
+    """
     _check_power(d, "Veronese degree d")
     _check_power(k_max, "k_max")
-    base = symbolic_power(classified, d)
-    # k = 1 compares base with itself
-    return all(symbolic_power(classified, d * k) == power(base, k)
-               for k in range(2, k_max + 1))
+    return _veronese_holds(classified, d, k_max, {})
 
 
 def svd_probe(classified: ClassifiedIdeal,
@@ -220,11 +254,19 @@ def svd_probe(classified: ClassifiedIdeal,
 
     The candidate equals svd(I) whenever the window plus the divisibility
     constraint pin it down; otherwise it is a k_max-bounded certificate.
+    A symbolic power that two candidates read is built once.
     """
     lower, upper = svd_bounds(classified)
-    for m in range(lower, upper + 1, lower):
-        if veronese_verify(classified, m, k_max):
+    _check_power(k_max, "k_max")
+    candidates = range(lower, upper + 1, lower)
+    built: dict[int, tuple[Vector, ...]] = {}
+    for m in candidates:
+        if _veronese_holds(classified, m, k_max, built):
             return m, upper
+        # keep only the powers that a later candidate reads
+        later = {n * k for n in candidates if n > m
+                 for k in range(1, k_max + 1)}
+        built = {i: g for i, g in built.items() if i in later}
     raise NoCandidate(
         f"no multiple of {lower} up to {upper} passed the Veronese check; "
         "impossible at k_max=1, so this flags an arithmetic bug")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from nok import intersect, power
+from nok import intersect, power, symbolic_power
 
 
 def dot(a, b):
@@ -217,6 +217,14 @@ def symbolic_power_by_intersection(decomposition, k):
     pieces = [power(comp.ideal(decomposition.nvars), k * comp.multiplicity)
               for comp in decomposition.components]
     return intersect(pieces)
+
+
+def veronese_by_products(classified, d, k_max):
+    """I^(dk) = (I^(d))^k for every k <= k_max, each side built as a whole
+    ideal: the symbolic power against the ordinary power of I^(d)."""
+    base = symbolic_power(classified, d)
+    return all(symbolic_power(classified, d * k) == power(base, k)
+               for k in range(2, k_max + 1))
 
 
 def closure_member_naive(ideal, exponent, k, m_max=24):

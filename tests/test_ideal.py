@@ -297,6 +297,75 @@ def test_multiply_at_the_field_boundaries():
             ((top, 1), (over, 0))
 
 
+def brute_every_sum(targets, lhs, rhs):
+    sums = {tuple(map(sum, zip(a, b))) for a in lhs for b in rhs}
+    return all(tuple(t) in sums for t in targets)
+
+
+def test_every_sum_on_hand_built_vectors():
+    every_sum = nok.ideal._every_sum
+    lhs, rhs = [(1, 0), (0, 1)], [(1, 0)]
+    assert every_sum([(2, 0), (1, 1)], lhs, rhs)
+    assert every_sum([], lhs, rhs)
+    assert not every_sum([(2, 0), (0, 2)], lhs, rhs)
+    assert not every_sum([(1, 0)], lhs, rhs)
+    assert every_sum([(3, 3)], [(1, 2)], [(2, 1)])
+
+
+def test_every_sum_refuses_a_target_outside_the_fields():
+    every_sum, packer = nok.ideal._every_sum, nok.ideal._packer
+    # sums of these lie in lows (0, 0) and span 1, in 2-bit fields; the
+    # target (0, 4) carries into the top field and packs as the sum (1, 0)
+    lhs, rhs = [(0, 0)], [(1, 0), (0, 1)]
+    _, pack = packer([0, 0], 1)
+    assert pack((0, 4)) == pack((1, 0))
+    assert not every_sum([(0, 4)], lhs, rhs)
+    assert every_sum([(1, 0)], lhs, rhs)
+    # here the lows are (0, 4); the target (1, 1) is below them in its
+    # last entry, borrows from the top field and packs as the sum (0, 5)
+    lhs = [(0, 4)]
+    _, pack = packer([0, 4], 1)
+    assert pack((1, 1)) == pack((0, 5))
+    assert not every_sum([(1, 1)], lhs, rhs)
+    assert every_sum([(0, 5), (1, 4)], lhs, rhs)
+
+
+def every_sum_targets(rng, lhs, rhs, count):
+    """Sums a + b, some moved by a unit or by a carry between neighbouring
+    fields: one more in entry j, one field fewer in entry j + 1, or the
+    reverse, which packs as the unmoved sum would without the range
+    guard."""
+    span = nok.ideal._bounds(lhs)[1] + nok.ideal._bounds(rhs)[1]
+    field = 1 << (span.bit_length() + 1)
+    targets = []
+    for _ in range(count):
+        t = [x + y for x, y in zip(rng.choice(lhs), rng.choice(rhs))]
+        j = rng.randrange(len(t))
+        move = rng.choice(("none", "unit", "carry"))
+        if move == "unit":
+            t[j] += rng.choice((-1, 1))
+        elif move == "carry" and j + 1 < len(t):
+            sign = rng.choice((-1, 1))
+            t[j] += sign
+            t[j + 1] -= sign * field
+        targets.append(tuple(t))
+    return targets
+
+
+def test_every_sum_matches_pairwise_sums():
+    rng = random.Random(2323)
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        lhs = random_vectors(rng, nvars, rng.randint(1, 6))
+        rhs = random_vectors(rng, nvars, rng.randint(1, 6))
+        targets = every_sum_targets(rng, lhs, rhs, rng.randint(1, 4))
+        for t in targets:
+            assert nok.ideal._every_sum([t], lhs, rhs) == \
+                brute_every_sum([t], lhs, rhs)
+        assert nok.ideal._every_sum(targets, lhs, rhs) == \
+            brute_every_sum(targets, lhs, rhs)
+
+
 def test_power_refuses_what_is_not_a_positive_int():
     ideal = minimalize([(1, 1), (0, 2)])
     for k in (True, False, 0, -1, 2.0, Fraction(2), "2", None):

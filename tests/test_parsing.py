@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from nok import (CeilingPowerFamily, HalfSpace, IdealKind, InexactNumber,
                  IntersectionFamily, NonPositiveMultiplicity, ParseError,
                  PowerFamily, SymbolicFamily, UnknownVariable,
                  UnsupportedIdealClass, format_halfspace, format_monomial,
-                 format_point, frac_to_str, parse_family_file,
-                 parse_family_text, parse_ideal_file, parse_ideal_text,
-                 parse_monomial_text, str_to_frac)
+                 format_monomials, format_point, frac_to_str,
+                 parse_family_file, parse_family_text, parse_ideal_file,
+                 parse_ideal_text, parse_monomial_text, str_to_frac)
 
 
 def test_frac_to_str_formats_ints_and_fractions_and_refuses_floats():
@@ -271,6 +272,30 @@ def test_formatters():
     assert format_point((Fraction(1, 2), Fraction(3))) == "(1/2, 3)"
     assert format_halfspace(HalfSpace((1, 2), 3), ("x", "y")) == \
         "x + 2*y >= 3"
+
+
+def monomial_by_terms(exponents, variables):
+    """One term per positive exponent, in variable order, joined by *."""
+    terms = [name if e == 1 else f"{name}^{e}"
+             for name, e in zip(variables, exponents) if e > 0]
+    return "*".join(terms) or "1"
+
+
+def test_format_monomials_matches_termwise_formatting():
+    rng = random.Random(2329)
+    assert format_monomials([], ("x", "y")) == []
+    assert format_monomials([(), ()], ()) == ["1", "1"]
+    assert format_monomials([(0, 0), (1, 0), (3, 1)], ("x", "y")) == \
+        ["1", "x", "x^3*y"]
+    for _ in range(200):
+        nvars = rng.randint(1, 5)
+        variables = [f"x{j}" for j in range(nvars)]
+        vectors = [tuple(rng.choice((0, 0, 1, 2, 10, 10 ** 6))
+                         for _ in range(nvars))
+                   for _ in range(rng.randint(1, 8))]
+        expected = [monomial_by_terms(v, variables) for v in vectors]
+        assert format_monomials(vectors, variables) == expected
+        assert [format_monomial(v, variables) for v in vectors] == expected
 
 
 def test_fixture_files_parse(ideals, families):

@@ -12,7 +12,8 @@ from nok import (HilbertElement, NonPositiveExponent, PrimeComponent,
                  veronese_verify, vertex_constants)
 from nok.simis import _cone_basis, _parallelepiped
 
-from oracles import hilbert_basis_brute, matrix_rank, solve_square
+from oracles import (hilbert_basis_brute, matrix_rank, solve_square,
+                     veronese_by_products)
 
 EXPECTED_SGT = {
     "triangle": 2, "weighted": 2, "c5": 3, "gt2sharp": 2, "mprimary": 1,
@@ -193,6 +194,66 @@ def test_svd_probe_at_kmax_one_never_fails(ideals):
         ci = parsed.classified
         candidate, _ = svd_probe(ci, k_max=1)
         assert candidate == svd_bounds(ci).lower
+
+
+def svd_by_products(ci, k_max):
+    """svd_probe with every candidate decided by whole products."""
+    lower, upper = svd_bounds(ci)
+    return next(m for m in range(lower, upper + 1, lower)
+                if veronese_by_products(ci, m, k_max)), upper
+
+
+def assert_veronese_matches_products(ci, degrees, label):
+    for k_max in range(1, 5):
+        for d in degrees:
+            assert veronese_verify(ci, d, k_max) == \
+                veronese_by_products(ci, d, k_max), (label, d, k_max)
+        assert svd_probe(ci, k_max) == svd_by_products(ci, k_max), \
+            (label, k_max)
+
+
+def test_veronese_matches_products_on_fixtures(ideals):
+    for name, parsed in ideals.items():
+        if name == "c5cone":
+            continue
+        assert_veronese_matches_products(parsed.classified, range(1, 5), name)
+
+
+def test_veronese_first_failure_at_k_three(ideals):
+    # I^(2) = I^2 for the five-cycle, but x1*...*x5 is in I^(3), not I^3;
+    # so the step k = 3 is the first to fail, after k = 2 has passed
+    c5 = ideals["c5"].classified
+    for d in (1, 4):
+        assert veronese_verify(c5, d, 2)
+        assert not veronese_verify(c5, d, 3)
+        assert veronese_by_products(c5, d, 2)
+        assert not veronese_by_products(c5, d, 3)
+    star43 = ideals["star43"].classified
+    assert veronese_verify(star43, 2, 2)
+    assert not veronese_verify(star43, 2, 3)
+
+
+def seeded_veronese_ideals(rng):
+    """(label, classified ideal) for graphs and 3-uniform hypergraphs on
+    four to six variables, and decompositions on three to five."""
+    for _ in range(8):
+        n = rng.randint(4, 6)
+        for arity in (2, 3):
+            edges = list(combinations(range(n), arity))
+            chosen = rng.sample(edges, rng.randint(2, min(5, len(edges))))
+            gens = [tuple(int(j in e) for j in range(n)) for e in chosen]
+            yield f"{arity}-uniform {chosen}", classify(minimalize(gens, n))
+        n = rng.randint(3, 5)
+        comps = tuple(PrimeComponent(
+            tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1)))),
+            rng.randint(1, 2)) for _ in range(rng.randint(1, 3)))
+        yield f"decomposition {comps}", classify_decomposition(
+            PrimeDecomposition(n, comps))
+
+
+def test_veronese_matches_products_on_seeded_ideals():
+    for label, ci in seeded_veronese_ideals(random.Random(2323)):
+        assert_veronese_matches_products(ci, range(1, 4), label)
 
 
 def test_normal_rees_degrees(ideals):
