@@ -35,8 +35,8 @@ from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
 from .invariants import (analytic_spread, c_degree_compatibility,
                          invariant_report, svd_bounds,
                          symbolic_analytic_spread)
-from .simis import (hilbert_basis, normal_rees_generator_degrees, svd_probe,
-                    veronese_verify)
+from .simis import (_normal_rees_bound, hilbert_basis,
+                    normal_rees_generator_degrees, svd_probe, veronese_verify)
 
 _UNSUPPORTED_NOTE = ("symbolic-power data needs a squarefree ideal, an "
                      "explicit linear-power decomposition, or an ideal "
@@ -344,7 +344,7 @@ def _cmd_veronese(parsed: ParsedIdeal, args):
 
 def _cmd_normal_rees(parsed: ParsedIdeal, args):
     degrees = sorted(normal_rees_generator_degrees(parsed.ideal))
-    bound = max(analytic_spread(parsed.ideal) - 1, 1)
+    bound = _normal_rees_bound(parsed.ideal)
     result = {"degrees": degrees, "degree_bound_used": bound}
     lines = [f"normalized rees algebra generator degrees: "
              f"{', '.join(str(d) for d in degrees)}"]

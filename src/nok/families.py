@@ -27,6 +27,7 @@ from .errors import (DimensionMismatch, EmptyList, NokError,
                      NonPositiveExponent, NotProvenNoetherian,
                      UnsupportedIdealClass)
 from .ideal import MonomialIdeal, _check_power, intersect, power
+from .invariants import _body_constants
 from .polyhedron import Point, RationalPolyhedron
 
 
@@ -178,10 +179,6 @@ def ceiling_scale(family: CeilingPowerFamily) -> Fraction:
     return _ceiling_minimum(family)[0]
 
 
-def _denominator_lcm(body: RationalPolyhedron) -> int:
-    return math.lcm(*(x.denominator for v in body.vertices for x in v))
-
-
 def family_limit(family: FamilySpec) -> FamilyLimit:
     """The limiting body, closure of the union of (1/k)NP(I_k), by the
     closed form of each variant, with the least c attaining it."""
@@ -192,7 +189,7 @@ def family_limit(family: FamilySpec) -> FamilyLimit:
         # every lattice point of c*SP lies in I^(c), so c attains SP once
         # c*SP has integral vertices
         body = symbolic_polyhedron(family.base)
-        return FamilyLimit(body, None, _denominator_lcm(body))
+        return FamilyLimit(body, None, _body_constants(body).c)
     if isinstance(family, IntersectionFamily):
         body = poly.intersect_polyhedra(
             [newton_polyhedron(j) for j in family.components])
@@ -220,8 +217,6 @@ def _missing(family: FamilySpec, vertices: tuple[Point, ...],
     is integral and x^(c*vertex) is a generator of I_c.  An intersection
     expands each component's c-th power at most once, on the first vertex
     with c*vertex integral that needs it."""
-    if isinstance(family, PowerFamily):
-        return []
     if isinstance(family, CeilingPowerFamily):
         # NP(base^e) = e*NP(base)
         ratio = Fraction(c, family.exponent(c))
@@ -248,7 +243,7 @@ def _stabilization(family: FamilySpec, limit: FamilyLimit,
     body, _, least_c = limit
     never = False
     if isinstance(family, IntersectionFamily):
-        step = _denominator_lcm(body)
+        step = _body_constants(body).c
         for c in range(step, c_max + 1, step):
             if not _missing(family, body.vertices, c):
                 return StabilizationReport(True, c)

@@ -188,15 +188,14 @@ def _parse_vector(text: str, line: int, col: int, nvars: int) -> tuple[int, ...]
 
 
 def _parse_monomial(text: str, line: int | None, col: int | None,
-                    variables: Sequence[str]) -> tuple[int, ...]:
-    index = {name: i for i, name in enumerate(variables)}
+                    index: dict[str, int], nvars: int) -> tuple[int, ...]:
     if text.startswith("["):
-        return _parse_vector(text, line, col, len(variables))
+        return _parse_vector(text, line, col, nvars)
     if text == "1":
-        return (0,) * len(variables)
+        return (0,) * nvars
     if not text:
         raise ParseError("empty monomial", line, col)
-    exponents = [0] * len(variables)
+    exponents = [0] * nvars
     offset = 0
     for factor in text.split("*"):
         stripped = factor.strip()
@@ -228,8 +227,7 @@ def _parse_monomial(text: str, line: int | None, col: int | None,
 
 
 def _parse_component(text: str, line: int, col: int,
-                     variables: Sequence[str]) -> PrimeComponent:
-    index = {name: i for i, name in enumerate(variables)}
+                     index: dict[str, int]) -> PrimeComponent:
     if not text.startswith("("):
         raise ParseError(f"expected '(', got '{text[:1]}'", line, col)
     close = text.find(")")
@@ -269,6 +267,7 @@ def _parse_component(text: str, line: int, col: int,
 def _parse_ideal_block(vars_rec: _Record, body_rec: _Record) -> ParsedIdeal:
     variables = _parse_vars(vars_rec)
     nvars = len(variables)
+    index = {name: i for i, name in enumerate(variables)}
     items = _split_items(body_rec.value)
     if body_rec.key == "gens":
         vectors = []
@@ -277,7 +276,7 @@ def _parse_ideal_block(vars_rec: _Record, body_rec: _Record) -> ParsedIdeal:
             if not item:
                 raise ParseError("empty generator", body_rec.line, item_col)
             vectors.append(_parse_monomial(item, body_rec.line, item_col,
-                                           variables))
+                                           index, nvars))
         classified = classify(minimalize(vectors, nvars))
     else:
         components = []
@@ -286,7 +285,7 @@ def _parse_ideal_block(vars_rec: _Record, body_rec: _Record) -> ParsedIdeal:
             if not item:
                 raise ParseError("empty component", body_rec.line, item_col)
             components.append(_parse_component(item, body_rec.line, item_col,
-                                               variables))
+                                               index))
         classified = classify_decomposition(
             PrimeDecomposition(nvars, tuple(components)))
     return ParsedIdeal(variables, classified, body_rec.key)
@@ -381,7 +380,8 @@ def parse_family_file(path: str) -> ParsedFamily:
 def parse_monomial_text(text: str, variables: Sequence[str]) -> tuple[int, ...]:
     """Parse a single monomial given on the command line; columns refer
     to the argument string itself."""
-    return _parse_monomial(text.strip(), None, 1, variables)
+    index = {name: i for i, name in enumerate(variables)}
+    return _parse_monomial(text.strip(), None, 1, index, len(variables))
 
 
 # serialization

@@ -384,34 +384,29 @@ def minimal_primes(ideal: MonomialIdeal) -> PrimeDecomposition:
     """Minimal primes of a squarefree ideal: the minimal vertex covers of the
     hypergraph whose edges are the generator supports.
 
-    Recursive branch on an uncovered edge; supersets of an already-found
-    cover are pruned, and a final antichain filter keeps the minimal ones.
-    Edges and covers are bitmasks of variable indices.
+    Berge's sequential algorithm: one fold over the distinct edges, as
+    bitmasks of variable indices, by increasing size and then value.  Its
+    invariant: after edge j, the list is exactly the minimal covers of
+    edges 1..j.  A minimal cover of one more edge is either an earlier
+    minimal cover that meets it, or an earlier one that misses it plus
+    one vertex of it.  Such an extension is minimal unless it contains a
+    cover that meets the edge: two extensions never contain one another,
+    and no cover that meets the edge contains an extension.
     """
     if not ideal.is_squarefree():
         raise NotSquarefree("minimal prime computation needs a squarefree ideal")
     if ideal.is_unit():
         raise NokError("the unit ideal has no minimal primes")
     n = ideal.nvars
-    edges = [sum(1 << j for j, e in enumerate(g) if e)
-             for g in ideal.generators]
-    found: list[int] = []
-
-    def extend(cover: int, remaining: list[int]):
-        if any(f & cover == f for f in found):
-            return
-        # `remaining` holds exactly the edges that miss the cover
-        if not remaining:
-            found.append(cover)
-            return
-        open_edge = remaining[0]
-        for v in range(n):
-            bit = 1 << v
-            if open_edge & bit:
-                extend(cover | bit, [e for e in remaining if not e & bit])
-
-    extend(0, edges)
-    minimal = [c for c in found
-               if not any(d & c == d and d != c for d in found)]
-    covers = sorted(tuple(j for j in range(n) if c >> j & 1) for c in minimal)
-    return PrimeDecomposition(n, tuple(PrimeComponent(c, 1) for c in covers))
+    edges = {sum(1 << j for j, e in enumerate(g) if e)
+             for g in ideal.generators}
+    covers = [0]
+    for edge in sorted(edges, key=lambda e: (e.bit_count(), e)):
+        meets = [c for c in covers if c & edge]
+        bits = [1 << j for j in range(n) if edge >> j & 1]
+        covers = meets + [c | b for c in covers if not c & edge for b in bits
+                          if not any(m & (c | b) == m for m in meets)]
+    # the decomposition sorts its components
+    return PrimeDecomposition(n, tuple(
+        PrimeComponent(tuple(j for j in range(n) if c >> j & 1), 1)
+        for c in covers))

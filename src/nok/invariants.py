@@ -68,13 +68,17 @@ def symbolic_analytic_spread(classified: ClassifiedIdeal) -> int:
     return poly.mdc(symbolic_polyhedron(classified)) + 1
 
 
+def _body_constants(body: poly.RationalPolyhedron) -> VertexConstants:
+    """vertex_constants of any polyhedron with a vertex."""
+    denoms = tuple(math.lcm(*(coord.denominator for coord in v))
+                   for v in body.vertices)
+    return VertexConstants(denoms, math.lcm(*denoms), max(denoms))
+
+
 def vertex_constants(classified: ClassifiedIdeal) -> VertexConstants:
     """Per-vertex denominator lcms d_i (in canonical vertex order), their
     lcm c, and their max D."""
-    sp = symbolic_polyhedron(classified)
-    denoms = tuple(math.lcm(*(coord.denominator for coord in v))
-                   for v in sp.vertices)
-    return VertexConstants(denoms, math.lcm(*denoms), max(denoms))
+    return _body_constants(symbolic_polyhedron(classified))
 
 
 def verify_np_scaled_sp(classified: ClassifiedIdeal, d: int) -> bool:
@@ -101,6 +105,12 @@ def svd_bounds(classified: ClassifiedIdeal) -> SvdBounds:
     return SvdBounds(c, max((ell_s - 1) * c, c))
 
 
+def _generation_bound(classified: ClassifiedIdeal) -> int:
+    """max{ell_s*D - 1, D}, from SP alone."""
+    D = vertex_constants(classified).D
+    return max(symbolic_analytic_spread(classified) * D - 1, D)
+
+
 def sgt_bounds(classified: ClassifiedIdeal) -> SgtBounds:
     """Upper bounds for the symbolic generation type.
 
@@ -110,9 +120,7 @@ def sgt_bounds(classified: ClassifiedIdeal) -> SgtBounds:
     H = (n+1)^((n+1)/2) / 2^n, reported exactly when H is rational and as
     the least rational above it (denominator 2^n) otherwise.
     """
-    _, _, D = vertex_constants(classified)
     ell_s = symbolic_analytic_spread(classified)
-    general = max(ell_s * D - 1, D)
     special = None
     if classified.ideal.is_squarefree() and np_equals_sp(classified):
         special = max(ell_s - 2, 1)
@@ -124,7 +132,8 @@ def sgt_bounds(classified: ClassifiedIdeal) -> SgtBounds:
         root += 1
     h_up = Fraction(root, 2 ** n)
     hadamard = max(ell_s * h_up - 1, h_up)
-    return SgtBounds(general, special, hadamard, exact)
+    return SgtBounds(_generation_bound(classified), special, hadamard,
+                     exact)
 
 
 def c_degree_compatibility(classified: ClassifiedIdeal,

@@ -29,8 +29,7 @@ from .errors import NoCandidate
 # `power` is kept in this namespace only for the benchmark's tracer test
 from .ideal import (MonomialIdeal, Vector, _check_power, _every_sum,
                     minimal_vectors, power)
-from .invariants import (analytic_spread, svd_bounds,
-                         symbolic_analytic_spread, vertex_constants)
+from .invariants import _generation_bound, analytic_spread, svd_bounds
 from .linalg import _adjugate
 from .polyhedron import RationalPolyhedron
 
@@ -48,12 +47,6 @@ class HilbertBasisReport:
     sgt: int
     degree_bound_used: int
     exhaustive: bool
-
-
-def _theorem_bound(classified: ClassifiedIdeal) -> int:
-    _, _, big_d = vertex_constants(classified)
-    ell_s = symbolic_analytic_spread(classified)
-    return max(ell_s * big_d - 1, big_d)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -138,13 +131,11 @@ def _pulling_triangulation(gens: Sequence[tuple[int, ...]],
         if face in done:
             return done[face]
         apex = face & -face
-        proper = {face & mask for mask in tight} - {face}
+        proper = list({face & mask for mask in tight} - {face})
         out = []
-        for sub in proper:
-            if sub & apex or any(sub != other and sub & other == sub
-                                 for other in proper):
-                continue
-            out.extend((members[0],) + cell for cell in cells(sub, d - 1))
+        for sub in (proper[i] for i in poly._maximal(proper)):
+            if not sub & apex:
+                out.extend((members[0],) + cell for cell in cells(sub, d - 1))
         done[face] = out
         return out
 
@@ -188,7 +179,7 @@ def hilbert_basis(classified: ClassifiedIdeal,
                   degree_bound: int | None = None) -> HilbertBasisReport:
     """Hilbert basis elements of the Simis cone up to the degree bound;
     the default bound max{ell_s*D - 1, D} makes the result exhaustive."""
-    limit = _theorem_bound(classified)
+    limit = _generation_bound(classified)
     bound = limit if degree_bound is None else degree_bound
     _check_power(bound, "degree bound")
     sp = symbolic_polyhedron(classified)
@@ -272,10 +263,15 @@ def svd_probe(classified: ClassifiedIdeal,
         "impossible at k_max=1, so this flags an arithmetic bug")
 
 
+def _normal_rees_bound(ideal: MonomialIdeal) -> int:
+    """max{ell(I) - 1, 1}: the normalized Rees algebra is generated in
+    degrees up to it."""
+    return max(analytic_spread(ideal) - 1, 1)
+
+
 def normal_rees_generator_degrees(ideal: MonomialIdeal) -> set[int]:
     """Degrees of the minimal generators of the normalized Rees algebra:
     the Hilbert-basis degrees of the cone over NP(I), complete up to the
     bound max{ell(I) - 1, 1}."""
-    bound = max(analytic_spread(ideal) - 1, 1)
-    elements = _cone_basis(newton_polyhedron(ideal), bound)
+    elements = _cone_basis(newton_polyhedron(ideal), _normal_rees_bound(ideal))
     return {e.degree for e in elements}

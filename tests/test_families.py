@@ -14,7 +14,7 @@ from nok import (CeilingPowerFamily, DimensionMismatch, EmptyList,
                  equal, family_analytic_spread, integral_closure,
                  member_ideal, minimalize, newton_okounkov_body,
                  newton_polyhedron, scale, stabilization_check,
-                 symbolic_polyhedron)
+                 symbolic_polyhedron, vertex_constants)
 
 from oracles import is_graded_family
 
@@ -51,6 +51,7 @@ def test_symbolic_triangle_stabilizes_at_two(families):
     fam = families["symbolic_triangle"].family
     report = stabilization_check(fam, 10)
     assert report == StabilizationReport(True, 2)
+    assert report.c == vertex_constants(fam.base).c
     body = newton_okounkov_body(fam)
     # every multiple of the stabilization index attains the body again
     for k in (2, 3):

@@ -461,20 +461,36 @@ def brute_force_min_covers(nvars, supports):
     return sorted(covers)
 
 
-def test_minimal_primes_against_vertex_cover_enumeration():
-    # up to 7 variables, many edges of size 3 as in gt2sharp; the
-    # components must come back in sorted order
-    rng = random.Random(23)
+def random_hypergraphs(rng):
+    # up to 7 variables, many edges of size 3 as in gt2sharp
     for _ in range(150):
         n = rng.randint(2, 7)
-        gens = []
-        for _ in range(rng.randint(1, 7)):
-            size = rng.choice((2, 3, 3, rng.randint(1, n)))
-            support = rng.sample(range(n), min(size, n))
-            vec = [0] * n
-            for i in support:
-                vec[i] = 1
-            gens.append(tuple(vec))
+        yield n, [rng.sample(range(n),
+                             min(rng.choice((2, 3, 3, rng.randint(1, n))), n))
+                  for _ in range(rng.randint(1, 7))]
+    # up to 12 variables, edges of every size 1..n, mostly of size 2 and
+    # 3 so that the covers are many, and some supports given twice
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        supports = [rng.sample(range(n),
+                               min(rng.choice((2, 3, rng.randint(1, n))), n))
+                    for _ in range(rng.randint(1, 2 * n))]
+        yield n, supports + rng.sample(supports, rng.randint(0, len(supports)))
+
+
+def test_minimal_primes_against_vertex_cover_enumeration(monkeypatch):
+    # the fold must hand the decomposition exactly the minimal covers, so
+    # that its redundancy filter has nothing to drop
+    handed = []
+
+    def record(nvars, components):
+        handed.append(sorted(c.variables for c in components))
+        return PrimeDecomposition(nvars, components)
+
+    monkeypatch.setattr(nok.ideal, "PrimeDecomposition", record)
+    for n, supports in random_hypergraphs(random.Random(23)):
+        gens = [tuple(int(i in support) for i in range(n))
+                for support in supports]
         ideal = minimalize(gens, n)
         if ideal.is_unit():
             continue
@@ -482,6 +498,8 @@ def test_minimal_primes_against_vertex_cover_enumeration():
                     for g in ideal.generators]
         expected = brute_force_min_covers(n, supports)
         dec = minimal_primes(ideal)
+        assert handed.pop() == expected
+        # the components must come back in sorted order
         assert dec.nvars == n
         assert dec.components == tuple(PrimeComponent(c, 1)
                                        for c in expected)

@@ -7,9 +7,9 @@ from nok import (HilbertElement, NonPositiveExponent, PrimeComponent,
                  PrimeDecomposition, UnsupportedIdealClass,
                  analytic_spread, classify, classify_decomposition,
                  hilbert_basis, minimalize, newton_polyhedron,
-                 normal_rees_generator_degrees, sgt_exact, svd_bounds,
-                 svd_probe, symbolic_analytic_spread, symbolic_polyhedron,
-                 veronese_verify, vertex_constants)
+                 normal_rees_generator_degrees, sgt_bounds, sgt_exact,
+                 svd_bounds, svd_probe, symbolic_analytic_spread,
+                 symbolic_polyhedron, veronese_verify, vertex_constants)
 from nok.simis import _cone_basis, _parallelepiped
 
 from oracles import (hilbert_basis_brute, matrix_rank, solve_square,
@@ -122,6 +122,7 @@ def test_default_bound_is_theorem_bound(ideals, hilbert_reports):
         D = vertex_constants(ci).D
         expected = max(symbolic_analytic_spread(ci) * D - 1, D)
         assert report.degree_bound_used == expected, name
+        assert report.degree_bound_used == sgt_bounds(ci).general, name
 
 
 def test_truncation_below_sgt_drops_generators(ideals):
