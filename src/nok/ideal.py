@@ -341,6 +341,10 @@ class PrimeComponent:
         return MonomialIdeal(nvars, tuple(sorted(gens)))
 
 
+def _component_key(comp: PrimeComponent) -> tuple:
+    return comp.variables, comp.multiplicity
+
+
 def _implied(comp: PrimeComponent, by: PrimeComponent) -> bool:
     # comp is redundant when its variable set contains `by`'s with a
     # multiplicity that is not larger (the half-space it cuts is implied).
@@ -360,17 +364,32 @@ class PrimeDecomposition:
     components: tuple[PrimeComponent, ...]
 
     def __post_init__(self):
+        self._check_range()
+        unique = sorted(set(self.components), key=_component_key)
+        kept = tuple(c for c in unique
+                     if not any(_implied(c, d) for d in unique if d != c))
+        object.__setattr__(self, "components", kept)
+
+    @classmethod
+    def _irredundant(cls, nvars: int, components: Iterable[PrimeComponent]
+                     ) -> "PrimeDecomposition":
+        """A decomposition whose components the caller has proven distinct
+        and irredundant: they are only sorted and range-checked."""
+        decomp = object.__new__(cls)
+        object.__setattr__(decomp, "nvars", nvars)
+        object.__setattr__(decomp, "components",
+                           tuple(sorted(components, key=_component_key)))
+        decomp._check_range()
+        return decomp
+
+    def _check_range(self):
+        """At least one component, and every variable index below nvars."""
         if not self.components:
             raise EmptyList("a decomposition needs at least one component")
         for comp in self.components:
             if comp.variables[-1] >= self.nvars:
                 raise DimensionMismatch(
                     f"variable index {comp.variables[-1]} out of range")
-        unique = sorted(set(self.components),
-                        key=lambda c: (c.variables, c.multiplicity))
-        kept = tuple(c for c in unique
-                     if not any(_implied(c, d) for d in unique if d != c))
-        object.__setattr__(self, "components", kept)
 
 
 def expand_decomposition(decomp: PrimeDecomposition) -> MonomialIdeal:
@@ -406,7 +425,8 @@ def minimal_primes(ideal: MonomialIdeal) -> PrimeDecomposition:
         bits = [1 << j for j in range(n) if edge >> j & 1]
         covers = meets + [c | b for c in covers if not c & edge for b in bits
                           if not any(m & (c | b) == m for m in meets)]
-    # the decomposition sorts its components
-    return PrimeDecomposition(n, tuple(
+    # minimal covers are distinct and none contains another, so none is
+    # implied; the decomposition sorts them
+    return PrimeDecomposition._irredundant(n, (
         PrimeComponent(tuple(j for j in range(n) if c >> j & 1), 1)
         for c in covers))

@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatch, EmptyInput, EmptyList, InexactNumber,
@@ -598,40 +598,68 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
     lies in the body.  So no field borrows from the next, and the guard
     of field i survives exactly when row i is no witness for l: l has a
     witness exactly when D - T_l loses a guard bit.  That is one
-    subtraction and one mask per coordinate tested, for the current
-    coordinate's lowerability and for each earlier coordinate that
-    shares a row with it.
+    subtraction and one mask per coordinate tested.
+
+    Witness tables.  A level tests a list of packed limits: its own T_j,
+    then the T_l of the earlier coordinates that are set and share a row
+    with j.  The search passes down the bitmask of the set coordinates;
+    the list depends only on that mask restricted to the earlier
+    coordinates sharing a row with j, so each level looks its list up in
+    a table keyed by that restriction, building a list the first time its
+    key is met.  A table holds at most one list per node visited at its
+    level, however many variables there are.
 
     The coordinates are visited most constrained first: in decreasing
-    number of rows they feed, ties by index (first-fail, Haralick &
-    Elliott, "Increasing tree search efficiency for constraint
-    satisfaction problems", 1980).  Most subtrees that yield nothing die
-    when a later coordinate, forced up by the best-completion cut, takes
-    the last witness of an earlier one; a coordinate that feeds many rows
-    moves many dot products at once, so deciding it early forces those
-    rises, and the lost witnesses they cause, near the root.  The rows and
-    the box are permuted once.  Every value loop counts up and each prefix
-    records at most one point, so the points come out in increasing
-    lexicographic order of the visited coordinates: in the identity order
-    they are returned as they are, in another each is mapped back and the
-    list sorted again.
+    number of rows they feed (first-fail, Haralick & Elliott, "Increasing
+    tree search efficiency for constraint satisfaction problems", 1980).
+    Most subtrees that yield nothing die when a later coordinate, forced
+    up by the best-completion cut, takes the last witness of an earlier
+    one; a coordinate that feeds many rows moves many dot products at
+    once, so deciding it early forces those rises, and the lost witnesses
+    they cause, near the root.  Ties go first to the coordinate that feeds
+    the most rows also fed by the coordinates already placed, as its rises
+    move the dot products that hold their witnesses, then to the lower
+    index.  The rows and the box are permuted once.  Every value loop
+    counts up and each prefix records at most one point, so the points
+    come out in increasing lexicographic order of the visited
+    coordinates.  Each is recorded in the body's own coordinates: in the
+    identity order the list is returned as it is, in another it is
+    sorted again.
 
-    The last coordinate takes its value in closed form, w, the least value
-    that meets each of its rows.  Each of its rows has dot >= b at w, so
-    at w + 1 none is a witness; and when w > 0, a row that set w had
-    dot < b one step below, so it is a witness.  The last level only tests
-    the earlier coordinates that share a row with it, then records the
-    point.
+    The last two coordinates are walked in one loop.  The last coordinate
+    takes its value in closed form, w, the least value that meets each of
+    its rows.  Each of its rows has dot >= b at w, so at w + 1 none is a
+    witness; and when w > 0, a row that set w had dot < b one step below,
+    so it is a witness.  The best-completion invariant at the last level
+    puts w in the box.
 
-    The coordinate before it, u, walks a staircase: each level returns the
-    step of its caller to the next value, 1 except at the last level.
-    After u's value v, with the last coordinate at w > 0, the rows that
-    w - 1 leaves unmet are those with g_i = b_i - dot_i - (w - 1) a_iw > 0;
-    u steps to v plus the largest ceil(g_i / a_iu) over them, the first
-    value at which w drops.  Below that value w stays the same, so every
-    skipped point (..., v', w) dominates the feasible point (..., v, w) and
-    is not minimal.  When w = 0, or when an unmet row has a_iu = 0, w never
-    drops again and every larger value of u is skipped the same way.
+    The coordinate before it, u, walks a staircase.  After u's value v,
+    with the last coordinate at w > 0, the rows that w - 1 leaves unmet
+    are those with g_i = b_i - dot_i - (w - 1) a_iw > 0, where dot_i is
+    the product before the last coordinate; u steps to v plus the largest
+    ceil(g_i / a_iu) over them, the first value at which w drops.  Below
+    that value w stays the same, so every skipped point (..., v', w)
+    dominates the feasible point (..., v, w) and is not minimal.  When
+    w = 0, or when an unmet row has a_iu = 0, w never drops again and
+    every larger value of u is skipped the same way.
+
+    Neither u nor the last coordinate is ever tested, as each value that
+    u takes leaves u a witness at the point:
+
+    - its best-completion start v > 0: a row i that set v has
+      (v - 1) a_iu < b_i - suffix_i(u + 1) - dot_i, with dot_i the
+      caller's product, and the last coordinate adds w a_iw <=
+      suffix_i(u + 1) as w lies in the box, so the point has
+      dot_i + v a_iu + w a_iw < b_i + a_iu;
+    - a step r from v: a row i that set r has (r - 1) a_iu < g_i, and at
+      v + r the last coordinate takes w' <= w - 1, so the point has
+      dot_i + r a_iu + w' a_iw < b_i + a_iu, with dot_i as at v.
+
+    So u's loop tests, at each value v > 0, the earlier set coordinates
+    that share a row with u, stopping as any level does; and at each
+    point, the earlier set coordinates that share a row with the last
+    coordinate, skipping the point without stopping.  Both lists
+    come from one table lookup per frame.
 
     Every recorded point is then feasible with a witness for each set
     coordinate: minimal, with no check at the end.
@@ -640,9 +668,22 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
         raise NoVertices("polyhedron has no vertices")
     n = poly.nvars
     rows = [(h.normal, h.offset) for h in poly.facets if h.offset > 0]
-    order = sorted(range(n), key=lambda j: (
-        -sum(1 for normal, _ in rows if normal[j] > 0), j))
-    inverse = [order.index(j) for j in range(n)]
+    if n == 1:
+        # the root is the last coordinate, and its closed form the point
+        return [(max((-(-b // normal[0]) for normal, b in rows), default=0),)]
+    # the mask of the rows each coordinate feeds
+    feeds = [sum(1 << i for i, (normal, _) in enumerate(rows) if normal[j])
+             for j in range(n)]
+    order: list[int] = []
+    placed = 0
+    left = list(range(n))
+    while left:
+        j = min(left, key=lambda c: (-feeds[c].bit_count(),
+                                     -(feeds[c] & placed).bit_count(), c))
+        order.append(j)
+        left.remove(j)
+        placed |= feeds[j]
+    feeds = [feeds[j] for j in order]
     box = [max(math.ceil(v[j]) for v in poly.vertices) for j in order]
     rows = [([normal[j] for j in order], b) for normal, b in rows]
 
@@ -654,12 +695,11 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
     low = (1 << width) - 1
     guards = 0
     # per coordinate j: its packed column, the packed limits b_i + a_ij of
-    # its rows, those rows with a positive threshold b_i - suffix_i(j+1) as
-    # (shift, a_ij, threshold), and the mask of the rows it feeds
+    # its rows, and those rows with a positive threshold b_i - suffix_i(j+1)
+    # as (shift, a_ij, threshold)
     column = [0] * n
     limits = [0] * n
     fed: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    feeds = [0] * n
     # the last coordinate's rows as (shift, a_i last, b_i, a_i of the
     # coordinate before it)
     last_rows = []
@@ -672,48 +712,35 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
             if a:
                 column[j] += a << shift
                 limits[j] += (b + a) << shift
-                feeds[j] |= 1 << i
                 if b > rest:
                     fed[j].append((shift, a, b - rest))
                 rest += a * box[j]
         if normal[-1]:
-            last_rows.append((shift, normal[-1], b,
-                              normal[-2] if n > 1 else 0))
-    shared = [[l for l in range(j) if feeds[l] & feeds[j]] for j in range(n)]
+            last_rows.append((shift, normal[-1], b, normal[-2]))
+    # the mask of the earlier coordinates that share a row with j
+    near = [sum(1 << l for l in range(j) if feeds[l] & feeds[j])
+            for j in range(n)]
+    # per level above the last, the witness tables, keyed by the set
+    # coordinates in near
+    tables: list[dict] = [{} for _ in range(n - 1)]
+
+    def earlier(key: int) -> list[int]:
+        return [limits[l] for l in range(n) if key >> l & 1]
 
     found: list[tuple[int, ...]] = []
-    prefix = [0] * n
     last = n - 1
+    u = n - 2
+    cw = column[last]
+    # the point being built, in the body's own coordinates
+    point = [0] * n
+    at_u = order[u]
+    at_last = order[last]
+    # the last level's tests are keyed together with u's
+    near_u = near[u] | near[last]
     # a step past every box bound
     past = max(box) + 1
 
-    def search(j: int, dots: int) -> int:
-        # returns the step of the coordinate before j to its next value
-        if j == last:
-            # the closed form w, and the step to the first value at which
-            # it drops; past the box when w = 0 or when an unmet row of
-            # w - 1 is one the coordinate before does not feed
-            w = 0
-            step = past
-            for shift, a, b, au in last_rows:
-                gap = b - (dots >> shift & low)
-                if gap > 0:
-                    q = -(-gap // a)
-                    if q >= w:
-                        r = -(-(gap - (q - 1) * a) // au) if au else past
-                        if q > w:
-                            w = q
-                            step = r
-                        elif r > step:
-                            step = r
-            if w:
-                dots += w * column[j]
-                for l in shared[j]:
-                    if prefix[l] and (dots - limits[l]) & guards == guards:
-                        return step
-            prefix[j] = w
-            found.append(tuple(prefix))
-            return step
+    def search(j: int, dots: int, setm: int) -> None:
         # the best-completion start
         v = 0
         for shift, a, threshold in fed[j]:
@@ -724,24 +751,68 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
                     v = q
         cj = column[j]
         dots += v * cj
-        mine = [limits[j]] + [limits[l] for l in shared[j] if prefix[l]]
         bj = box[j]
-        while True:
-            if v:
-                for t in mine:
-                    if (dots - t) & guards == guards:
-                        prefix[j] = 0
-                        return 1
-            prefix[j] = v
-            step = search(j + 1, dots)
-            v += step
-            if v > bj:
-                break
-            dots += step * cj
-        prefix[j] = 0
-        return 1
+        if j == u:
+            key = setm & near_u
+            tests = tables[u].get(key)
+            if tests is None:
+                tests = tables[u][key] = (earlier(key & near[u]),
+                                          earlier(key & near[last]))
+            mine, theirs = tests
+            while True:
+                if v:
+                    for t in mine:
+                        if (dots - t) & guards == guards:
+                            return
+                # the closed form w, and the step to the first value at
+                # which it drops; past the box when w = 0 or when an unmet
+                # row of w - 1 is one that u does not feed
+                w = 0
+                step = past
+                for shift, a, b, au in last_rows:
+                    gap = b - (dots >> shift & low)
+                    if gap > 0:
+                        q = -(-gap // a)
+                        if q >= w:
+                            r = -(-(gap - (q - 1) * a) // au) if au else past
+                            if q > w:
+                                w = q
+                                step = r
+                            elif r > step:
+                                step = r
+                at = dots + w * cw
+                for t in theirs:
+                    if (at - t) & guards == guards:
+                        break
+                else:
+                    point[at_u] = v
+                    point[at_last] = w
+                    found.append(tuple(point))
+                v += step
+                if v > bj:
+                    return
+                dots += step * cj
+        key = setm & near[j]
+        mine = tables[j].get(key)
+        if mine is None:
+            mine = tables[j][key] = [limits[j]] + earlier(key)
+        at_j = order[j]
+        if not v:
+            point[at_j] = 0
+            search(j + 1, dots, setm)
+            v = 1
+            dots += cj
+        setm |= 1 << j
+        while v <= bj:
+            for t in mine:
+                if (dots - t) & guards == guards:
+                    return
+            point[at_j] = v
+            search(j + 1, dots, setm)
+            v += 1
+            dots += cj
 
-    search(0, guards)
-    if order == list(range(n)):
-        return found
-    return sorted(map(itemgetter(*inverse), found))
+    search(0, guards, 0)
+    if order != list(range(n)):
+        found.sort()
+    return found

@@ -480,14 +480,21 @@ def random_hypergraphs(rng):
 
 def test_minimal_primes_against_vertex_cover_enumeration(monkeypatch):
     # the fold must hand the decomposition exactly the minimal covers, so
-    # that its redundancy filter has nothing to drop
+    # that the private constructor, which skips the public one's
+    # redundancy filter, builds the same decomposition
     handed = []
+    irredundant = PrimeDecomposition._irredundant
 
     def record(nvars, components):
+        components = list(components)
         handed.append(sorted(c.variables for c in components))
-        return PrimeDecomposition(nvars, components)
+        dec = irredundant(nvars, components)
+        public = PrimeDecomposition(nvars, tuple(components))
+        assert dec == public and hash(dec) == hash(public)
+        assert dec.components == public.components
+        return dec
 
-    monkeypatch.setattr(nok.ideal, "PrimeDecomposition", record)
+    monkeypatch.setattr(PrimeDecomposition, "_irredundant", record)
     for n, supports in random_hypergraphs(random.Random(23)):
         gens = [tuple(int(i in support) for i in range(n))
                 for support in supports]

@@ -821,10 +821,19 @@ def test_minimal_lattice_points_is_permutation_equivariant(ideals):
 
 def search_order(body):
     """The order in which minimal_lattice_points visits the coordinates:
-    decreasing number of positive-offset facets fed, ties by index."""
+    decreasing number of positive-offset facets fed, ties first by the
+    larger number of those facets that the coordinates already placed
+    feed too, then by index."""
     rows = [h.normal for h in body.facets if h.offset > 0]
-    return sorted(range(body.nvars),
-                  key=lambda j: (-sum(1 for a in rows if a[j] > 0), j))
+    fed = [{i for i, a in enumerate(rows) if a[j] > 0}
+           for j in range(body.nvars)]
+    order, placed = [], set()
+    while len(order) < body.nvars:
+        j = min((j for j in range(body.nvars) if j not in order),
+                key=lambda j: (-len(fed[j]), -len(fed[j] & placed), j))
+        order.append(j)
+        placed |= fed[j]
+    return order
 
 
 def field_extreme(body):
@@ -930,6 +939,44 @@ def test_minimal_lattice_points_when_the_staircase_stops():
         HalfSpace((2, 0, 1), 3)], 3)
     assert search_order(body)[1:] == [1, 2]
     check_against_box_scan(body)
+
+
+def test_minimal_lattice_points_of_block_diagonal_bodies():
+    # three blocks of 3 to 5 variables each, up to 15 in all, on disjoint
+    # variables in a random layout: the body is the product of the block
+    # bodies, so its minimal points are the products of theirs.  Blocks
+    # share no row, so the search order breaks its ties by the rows placed
+    # coordinates feed, and the witness tables are keyed by subsets of
+    # many variables
+    rng = random.Random(173)
+    shapes = [[rng.randint(3, 5) for _ in range(3)] for _ in range(9)]
+    for shape in shapes + [[5, 5, 5]]:
+        blocks = []
+        for m in shape:
+            block = from_halfspaces(random_up_set_system(rng, m), m)
+            while math.prod(b + 1 for b in dilate_box(block, 1)) > 1000:
+                block = from_halfspaces(random_up_set_system(rng, m), m)
+            blocks.append((block, check_against_box_scan(block)))
+        n = sum(block.nvars for block, _ in blocks)
+        layout = rng.sample(range(n), n)
+        rows, places = [], []
+        for block, _ in blocks:
+            place = [layout.pop() for _ in range(block.nvars)]
+            places.append(place)
+            for h in block.facets:
+                normal = [0] * n
+                for j, a in zip(place, h.normal):
+                    normal[j] = a
+                rows.append(HalfSpace(tuple(normal), h.offset))
+        expected = []
+        for parts in itertools.product(*(points for _, points in blocks)):
+            point = [0] * n
+            for place, part in zip(places, parts):
+                for j, x in zip(place, part):
+                    point[j] = x
+            expected.append(tuple(point))
+        body = from_halfspaces(rows, n)
+        assert minimal_lattice_points(body) == sorted(expected)
 
 
 @pytest.mark.parametrize("name", ["star43", "c5"])
