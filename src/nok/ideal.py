@@ -329,6 +329,17 @@ class PrimeComponent:
             raise NonPositiveMultiplicity(
                 f"multiplicity must be an int >= 1, got {self.multiplicity!r}")
 
+    @classmethod
+    def _proven(cls, variables: tuple[int, ...],
+                multiplicity: int) -> "PrimeComponent":
+        """A component whose caller has proven its variable indices ints,
+        distinct, sorted and nonnegative, and its multiplicity an int >= 1:
+        the checks are skipped."""
+        comp = object.__new__(cls)
+        object.__setattr__(comp, "variables", variables)
+        object.__setattr__(comp, "multiplicity", multiplicity)
+        return comp
+
     def indicator(self, nvars: int) -> Vector:
         """0/1 vector marking the prime's variables."""
         chosen = set(self.variables)
@@ -426,7 +437,8 @@ def minimal_primes(ideal: MonomialIdeal) -> PrimeDecomposition:
         covers = meets + [c | b for c in covers if not c & edge for b in bits
                           if not any(m & (c | b) == m for m in meets)]
     # minimal covers are distinct and none contains another, so none is
-    # implied; the decomposition sorts them
+    # implied; the decomposition sorts them.  A cover is nonempty, as it
+    # meets an edge, and its indices come out sorted and in range
     return PrimeDecomposition._irredundant(n, (
-        PrimeComponent(tuple(j for j in range(n) if c >> j & 1), 1)
+        PrimeComponent._proven(tuple(j for j in range(n) if c >> j & 1), 1)
         for c in covers))

@@ -13,6 +13,15 @@ cell.  A candidate is reducible exactly when its facet values dominate
 those of another candidate, so the basis is the antichain of
 componentwise-minimal facet values.  The degree bound only filters the
 result; the work does not depend on it.
+
+The triangulation proves most cells unimodular as it builds them.  Each
+step cones a cell of a facet F = G & {r = 0} of a face G over an apex a,
+and multiplies the cell's lattice index by <r, a>/g for a divisor g of
+<r, a>; a step with <r, a> = 1 has height 1, and a cell whose steps all
+have height 1 has |det| = 1, so only the other cells get a Hermite form.
+When no cell adds a nonzero point, the basis is the generators, which are
+primitive on extreme rays and so irreducible, and no filter runs.  The
+cone's incidence is read off the body's vertex masks, not recomputed.
 """
 
 from __future__ import annotations
@@ -108,26 +117,62 @@ def _parallelepiped(cols: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 def _pulling_triangulation(gens: Sequence[tuple[int, ...]],
                            rows: Sequence[tuple[int, ...]],
-                           dim: int) -> list[tuple[int, ...]]:
+                           tight: Sequence[int],
+                           dim: int) -> list[tuple[tuple[int, ...], bool]]:
     """Simplicial cells, as tuples of generator indices, that cover the
-    full-dimensional cone spanned by the extreme-ray generators `gens` and
-    cut out by the facet `rows`.
+    full-dimensional cone spanned by the primitive extreme-ray generators
+    `gens` and cut out by the facet `rows`, where `tight[k]` is the mask of
+    the generators on row k.  Each cell comes with a flag: True when the
+    triangulation proves it unimodular.
 
     A face is the bitmask of the generators it contains.  A face whose
     generator count equals its dimension is simplicial.  Otherwise its
     first generator is the apex: each facet of the face that misses the
     apex is triangulated in turn and its cells are coned over the apex.
-    The facets of a face F are the maximal proper subsets F & (generators
-    tight at one row), so the whole recursion is bitmask arithmetic.
-    """
-    tight = [sum(1 << i for i, g in enumerate(gens) if poly._dot(r, g) == 0)
-             for r in rows]
-    done: dict[int, list[tuple[int, ...]]] = {}
+    The facets of a face F are the maximal proper subsets F & tight[k], so
+    the whole recursion is bitmask arithmetic.
 
-    def cells(face: int, d: int) -> list[tuple[int, ...]]:
+    The flag rests on the heights of the steps.  Write L_X for lin(X) & Z^m.
+    Coning a cell C of a facet F = G & {r = 0} of the face G over the apex
+    a gives [L_G : Za + span C] = (<r, a>/g) * [L_F : span C], where
+    r(L_G) = gZ: L_F is the kernel of r on L_G, and r maps Za + span C
+    onto <r, a>Z.  So a row r with G & tight[r] == F and <r, a> = 1 makes
+    the step's height 1.  A simplicial face recurses the same way, on the
+    facet that drops its lowest generator, which is again a face of the
+    cone and so cut out by a row, until one primitive generator b is left,
+    where L_b = Zb.  A cell whose steps all have height 1 has |det| = 1.
+    """
+    heights: dict[tuple[int, int], int] = {}
+
+    def unit_step(face: int, sub: int, apex: int) -> bool:
+        # some row cutting `sub` out of `face` is 1 at the apex
+        for k, mask in enumerate(tight):
+            if face & mask == sub:
+                key = k, apex
+                if key not in heights:
+                    heights[key] = poly._dot(rows[k], gens[apex])
+                if heights[key] == 1:
+                    return True
+        return False
+
+    proven: dict[int, bool] = {}
+
+    def unimodular(face: int) -> bool:
+        # a simplicial face, peeled one lowest generator at a time
+        if face not in proven:
+            low = face & -face
+            rest = face ^ low
+            proven[face] = not rest or (
+                unit_step(face, rest, low.bit_length() - 1)
+                and unimodular(rest))
+        return proven[face]
+
+    done: dict[int, list[tuple[tuple[int, ...], bool]]] = {}
+
+    def cells(face: int, d: int) -> list[tuple[tuple[int, ...], bool]]:
         members = tuple(poly._bits(face))
         if len(members) == d:
-            return [members]
+            return [(members, unimodular(face))]
         if face in done:
             return done[face]
         apex = face & -face
@@ -135,11 +180,37 @@ def _pulling_triangulation(gens: Sequence[tuple[int, ...]],
         out = []
         for sub in (proper[i] for i in poly._maximal(proper)):
             if not sub & apex:
-                out.extend((members[0],) + cell for cell in cells(sub, d - 1))
+                step = unit_step(face, sub, members[0])
+                out.extend(((members[0],) + cell, step and certified)
+                           for cell, certified in cells(sub, d - 1))
         done[face] = out
         return out
 
     return cells((1 << len(gens)) - 1, dim)
+
+
+def _simis_cone(body: RationalPolyhedron) -> tuple[
+        list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """(gens, rows, tight) of the cone over `body`: the primitive vector of
+    (v, 1) for each vertex v and (r, 0) for each recession ray r; the row
+    (normal, -offset) of each facet, then t >= 0; and per row, the mask
+    of the generators on it.  The masks are read off the body's vertex
+    masks: (e_j, 0) lies on a facet exactly when its normal is 0 at j,
+    and t >= 0 holds the rays."""
+    n = body.nvars
+    gens = [poly.primitive_vector(list(v) + [1]) for v in body.vertices]
+    gens += [tuple(r) + (0,) for r in body.rays]
+    rows = [h.normal + (-h.offset,) for h in body.facets]
+    rows.append((0,) * n + (1,))
+    # body.rays lists e_(n-1) first, so (e_j, 0) is generator nv + n-1-j
+    nv = len(body.vertices)
+    tight = [mask | sum(1 << (nv + n - 1 - j)
+                        for j, a in enumerate(h.normal) if not a)
+             for mask, h in zip(poly._transpose(body._vertex_masks,
+                                                len(body.facets)),
+                                body.facets)]
+    tight.append(((1 << n) - 1) << nv)
+    return gens, rows, tight
 
 
 def _cone_basis(body: RationalPolyhedron, bound: int) -> list[HilbertElement]:
@@ -147,29 +218,38 @@ def _cone_basis(body: RationalPolyhedron, bound: int) -> list[HilbertElement]:
 
     The cone is generated by the primitive vector of (v, 1) for each
     vertex v and by (r, 0) for each recession ray r, and cut out by
-    (normal, -offset) for each facet and by t >= 0.  By the parallelepiped
-    lemma, every basis element is a generator or a nonzero lattice point
-    of the half-open parallelepiped of one simplicial cell of a
-    triangulation (a point with some lambda_i >= 1 splits off g_i).  A
-    candidate x is kept unless x - h lies in the cone for another
-    candidate h, that is, unless the facet values of h are componentwise
-    at most those of x: the kept set is the Hilbert basis, degree-0 rays
-    included.  Everything is integer arithmetic.
+    (normal, -offset) for each facet and by t >= 0; its incidence is read
+    off the body (`_simis_cone`).  By the parallelepiped lemma, every
+    basis element is a generator or a nonzero lattice point of the
+    half-open parallelepiped of one simplicial cell of a triangulation (a
+    point with some lambda_i >= 1 splits off g_i).  A cell whose steps of
+    the pulling triangulation all have height 1 is unimodular (see
+    `_pulling_triangulation`): its parallelepiped is the origin alone, so
+    it gets no Hermite form.  A candidate x is kept unless x - h lies in
+    the cone for another candidate h, that is, unless the facet values of
+    h are componentwise at most those of x: the kept set is the Hilbert
+    basis, degree-0 rays included.  When no cell adds a nonzero point,
+    the candidates are the generators and no filter runs: a primitive
+    extreme-ray generator is irreducible (its two parts would lie on its
+    ray, as integer multiples of it), so the basis is the generators.
+    Everything is integer arithmetic.
     """
     n = body.nvars
-    gens = [poly.primitive_vector(list(v) + [1]) for v in body.vertices]
-    gens += [tuple(r) + (0,) for r in body.rays]
-    rows = [h.normal + (-h.offset,) for h in body.facets]
-    rows.append((0,) * n + (1,))
+    gens, rows, tight = _simis_cone(body)
     candidates = set(gens)
-    for cell in _pulling_triangulation(gens, rows, n + 1):
-        candidates.update(_parallelepiped([gens[i] for i in cell]))
+    for cell, certified in _pulling_triangulation(gens, rows, tight, n + 1):
+        if not certified:
+            candidates.update(_parallelepiped([gens[i] for i in cell]))
     candidates.discard((0,) * (n + 1))
 
-    # the map to facet values is injective (the rows have full rank), so
-    # the kept set is the antichain of componentwise-minimal values
-    by_values = {tuple(poly._dot(r, x) for r in rows): x for x in candidates}
-    kept = [by_values[v] for v in minimal_vectors(by_values)]
+    if len(candidates) == len(gens):
+        kept = gens
+    else:
+        # the map to facet values is injective (the rows have full rank),
+        # so the kept set is the antichain of componentwise-minimal values
+        by_values = {tuple(poly._dot(r, x) for r in rows): x
+                     for x in candidates}
+        kept = [by_values[v] for v in minimal_vectors(by_values)]
     return sorted((HilbertElement(x[:n], x[n]) for x in kept
                    if 1 <= x[n] <= bound),
                   key=lambda e: (e.degree, e.exponent))

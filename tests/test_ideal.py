@@ -480,14 +480,18 @@ def random_hypergraphs(rng):
 
 def test_minimal_primes_against_vertex_cover_enumeration(monkeypatch):
     # the fold must hand the decomposition exactly the minimal covers, so
-    # that the private constructor, which skips the public one's
-    # redundancy filter, builds the same decomposition
+    # that the private constructors, which skip the public ones' checks
+    # and redundancy filter, build the same components and decomposition
     handed = []
     irredundant = PrimeDecomposition._irredundant
 
     def record(nvars, components):
         components = list(components)
         handed.append(sorted(c.variables for c in components))
+        for comp in components:
+            public = PrimeComponent(comp.variables, comp.multiplicity)
+            assert comp == public and hash(comp) == hash(public)
+            assert type(comp.variables) is tuple
         dec = irredundant(nvars, components)
         public = PrimeDecomposition(nvars, tuple(components))
         assert dec == public and hash(dec) == hash(public)
