@@ -215,7 +215,7 @@ def _parse_monomial(text: str, line: int | None, col: int | None,
             exponents[index[name]] += 1
         elif rest.startswith("^"):
             num = rest[1:].strip()
-            if not num.isdigit():
+            if not re.fullmatch(r"\d+", num):
                 raise ParseError(
                     f"expected a nonnegative integer exponent, got '{num}'",
                     line, factor_col)

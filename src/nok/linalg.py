@@ -1,9 +1,10 @@
 """Small exact linear-algebra helpers over the rationals.
 
-There is one elimination, `_gauss_jordan`, a fraction-free Gauss-Jordan
-elimination of integer rows that never leaves the integers; `rank`,
-`_adjugate`, the certificate solves and the double description's start
-basis all use it.  `rank` also takes rows that mix `int` and
+`_gauss_jordan`, a fraction-free Gauss-Jordan elimination of integer
+rows that never leaves the integers, is the package's only elimination;
+`rank`, `_adjugate` (and through it the Hilbert basis's parallelepipeds),
+the certificate solves and the double description's start basis all use
+it.  `rank` also takes rows that mix `int` and
 `fractions.Fraction`, and scales each such row to integers first; no
 floats are ever produced.
 

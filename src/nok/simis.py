@@ -18,7 +18,10 @@ The triangulation proves most cells unimodular as it builds them.  Each
 step cones a cell of a facet F = G & {r = 0} of a face G over an apex a,
 and multiplies the cell's lattice index by <r, a>/g for a divisor g of
 <r, a>; a step with <r, a> = 1 has height 1, and a cell whose steps all
-have height 1 has |det| = 1, so only the other cells get a Hermite form.
+have height 1 has |det| = 1.  Each other cell gets one fraction-free
+elimination, its adjugate T with T*G = d*I: the columns of T mod d
+generate Z^m / G*Z^m, so the closure of {0} under adding them mod d
+lists the lattice points of the cell's parallelepiped, one per coset.
 When no cell adds a nonzero point, the basis is the generators, which are
 primitive on extreme rays and so irreducible, and no filter runs.  The
 cone's incidence is read off the body's vertex masks, not recomputed.
@@ -26,9 +29,7 @@ cone's incidence is read off the body's vertex masks, not recomputed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from . import polyhedron as poly
@@ -58,61 +59,36 @@ class HilbertBasisReport:
     exhaustive: bool
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with g = gcd(a, b) = u*a + v*b and g >= 0."""
-    u0, v0, u1, v1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if a < 0:
-        return -a, -u0, -v0
-    return a, u0, v0
-
-
-def _hermite_diagonal(cols: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the lower-triangular Hermite form of the lattice that
-    the integer columns span: unimodular column operations clear row i
-    right of the diagonal with extended gcds.  The box of integer vectors
-    with 0 <= y_i < diagonal_i is a set of coset representatives of Z^m
-    modulo the lattice, and the product of the diagonal is |det|."""
-    work = [list(c) for c in cols]
-    diagonal = []
-    for i in range(len(work)):
-        for j in range(i + 1, len(work)):
-            b = work[j][i]
-            if b:
-                a = work[i][i]
-                g, u, v = _xgcd(a, b)
-                ci, cj = work[i], work[j]
-                work[i] = [u * x + v * y for x, y in zip(ci, cj)]
-                work[j] = [(a // g) * y - (b // g) * x
-                           for x, y in zip(ci, cj)]
-        diagonal.append(abs(work[i][i]))
-    return diagonal
-
-
 def _parallelepiped(cols: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The |det| lattice points sum(lambda_i * g_i), 0 <= lambda_i < 1, of
     the half-open parallelepiped spanned by the linearly independent
     integer columns g_i (the origin included).
 
-    One point per coset of Z^m / G*Z^m: for each representative y of the
-    Hermite box, lambda = T*y / d from the adjugate, and y minus the
-    integer parts floor(lambda_i)*g_i is the point of its coset.
+    One point per coset of Z^m / G*Z^m, found from the adjugate alone.
+    Take T*G = d*I with d = +-det G.  The map y -> T*y mod d has kernel
+    G*Z^m (T*y = d*z gives y = G*z), so its image is a copy of the group,
+    and the columns of T mod d generate that image: it is the closure of
+    {0} under adding one column mod d.  The closure takes the columns in
+    turn: while a multiple i*s of the column s lies outside the subgroup
+    H built so far, the coset H + i*s is new, and each of its elements is
+    one of the previous coset plus s.  Python's mod takes the sign of d,
+    so each vector num of the closure is d*lambda with lambda in [0, 1)
+    for either sign, and G*num/d is the point of one coset.  A cell with
+    |d| = 1 closes at {0}.
     """
-    diagonal = _hermite_diagonal(cols)
-    if math.prod(diagonal) == 1:
-        return [(0,) * len(cols)]
     d, adj = _adjugate(cols)
-    points = []
-    for y in product(*(range(h) for h in diagonal)):
-        floors = [sum(a * b for a, b in zip(row, y)) // d for row in adj]
-        points.append(tuple(
-            yi - sum(f * g[i] for f, g in zip(floors, cols) if f)
-            for i, yi in enumerate(y)))
-    return points
+    group = [(0,) * len(cols)]
+    for j in range(len(cols)):
+        step = tuple(row[j] % d for row in adj)
+        subgroup, coset, shift = set(group), group, step
+        while shift not in subgroup:
+            coset = [tuple((a + b) % d for a, b in zip(x, step))
+                     for x in coset]
+            group += coset
+            shift = tuple((a + b) % d for a, b in zip(shift, step))
+    rows = list(zip(*cols))
+    return [tuple(sum(g * a for g, a in zip(row, num)) // d for row in rows)
+            for num in group]
 
 
 def _pulling_triangulation(gens: Sequence[tuple[int, ...]],
@@ -142,17 +118,11 @@ def _pulling_triangulation(gens: Sequence[tuple[int, ...]],
     cone and so cut out by a row, until one primitive generator b is left,
     where L_b = Zb.  A cell whose steps all have height 1 has |det| = 1.
     """
-    heights: dict[tuple[int, int], int] = {}
-
     def unit_step(face: int, sub: int, apex: int) -> bool:
         # some row cutting `sub` out of `face` is 1 at the apex
-        for k, mask in enumerate(tight):
-            if face & mask == sub:
-                key = k, apex
-                if key not in heights:
-                    heights[key] = poly._dot(rows[k], gens[apex])
-                if heights[key] == 1:
-                    return True
+        for row, mask in zip(rows, tight):
+            if face & mask == sub and poly._dot(row, gens[apex]) == 1:
+                return True
         return False
 
     proven: dict[int, bool] = {}
@@ -225,7 +195,9 @@ def _cone_basis(body: RationalPolyhedron, bound: int) -> list[HilbertElement]:
     point with some lambda_i >= 1 splits off g_i).  A cell whose steps of
     the pulling triangulation all have height 1 is unimodular (see
     `_pulling_triangulation`): its parallelepiped is the origin alone, so
-    it gets no Hermite form.  A candidate x is kept unless x - h lies in
+    it gets no elimination.  Every other cell gets one, its adjugate,
+    whose columns mod |det| generate the cell's group of cosets (see
+    `_parallelepiped`).  A candidate x is kept unless x - h lies in
     the cone for another candidate h, that is, unless the facet values of
     h are componentwise at most those of x: the kept set is the Hilbert
     basis, degree-0 rays included.  When no cell adds a nonzero point,

@@ -10,6 +10,7 @@ from nok import (CeilingPowerFamily, HalfSpace, IdealKind, InexactNumber,
                  format_monomials, format_point, frac_to_str,
                  parse_family_file, parse_family_text, parse_ideal_file,
                  parse_ideal_text, parse_monomial_text, str_to_frac)
+from nok.cli import main
 
 
 def test_frac_to_str_formats_ints_and_fractions_and_refuses_floats():
@@ -106,6 +107,27 @@ def test_unknown_variable_position():
 def test_bad_exponent():
     e = err(parse_ideal_text, "vars: x, y\ngens: x^a\n")
     assert e.line == 2
+
+
+@pytest.mark.parametrize("gens, bad, column", [
+    ("x^\u00b2*y", "\u00b2", 7), ("x*y^9\u00b2", "9\u00b2", 9)])
+def test_superscript_exponent_is_a_parse_error(gens, bad, column):
+    # str.isdigit accepts superscript digits, which int() cannot read
+    e = err(parse_ideal_text, f"vars: x, y\ngens: {gens}\n")
+    assert str(e).startswith(
+        f"expected a nonnegative integer exponent, got '{bad}'")
+    assert (e.line, e.column) == (2, column)
+
+
+def test_exponent_in_other_decimal_digits_is_read():
+    # Arabic-Indic three is a decimal digit, and int() reads it
+    assert parse_monomial_text("x^\u0663", ("x",)) == (3,)
+
+
+def test_cli_superscript_exponent_exits_two(capsys):
+    code = main(["member", "ideals/triangle.nok", "-m", "x^\u00b2", "-k", "1"])
+    assert code == 2
+    assert "nonnegative integer exponent" in capsys.readouterr().err
 
 
 def test_negative_vector_entry():

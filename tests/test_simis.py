@@ -1,4 +1,4 @@
-import math
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -12,11 +12,11 @@ from nok import (HilbertElement, NonPositiveExponent, PrimeComponent,
                  svd_bounds, svd_probe, symbolic_analytic_spread,
                  symbolic_polyhedron, veronese_verify, vertex_constants)
 from nok.polyhedron import scale
-from nok.simis import (_cone_basis, _hermite_diagonal, _parallelepiped,
-                       _pulling_triangulation, _simis_cone)
+from nok.simis import (_cone_basis, _parallelepiped, _pulling_triangulation,
+                       _simis_cone)
 
-from oracles import (hilbert_basis_brute, matrix_rank, solve_square,
-                     veronese_by_products)
+from oracles import (bareiss_every_row, hilbert_basis_brute, matrix_rank,
+                     solve_square, veronese_by_products)
 
 EXPECTED_SGT = {
     "triangle": 2, "weighted": 2, "c5": 3, "gt2sharp": 2, "mprimary": 1,
@@ -347,7 +347,7 @@ def test_simis_cone_incidence_matches_dot_products(ideals):
 
 def test_certified_cells_are_unimodular(ideals):
     # a cell whose every pulling step has height 1 must have |det| = 1;
-    # the cells left uncertified go through the Hermite form as before
+    # the cells left uncertified enumerate their parallelepipeds
     bodies = list(fixture_cones(ideals, (1, 2)).values())
     bodies += [symbolic_polyhedron(ci) for ci, _ in seeded_oracle_ideals()]
     certified = uncertified = 0
@@ -356,8 +356,9 @@ def test_certified_cells_are_unimodular(ideals):
         for cell, proven in cells:
             if proven:
                 certified += 1
-                assert math.prod(_hermite_diagonal(
-                    [gens[i] for i in cell])) == 1, (body, cell)
+                rows = [[gens[j][i] for j in cell] for i in range(len(cell))]
+                det, _ = bareiss_every_row(rows, len(cell))
+                assert abs(det) == 1, (body, cell)
             else:
                 uncertified += 1
     # 346 certified and 276 not on these bodies; the test needs both kinds
@@ -424,3 +425,59 @@ def test_parallelepiped_points_on_random_simplicial_cones():
     # a unimodular cell contributes only the origin
     assert _parallelepiped([(1, 0, 0), (3, 1, 0), (-2, 5, 1)]) == [(0, 0, 0)]
 
+
+
+# fixed cells of dimension 3 to 7 with |det| from 306 to 4539; the two
+# triangular cells have groups Z^m / G*Z^m that are not cyclic, so no
+# single column of the adjugate generates them
+LARGE_INDEX_CELLS = [
+    [(5, 6, 6), (2, 6, -4), (5, -3, 5)],
+    [(6, 0, 0), (2, 10, 0), (3, 4, 15)],
+    [(-2, 5, -2, -4), (-3, 6, 0, 4), (3, 4, -2, 3), (-4, -4, -2, 6)],
+    [(1, 2, -4, 3, 0), (6, 4, -2, 1, 1), (-1, -4, -4, 0, 4),
+     (-2, 4, -3, 2, -4), (0, 5, -3, 2, 0)],
+    [(4, 0, 0, 0, 0), (1, 6, 0, 0, 0), (0, 2, 6, 0, 0), (3, 0, 1, 4, 0),
+     (1, 1, 1, 1, 3)],
+    [(3, 0, 0, 4, 5, 2), (3, 3, -4, -2, -1, 1), (-1, 4, 1, 5, -1, -3),
+     (0, 1, 4, 5, 1, 2), (5, -3, 3, 6, -3, 5), (1, 1, 0, -1, -4, 1)],
+    [(4, 5, 0, 1, 1, 6, 2), (-3, 3, 0, -2, -1, -2, -1),
+     (6, 5, 3, -2, -2, 3, -1), (5, 2, -2, -2, 3, 5, 6),
+     (1, 2, 6, -4, -3, 5, -3), (3, 3, 0, -2, 0, 0, 0),
+     (6, 2, -2, 3, -1, 0, 5)],
+]
+
+
+def test_parallelepiped_points_on_cells_of_large_index():
+    # each cell as listed and with its first two columns swapped, so that
+    # both signs of the determinant occur; lambda = G^-1 * x is checked in
+    # integers, as |det| * G^-1 from solve_square times x
+    dets = []
+    for cols in LARGE_INDEX_CELLS:
+        for cell in (cols, [cols[1], cols[0]] + cols[2:]):
+            m = len(cell)
+            matrix = [[c[i] for c in cell] for i in range(m)]
+            det, _ = bareiss_every_row([row[:] for row in matrix], m)
+            dets.append(det)
+            inverse = [solve_square(matrix, [int(i == k) for i in range(m)])
+                       for k in range(m)]
+            scaled = [[int(abs(det) * col[i]) for col in inverse]
+                      for i in range(m)]
+            points = _parallelepiped(cell)
+            assert len(points) == len(set(points)) == abs(det), cell
+            for x in points:
+                assert all(isinstance(c, int) for c in x)
+                assert all(0 <= sum(a * b for a, b in zip(row, x)) < abs(det)
+                           for row in scaled), (cell, x)
+    assert min(dets) < 0 < max(dets)
+    assert 300 < min(map(abs, dets)) and max(map(abs, dets)) > 4000
+
+
+def test_cone_basis_over_tripled_c5cone_is_pinned(ideals):
+    # 81 uncertified cells whose parallelepipeds hold 22,128 points, more
+    # than the brute-force oracle can check; the element count and digest
+    # come from an independent enumeration over each cell's Hermite box
+    body = scale(symbolic_polyhedron(ideals["c5cone"].classified), 3)
+    elements = [(e.exponent, e.degree) for e in _cone_basis(body, 5)]
+    assert len(elements) == 143
+    assert hashlib.sha256(repr(elements).encode()).hexdigest() == \
+        "7ceefb371da2ad93e8adcc61e78292bb29bce235ed4ed129aff76d7ec69b87f7"
