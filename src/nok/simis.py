@@ -5,32 +5,24 @@ algebra (same machinery over the Newton polyhedron).
 
 An element (a, k) of the cone is a basis element when it is not the sum
 of two nonzero integral cone points.  The basis is computed by the primal
-algorithm of Normaliz (Bruns & Ichim, J. Algebra 324, 2010): a pulling
-triangulation splits the cone into simplicial cells, and by the
-parallelepiped lemma every basis element is a generator of the cone or a
-nonzero lattice point of the half-open fundamental parallelepiped of one
-cell.  A candidate is reducible exactly when its facet values dominate
-those of another candidate, so the basis is the antichain of
-componentwise-minimal facet values.  The degree bound only filters the
-result; the work does not depend on it.
-
-The triangulation proves most cells unimodular as it builds them.  Each
-step cones a cell of a facet F = G & {r = 0} of a face G over an apex a,
-and multiplies the cell's lattice index by <r, a>/g for a divisor g of
-<r, a>; a step with <r, a> = 1 has height 1, and a cell whose steps all
-have height 1 has |det| = 1.  Each other cell gets one fraction-free
-elimination, its adjugate T with T*G = d*I: the columns of T mod d
-generate Z^m / G*Z^m, so the closure of {0} under adding them mod d
-lists the lattice points of the cell's parallelepiped, one per coset.
-When no cell adds a nonzero point, the basis is the generators, which are
-primitive on extreme rays and so irreducible, and no filter runs.  The
-cone's incidence is read off the body's vertex masks, not recomputed.
+algorithm of Normaliz (Bruns & Ichim, J. Algebra 324, 2010), in
+integers throughout:
+- `_pulling_triangulation` splits the cone into simplicial cells and
+  proves most of them unimodular as it builds them; the height-1
+  certificate is proved there;
+- `_parallelepiped` lists the lattice points of each other cell's
+  half-open parallelepiped from the cell's adjugate;
+- `_cone_basis` keeps the irreducible candidates among the generators
+  and those points; the parallelepiped lemma, which makes them enough, is
+  proved there.
+The degree bound only filters the result; the work does not depend on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from typing import Callable, Sequence
 
 from . import polyhedron as poly
 from .bodies import (ClassifiedIdeal, newton_polyhedron, symbolic_polyhedron,
@@ -101,22 +93,24 @@ def _pulling_triangulation(gens: Sequence[tuple[int, ...]],
     the generators on row k.  Each cell comes with a flag: True when the
     triangulation proves it unimodular.
 
-    A face is the bitmask of the generators it contains.  A face whose
-    generator count equals its dimension is simplicial.  Otherwise its
-    first generator is the apex: each facet of the face that misses the
-    apex is triangulated in turn and its cells are coned over the apex.
-    The facets of a face F are the maximal proper subsets F & tight[k], so
-    the whole recursion is bitmask arithmetic.
+    A face is the bitmask of the generators it contains.  A face with one
+    generator b is the cell (b,).  Every other face takes its first
+    generator as the apex: each facet of the face that misses the apex is
+    triangulated in turn and its cells are coned over the apex.  A face
+    whose generator count equals its dimension is simplicial, and its one
+    such facet drops the apex.  The facets of any other face F are the
+    maximal proper subsets F & tight[k], so the whole recursion is bitmask
+    arithmetic, and each face is triangulated once.
 
     The flag rests on the heights of the steps.  Write L_X for lin(X) & Z^m.
     Coning a cell C of a facet F = G & {r = 0} of the face G over the apex
     a gives [L_G : Za + span C] = (<r, a>/g) * [L_F : span C], where
     r(L_G) = gZ: L_F is the kernel of r on L_G, and r maps Za + span C
     onto <r, a>Z.  So a row r with G & tight[r] == F and <r, a> = 1 makes
-    the step's height 1.  A simplicial face recurses the same way, on the
-    facet that drops its lowest generator, which is again a face of the
-    cone and so cut out by a row, until one primitive generator b is left,
-    where L_b = Zb.  A cell whose steps all have height 1 has |det| = 1.
+    the step's height 1.  The facet of a simplicial face that drops its
+    apex is again a face of the cone, and so cut out by a row.  The
+    recursion ends at one primitive generator b, where L_b = Zb, so a cell
+    whose steps all have height 1 has |det| = 1.
     """
     def unit_step(face: int, sub: int, apex: int) -> bool:
         # some row cutting `sub` out of `face` is 1 at the apex
@@ -125,34 +119,26 @@ def _pulling_triangulation(gens: Sequence[tuple[int, ...]],
                 return True
         return False
 
-    proven: dict[int, bool] = {}
-
-    def unimodular(face: int) -> bool:
-        # a simplicial face, peeled one lowest generator at a time
-        if face not in proven:
-            low = face & -face
-            rest = face ^ low
-            proven[face] = not rest or (
-                unit_step(face, rest, low.bit_length() - 1)
-                and unimodular(rest))
-        return proven[face]
-
     done: dict[int, list[tuple[tuple[int, ...], bool]]] = {}
 
     def cells(face: int, d: int) -> list[tuple[tuple[int, ...], bool]]:
-        members = tuple(poly._bits(face))
-        if len(members) == d:
-            return [(members, unimodular(face))]
         if face in done:
             return done[face]
         apex = face & -face
-        proper = list({face & mask for mask in tight} - {face})
+        index = apex.bit_length() - 1
+        if face == apex:
+            return [((index,), True)]
+        if face.bit_count() == d:
+            facets = [face ^ apex]
+        else:
+            proper = list({face & mask for mask in tight} - {face})
+            facets = [proper[i] for i in poly._maximal(proper)
+                      if not proper[i] & apex]
         out = []
-        for sub in (proper[i] for i in poly._maximal(proper)):
-            if not sub & apex:
-                step = unit_step(face, sub, members[0])
-                out.extend(((members[0],) + cell, step and certified)
-                           for cell, certified in cells(sub, d - 1))
+        for sub in facets:
+            step = unit_step(face, sub, index)
+            out.extend(((index,) + cell, step and certified)
+                       for cell, certified in cells(sub, d - 1))
         done[face] = out
         return out
 
@@ -192,12 +178,10 @@ def _cone_basis(body: RationalPolyhedron, bound: int) -> list[HilbertElement]:
     off the body (`_simis_cone`).  By the parallelepiped lemma, every
     basis element is a generator or a nonzero lattice point of the
     half-open parallelepiped of one simplicial cell of a triangulation (a
-    point with some lambda_i >= 1 splits off g_i).  A cell whose steps of
-    the pulling triangulation all have height 1 is unimodular (see
-    `_pulling_triangulation`): its parallelepiped is the origin alone, so
-    it gets no elimination.  Every other cell gets one, its adjugate,
-    whose columns mod |det| generate the cell's group of cosets (see
-    `_parallelepiped`).  A candidate x is kept unless x - h lies in
+    point with some lambda_i >= 1 splits off g_i).  A cell that
+    `_pulling_triangulation` proves unimodular has the origin alone as its
+    parallelepiped, so it gets no elimination; every other cell's points
+    come from `_parallelepiped`.  A candidate x is kept unless x - h lies in
     the cone for another candidate h, that is, unless the facet values of
     h are componentwise at most those of x: the kept set is the Hilbert
     basis, degree-0 rays included.  When no cell adds a nonzero point,
@@ -247,16 +231,10 @@ def sgt_exact(classified: ClassifiedIdeal) -> int:
     return hilbert_basis(classified).sgt
 
 
-def _veronese_holds(classified: ClassifiedIdeal, d: int, k_max: int,
-                    built: dict[int, tuple[Vector, ...]]) -> bool:
-    """`veronese_verify` without its argument checks.  `built` maps an
-    index i to the generators of I^(i): each power is read from it when
-    there and stored in it when computed."""
-    def generators(i: int) -> tuple[Vector, ...]:
-        if i not in built:
-            built[i] = symbolic_power(classified, i).generators
-        return built[i]
-
+def _veronese_holds(generators: Callable[[int], tuple[Vector, ...]],
+                    d: int, k_max: int) -> bool:
+    """`veronese_verify` without its argument checks, reading the
+    generators of I^(i) from `generators(i)`."""
     base = previous = generators(d)
     for k in range(2, k_max + 1):
         current = generators(d * k)
@@ -287,7 +265,8 @@ def veronese_verify(classified: ClassifiedIdeal, d: int, k_max: int) -> bool:
     """
     _check_power(d, "Veronese degree d")
     _check_power(k_max, "k_max")
-    return _veronese_holds(classified, d, k_max, {})
+    return _veronese_holds(
+        lambda i: symbolic_power(classified, i).generators, d, k_max)
 
 
 def svd_probe(classified: ClassifiedIdeal,
@@ -301,15 +280,10 @@ def svd_probe(classified: ClassifiedIdeal,
     """
     lower, upper = svd_bounds(classified)
     _check_power(k_max, "k_max")
-    candidates = range(lower, upper + 1, lower)
-    built: dict[int, tuple[Vector, ...]] = {}
-    for m in candidates:
-        if _veronese_holds(classified, m, k_max, built):
+    generators = cache(lambda i: symbolic_power(classified, i).generators)
+    for m in range(lower, upper + 1, lower):
+        if _veronese_holds(generators, m, k_max):
             return m, upper
-        # keep only the powers that a later candidate reads
-        later = {n * k for n in candidates if n > m
-                 for k in range(1, k_max + 1)}
-        built = {i: g for i, g in built.items() if i in later}
     raise NoCandidate(
         f"no multiple of {lower} up to {upper} passed the Veronese check; "
         "impossible at k_max=1, so this flags an arithmetic bug")

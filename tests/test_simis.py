@@ -10,7 +10,8 @@ from nok import (HilbertElement, NonPositiveExponent, PrimeComponent,
                  hilbert_basis, minimalize, newton_polyhedron,
                  normal_rees_generator_degrees, sgt_bounds, sgt_exact,
                  svd_bounds, svd_probe, symbolic_analytic_spread,
-                 symbolic_polyhedron, veronese_verify, vertex_constants)
+                 symbolic_polyhedron, symbolic_power, veronese_verify,
+                 vertex_constants)
 from nok.polyhedron import scale
 from nok.simis import (_cone_basis, _parallelepiped, _pulling_triangulation,
                        _simis_cone)
@@ -198,6 +199,44 @@ def test_svd_probe_at_kmax_one_never_fails(ideals):
         ci = parsed.classified
         candidate, _ = svd_probe(ci, k_max=1)
         assert candidate == svd_bounds(ci).lower
+
+
+def test_probe_bound_decides_veronese(ideals):
+    # for a multiple m of c, the Hilbert basis of the cone over m*SP lies
+    # in degrees at most B = max(ell_s - 1, 1), and I^(mk) = (I^(m))^k for
+    # every k exactly when it lies in degree 1; so the bounded check at
+    # k_max = B decides each candidate of the svd window.  c5cone's window
+    # starts at m = 30, out of reach, and mprimary's symbolic powers are
+    # the integral closures of its powers (the strict xfail in test_bodies)
+    with_degree_two = []
+    for name, parsed in ideals.items():
+        if name in ("c5cone", "mprimary"):
+            continue
+        ci = parsed.classified
+        sp = symbolic_polyhedron(ci)
+        bound = max(symbolic_analytic_spread(ci) - 1, 1)
+        lower, upper = svd_bounds(ci)
+        for m in range(lower, upper + 1, lower):
+            degrees = {e.degree for e in _cone_basis(scale(sp, m), 10**6)}
+            assert max(degrees) <= bound, (name, m)
+            assert veronese_verify(ci, m, bound) == (degrees == {1}), \
+                (name, m)
+            if degrees != {1}:
+                with_degree_two.append((name, m))
+    assert with_degree_two == [("gt2sharp", 1)]
+
+
+def test_svd_probe_builds_each_symbolic_power_once(ideals, monkeypatch):
+    built = []
+
+    def counting(classified, k):
+        built.append(k)
+        return symbolic_power(classified, k)
+
+    monkeypatch.setattr("nok.simis.symbolic_power", counting)
+    # m = 1 fails at I^(2); m = 2 reads I^(2) again, then I^(4) and I^(6)
+    assert svd_probe(ideals["gt2sharp"].classified, k_max=3) == (2, 3)
+    assert built == [1, 2, 4, 6]
 
 
 def svd_by_products(ci, k_max):
