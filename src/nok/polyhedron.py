@@ -228,18 +228,19 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
     (its right block, +-det times their inverse); the sparse rows come
     first, so most of its pivots are units and leave the other rows as
     they are.
-    Each ray carries the bitmask of the processed rows tight at it.  One
-    pass over the rays per inserted row sorts them by the sign of their
-    product with it.  Two rays on opposite sides of the new row combine
-    exactly when no third ray is tight wherever both are (the
-    combinatorial adjacency test of Fukuda & Prodon, "Double description
-    method revisited", 1996).  Everything stays in integers: a new ray is
-    the integer combination divided by its gcd.
+    Each ray carries the bitmask of the processed rows tight at it, and
+    rows[i] owns bit i from the start.  One pass over the rays per
+    inserted row sorts them by the sign of their product with it.  Two
+    rays on opposite sides of the new row combine exactly when no third
+    ray is tight wherever both are (the combinatorial adjacency test of
+    Fukuda & Prodon, "Double description method revisited", 1996).
+    Everything stays in integers: a new ray is the integer combination
+    divided by its gcd.
 
     The returned masks are the carried ones, and no product is taken
-    again: every kept ray is nonnegative on every processed row, and its
-    carried mask is exactly the set of processed rows tight at it.  By
-    induction over the inserted rows:
+    again: every kept ray is nonnegative on every row, and its mask is
+    exactly the set of rows tight at it.  By induction over the inserted
+    rows:
     - a start ray is tight at every basis row but one, and positive on
       that one, by the choice of its sign;
     - a ray is kept as it is when its product with the inserted row is
@@ -252,9 +253,14 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
       tight: its mask is `common | bit`.
     No ray appears twice: each new ray lies inside its own 2-face of the
     cone before the insertion, and the kept rays are its extreme rays.
-    The rows that are never processed are the zero rows, tight at every
-    ray, and the duplicates, whose products are those of their processed
-    copy.  So bit i of a returned mask is set exactly when the ray is
+    A zero row, or a repeat of an earlier row, needs no case.  Its column
+    is zero, or a copy of an earlier one, so it is never a start row; when
+    inserted, no ray is negative on it, so it drops no ray, makes none,
+    and only sets its bit where it is tight.  The popcount filter stays
+    sound when such rows are counted: their bits only make masks larger,
+    so it skips fewer pairs and never an adjacent one, and the
+    combinatorial test, which holds for any list of rows, decides the
+    rest.  So bit i of a returned mask is set exactly when the ray is
     tight at rows[i], and no ray is negative on any row.  The full
     products stay in the tests, as the oracle of these masks.
     Raises MissingOrthantConstraints when the rows do not have full rank
@@ -262,32 +268,33 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
     count exceeds the vertex budget.
     """
     budget = vertex_budget()
-    unique = sorted({tuple(r) for r in rows if any(r)},
-                    key=lambda r: (len(r) - r.count(0), r))
-    width = len(unique)
-    table = [[r[i] for r in unique] + [int(i == k) for k in range(dim)]
+    rows = [tuple(r) for r in rows]
+    width = len(rows)
+    order = sorted(range(width),
+                   key=lambda i: (len(rows[i]) - rows[i].count(0), rows[i]))
+    table = [[rows[p][i] for p in order] + [int(i == k) for k in range(dim)]
              for i in range(dim)]
     det, chosen = _gauss_jordan(table, width)
     if len(chosen) < dim:
         raise MissingOrthantConstraints(
             "some coordinate direction is unconstrained; add the orthant "
             "facets x_i >= 0")
-    basis = [unique[i] for i in chosen]
-    processed = basis + [r for i, r in enumerate(unique) if i not in chosen]
+    starts = [order[c] for c in chosen]
+    rest = [p for c, p in enumerate(order) if c not in chosen]
 
     # row j of the right block is det times column j of the inverse: tight
     # at every basis row but row j; dividing by the gcd signed like det
     # makes it primitive and points it into the cone
-    full = (1 << dim) - 1
+    full = sum(1 << p for p in starts)
     rays = []
-    for j, row in enumerate(table):
+    for row, p in zip(table, starts):
         vec = row[width:]
         g = math.gcd(*vec) if det > 0 else -math.gcd(*vec)
-        rays.append((tuple(x // g for x in vec), full & ~(1 << j)))
+        rays.append((tuple(x // g for x in vec), full & ~(1 << p)))
 
-    for t in range(dim, len(processed)):
-        row = processed[t]
-        bit = 1 << t
+    for p in rest:
+        row = rows[p]
+        bit = 1 << p
         masks = [tight for _, tight in rays]
         keep, plus, minus = [], [], []
         for ray in rays:
@@ -321,13 +328,7 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
                 f"ray count {len(rays)} exceeds budget {budget}; "
                 "raise NOK_MAX_VERTICES to continue")
 
-    # each input row's bit in the carried masks is that of its processed
-    # copy; a zero row has none, and is tight at every ray
-    position = {r: 1 << p for p, r in enumerate(processed)}
-    bits = [position.get(tuple(r), 0) for r in rows]
-    zeros = sum(1 << i for i, b in enumerate(bits) if not b)
-    return [(vec, zeros | sum(1 << i for i, b in enumerate(bits) if tight & b))
-            for vec, tight in sorted(rays)]
+    return sorted(rays)
 
 
 def _transpose(masks: Sequence[int], count: int) -> list[int]:
@@ -427,10 +428,11 @@ def hull_up_set(points: Iterable[Sequence], nvars: int) -> RationalPolyhedron:
     rows = [primitive_vector(p + (1,)) for p in pts]
     rows += [tuple(int(i == j) for i in range(nvars + 1))
              for j in range(nvars)]
-    pairs = sorted(((HalfSpace(w[:nvars], -w[nvars]), m)
-                    for w, m in cone_extreme_rays(rows, nvars + 1)
-                    if any(w[:nvars])),
-                   key=lambda pair: (pair[0].normal, pair[0].offset))
+    # the engine's sorted rays are already in facet order, as no two share
+    # a normal: (a, -b') with b' < b is (a, -b) plus a multiple of the
+    # t-ray (0, ..., 0, 1), so not extreme
+    pairs = [(HalfSpace(w[:nvars], -w[nvars]), m)
+             for w, m in cone_extreme_rays(rows, nvars + 1) if any(w[:nvars])]
     # a point is a vertex unless another point lies on all of its tight
     # facets and on more (as does each vertex of the smallest face through
     # it); the kept points' masks are the vertex masks, in facet order

@@ -297,6 +297,9 @@ def test_hull_reads_int_fraction_str_and_mixed_points_alike():
              for p in whole + halves + rng.sample(whole, 1)],
         ]
         bodies = [hull_up_set(points, n) for points in forms]
+        # the engine's ray order is the facet order, with no re-sort
+        assert list(bodies[0].facets) == sorted(
+            bodies[0].facets, key=lambda h: (h.normal, h.offset))
         for body in bodies:
             assert body == bodies[0]
             assert body._vertex_masks == bodies[0]._vertex_masks
@@ -523,9 +526,10 @@ def test_rays_and_masks_of_constructor_rows_with_zero_and_duplicate_rows():
     # the rows the two constructors hand the engine, built as they build
     # them from seeded inputs: hull_up_set's dual rows (each point with
     # t = 1, then the orthant) and from_halfspaces' homogenized rows (each
-    # primitive half-space with minus its offset, then t >= 0).  A zero
-    # row is tight at every ray, and a repeated row has its copy's bit,
-    # although the engine processes neither
+    # primitive half-space with minus its offset, then t >= 0).  The
+    # engine inserts a zero row and a repeated row like any other, each
+    # with its own bit: a zero row is tight at every ray, and a repeated
+    # row exactly where its copy is
     rng = random.Random(113)
     for case in range(80):
         n = rng.randint(1, 4)

@@ -12,6 +12,7 @@ from nok import (HilbertElement, NonPositiveExponent, PrimeComponent,
                  svd_bounds, svd_probe, symbolic_analytic_spread,
                  symbolic_polyhedron, symbolic_power, veronese_verify,
                  vertex_constants)
+from nok.invariants import _generation_bound
 from nok.polyhedron import scale
 from nok.simis import (_cone_basis, _parallelepiped, _pulling_triangulation,
                        _simis_cone)
@@ -297,6 +298,21 @@ def seeded_veronese_ideals(rng):
 def test_veronese_matches_products_on_seeded_ideals():
     for label, ci in seeded_veronese_ideals(random.Random(2323)):
         assert_veronese_matches_products(ci, range(1, 4), label)
+
+
+def test_generation_bounds_on_seeded_ideals():
+    # the cone over SP has its Hilbert basis in degrees at most
+    # max(ell_s*D - 1, D), and the cone over c*SP in degrees at most
+    # max(ell_s - 1, 1), the bound that lets the svd probe stop at k_max
+    for label, ci in seeded_veronese_ideals(random.Random(2323)):
+        sp = symbolic_polyhedron(ci)
+        c = vertex_constants(ci).c
+        general = _generation_bound(ci)
+        degrees = [e.degree for e in _cone_basis(sp, 10**6)]
+        assert max(degrees) <= general, (label, degrees, general)
+        bound = max(symbolic_analytic_spread(ci) - 1, 1)
+        degrees = [e.degree for e in _cone_basis(scale(sp, c), 10**6)]
+        assert max(degrees) <= bound, (label, c, degrees, bound)
 
 
 def test_normal_rees_degrees(ideals):
