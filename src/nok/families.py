@@ -150,23 +150,25 @@ def _ceiling_minimum(family: CeilingPowerFamily) -> tuple[Fraction,
     """The infimum s of ceil(alpha*k + beta)/k, and the least k attaining
     it (None when no k does).
 
-    For beta > 0 the infimum is alpha and every ratio lies above it; for
-    beta = 0 it is alpha, first attained at k = denominator(alpha).  For
-    beta < 0, write alpha = p/q: the exponent at k + q is p more than at
-    k, so a ratio at most alpha only grows towards alpha along k, k + q,
+    Write alpha = p/q and b = ceil(q*beta).  An integer m satisfies
+    m*q >= p*k + q*beta exactly when m*q >= p*k + b, as m*q - p*k is an
+    integer; so ceil(alpha*k + beta) = ceil((p*k + b)/q), and beta's
+    denominator drops out.  For b >= 0 every ratio is at least alpha, the
+    infimum: b > 0 keeps each ratio above it, and b = 0 first attains it
+    at k = q.  For b < 0 the exponent at k + q is p more than at k, so a
+    ratio at most alpha only grows towards alpha along k, k + q,
     k + 2q, ...  The least k attaining the infimum is therefore at most
     q, and the first strict improvement on alpha over that prefix finds
     it; when there is none, the ratio at q is alpha itself.
     """
     alpha, beta = family.alpha, family.beta
     p, q = alpha.numerator, alpha.denominator
-    if beta >= 0:
-        return alpha, (q if beta == 0 else None)
-    u, v = beta.numerator, beta.denominator
+    b = math.ceil(q * beta)
+    if b >= 0:
+        return alpha, (None if b else q)
     best, best_k = p, q
     for k in range(1, q + 1):
-        # ceil(alpha*k + beta) = ceil((p*k*v + u*q) / (q*v)) in integers
-        exponent = -((-p * k * v - u * q) // (q * v))
+        exponent = -((-p * k - b) // q)
         if exponent * best_k < best * k:
             best, best_k = exponent, k
     return Fraction(best, best_k), best_k

@@ -4,9 +4,7 @@
 rows that never leaves the integers, is the package's only elimination;
 `rank`, `_adjugate` (and through it the Hilbert basis's parallelepipeds),
 the certificate solves and the double description's start basis all use
-it.  `rank` also takes rows that mix `int` and
-`fractions.Fraction`, and scales each such row to integers first; no
-floats are ever produced.
+it.
 
 A row that is zero in the pivot column costs nothing when the pivot
 equals the previous one.  With f = 0 the Bareiss update of an entry x
@@ -21,7 +19,6 @@ row is zero.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 
@@ -81,16 +78,8 @@ def _adjugate(cols: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     return d, [row[m:] for row in rows]
 
 
-def rank(rows: Iterable[Sequence]) -> int:
-    """Rank of a matrix given as an iterable of rows.
-
-    A row with Fraction entries is scaled by the lcm of their denominators,
-    which leaves the rank unchanged; the rank is then the pivot count.
-    """
-    ints = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (den // x.denominator) for x in row])
-    if not ints:
-        return 0
-    return len(_gauss_jordan(ints, len(ints[0]))[1])
+def rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix given as an iterable of rows: the pivot
+    count of its fraction-free elimination."""
+    rows = list(rows)
+    return len(_gauss_jordan(rows, len(rows[0]))[1]) if rows else 0

@@ -165,8 +165,9 @@ class RationalPolyhedron:
         for m in sorted(compact, key=int.bit_count):
             if not any(o & m == o for o in top):
                 top.append(m)
-        return max(self.nvars - rank(self.facets[i].normal for i in _bits(m))
-                   for m in top)
+        ranks = (rank([h.normal for i, h in enumerate(self.facets)
+                       if m >> i & 1]) for m in top)
+        return self.nvars - min(ranks)
 
     @cached_property
     def _cover_masks(self) -> tuple[int, ...]:
@@ -174,15 +175,6 @@ class RationalPolyhedron:
         return tuple(sum(1 << i for i, h in enumerate(self.facets)
                          if h.normal[j] > 0)
                      for j in range(self.nvars))
-
-
-def _bits(mask: int):
-    index = 0
-    while mask:
-        if mask & 1:
-            yield index
-        mask >>= 1
-        index += 1
 
 
 def _dot(a: Sequence[int], b: Sequence) -> int:
@@ -265,7 +257,8 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
     products stay in the tests, as the oracle of these masks.
     Raises MissingOrthantConstraints when the rows do not have full rank
     (the cone would contain a line) and VertexBudgetExceeded when the ray
-    count exceeds the vertex budget.
+    count exceeds the vertex budget, at the start cone or after any
+    inserted row.
     """
     budget = vertex_budget()
     rows = [tuple(r) for r in rows]
@@ -291,6 +284,7 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
         vec = row[width:]
         g = math.gcd(*vec) if det > 0 else -math.gcd(*vec)
         rays.append((tuple(x // g for x in vec), full & ~(1 << p)))
+    _charge(rays, budget)
 
     for p in rest:
         row = rows[p]
@@ -323,12 +317,18 @@ def cone_extreme_rays(rows: Sequence[tuple[int, ...]],
                 g = math.gcd(*combo)
                 keep.append((tuple(x // g for x in combo), common | bit))
         rays = keep
-        if len(rays) > budget:
-            raise VertexBudgetExceeded(
-                f"ray count {len(rays)} exceeds budget {budget}; "
-                "raise NOK_MAX_VERTICES to continue")
+        _charge(rays, budget)
 
     return sorted(rays)
+
+
+def _charge(rays: Sequence, budget: int) -> None:
+    """Raise VertexBudgetExceeded when there are more rays than the
+    budget allows."""
+    if len(rays) > budget:
+        raise VertexBudgetExceeded(
+            f"ray count {len(rays)} exceeds budget {budget}; "
+            "raise NOK_MAX_VERTICES to continue")
 
 
 def _transpose(masks: Sequence[int], count: int) -> list[int]:

@@ -215,9 +215,10 @@ def hilbert_basis(classified: ClassifiedIdeal,
                   degree_bound: int | None = None) -> HilbertBasisReport:
     """Hilbert basis elements of the Simis cone up to the degree bound;
     the default bound max{ell_s*D - 1, D} makes the result exhaustive."""
+    if degree_bound is not None:
+        _check_power(degree_bound, "degree bound")
     limit = _generation_bound(classified)
     bound = limit if degree_bound is None else degree_bound
-    _check_power(bound, "degree bound")
     sp = symbolic_polyhedron(classified)
     elements = _cone_basis(sp, bound)
     degrees = frozenset(e.degree for e in elements)
@@ -278,8 +279,8 @@ def svd_probe(classified: ClassifiedIdeal,
     constraint pin it down; otherwise it is a k_max-bounded certificate.
     A symbolic power that two candidates read is built once.
     """
-    lower, upper = svd_bounds(classified)
     _check_power(k_max, "k_max")
+    lower, upper = svd_bounds(classified)
     generators = cache(lambda i: symbolic_power(classified, i).generators)
     for m in range(lower, upper + 1, lower):
         if _veronese_holds(generators, m, k_max):

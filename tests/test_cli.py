@@ -276,7 +276,9 @@ def test_vertex_budget_exits_three(capsys, monkeypatch):
 @pytest.mark.parametrize("value", ["abc", "-5", "0", ""])
 def test_bad_vertex_budget_exits_two(capsys, monkeypatch, value):
     monkeypatch.setenv("NOK_MAX_VERTICES", value)
-    # symbolic-power never runs the double description, sp does
+    # both verbs run the double description, symbolic-power through
+    # symbolic_polyhedron; main checks the budget before any work, so both
+    # exit 2 even when the bodies are cached
     for argv in (["sp", TRIANGLE], ["symbolic-power", TRIANGLE, "-k", "2"]):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -7,16 +7,22 @@ import re
 
 import pytest
 
-from nok import (NonPositiveExponent, family_analytic_spread, hilbert_basis,
-                 member_ideal, member_integral_closure, member_symbolic,
-                 power, stabilization_check, svd_probe, symbolic_power,
-                 veronese_verify, verify_np_scaled_sp)
+from nok import (NonPositiveExponent, classify, family_analytic_spread,
+                 hilbert_basis, member_ideal, member_integral_closure,
+                 member_symbolic, minimalize, power, stabilization_check,
+                 svd_probe, symbolic_power, veronese_verify,
+                 verify_np_scaled_sp)
 
 BAD_COUNTS = (0, -1, True, 2.0, "2")
 
 
 def c5(ideals):
     return ideals["c5"].classified
+
+
+def unsupported():
+    # no symbolic polyhedron: the checks must come before any SP work
+    return classify(minimalize([(3, 1)]))
 
 
 def family(families, name):
@@ -43,6 +49,18 @@ SITES = {
                       lambda i, f, b: hilbert_basis(c5(i), b)),
     "verify_np_scaled_sp": ("dilation",
                             lambda i, f, d: verify_np_scaled_sp(c5(i), d)),
+    "veronese_verify.d[unsupported]": (
+        "Veronese degree d",
+        lambda i, f, d: veronese_verify(unsupported(), d, 2)),
+    "veronese_verify.k_max[unsupported]": (
+        "k_max", lambda i, f, k: veronese_verify(unsupported(), 2, k)),
+    "svd_probe[unsupported]": ("k_max",
+                               lambda i, f, k: svd_probe(unsupported(), k)),
+    "hilbert_basis[unsupported]": (
+        "degree bound", lambda i, f, b: hilbert_basis(unsupported(), b)),
+    "verify_np_scaled_sp[unsupported]": (
+        "dilation",
+        lambda i, f, d: verify_np_scaled_sp(unsupported(), d)),
     "member_ideal[power]": ("family index", lambda i, f, k: member_ideal(
         family(f, "power_mprimary"), k)),
     "member_ideal[symbolic]": ("family index", lambda i, f, k: member_ideal(

@@ -137,6 +137,15 @@ def test_ceiling_scale_closed_form_matches_prefix_minimum():
                                for k in range(1, q + 1)])
         assert ceiling_scale(fam) == brute
         checked += 1
+    # beta = -1/(2q) lies in (-1/q, 0), where no ratio is below alpha and
+    # k = q is the first to attain it
+    alpha = Fraction(3, 10_007)
+    q = alpha.denominator
+    fam = CeilingPowerFamily(base, alpha, -Fraction(1, 2 * q))
+    ratios = [Fraction(fam.exponent(k), k) for k in range(1, q + 1)]
+    assert ceiling_scale(fam) == min(ratios) == alpha
+    assert ratios.index(alpha) + 1 == q
+    assert nok.families.family_limit(fam).least_c == q
 
 
 def test_ceiling_scale_minimum_past_ten_thousand():

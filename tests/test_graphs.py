@@ -1,0 +1,115 @@
+"""Edge ideals of graphs against theorems about them.
+
+For a graph G on n vertices, the edge ideal I(G) is generated by the
+products x_i*x_j over its edges.  Three theorems pin down what nok
+computes for it:
+- the analytic spread is n minus the number of bipartite components,
+  isolated vertices counted (Villarreal, "Rees algebras of edge ideals",
+  Comm. Algebra 23, 1995), which checks mdc at sizes the brute-force face
+  oracles cannot reach;
+- the symbolic powers equal the ordinary ones exactly when G is
+  bipartite, so NP = SP exactly then (Simis, Vasconcelos & Villarreal,
+  "On the ideal theory of graphs", J. Algebra 167, 1994);
+- the symbolic Rees algebra of the odd cycle C_(2m+1) is generated by
+  the edges in degree 1 and the product of all its variables in degree
+  m + 1 (the same paper).
+"""
+
+import random
+
+import pytest
+
+from nok import analytic_spread, classify, hilbert_basis, minimalize, \
+    np_equals_sp
+
+
+def edge_ideal(n, edges):
+    return minimalize([tuple(int(v in edge) for v in range(n))
+                       for edge in edges], n)
+
+
+def bipartite_components(n, edges):
+    """(number of connected components, number of them that are
+    bipartite), isolated vertices counted, by two-colouring each
+    component from its least vertex."""
+    neighbours = {v: [] for v in range(n)}
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    colour = {}
+    components = bipartite = 0
+    for root in range(n):
+        if root in colour:
+            continue
+        components += 1
+        colour[root] = 0
+        stack, two_coloured = [root], True
+        while stack:
+            v = stack.pop()
+            for w in neighbours[v]:
+                if w not in colour:
+                    colour[w] = 1 - colour[v]
+                    stack.append(w)
+                elif colour[w] == colour[v]:
+                    two_coloured = False
+        bipartite += two_coloured
+    return components, bipartite
+
+
+def seeded_graphs(seed, count, n_min, n_max):
+    """count graphs with at least one edge: half of them have their edges
+    across a random two-colouring, so that they are bipartite, and the
+    rest are random of a random density."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(n_min, n_max)
+        density = rng.uniform(0.15, 0.7)
+        side = [rng.randrange(2) for _ in range(n)]
+        across = len(graphs) % 2 == 0
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if (not across or side[a] != side[b])
+                 and rng.random() < density]
+        if edges:
+            graphs.append((n, edges))
+    return graphs
+
+
+def cycle(length):
+    return [(v, (v + 1) % length) for v in range(length)]
+
+
+def test_analytic_spread_is_n_minus_bipartite_components():
+    graphs = seeded_graphs(31, 140, 2, 11)
+    outcomes = set()
+    for n, edges in graphs:
+        components, bipartite = bipartite_components(n, edges)
+        outcomes.add((bipartite == components, bipartite == 0))
+        assert analytic_spread(edge_ideal(n, edges)) == n - bipartite, \
+            (n, edges)
+    # bipartite graphs, graphs with no bipartite component, and mixtures
+    assert outcomes >= {(True, False), (False, True), (False, False)}
+
+
+def test_np_equals_sp_exactly_for_bipartite_graphs():
+    graphs = seeded_graphs(37, 76, 3, 10)
+    seen = set()
+    for n, edges in graphs:
+        components, bipartite = bipartite_components(n, edges)
+        expected = bipartite == components
+        seen.add(expected)
+        assert np_equals_sp(classify(edge_ideal(n, edges))) == expected, \
+            (n, edges)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_odd_cycle_symbolic_rees_algebra(m):
+    length = 2 * m + 1
+    report = hilbert_basis(classify(edge_ideal(length, cycle(length))))
+    assert report.exhaustive
+    assert report.degrees == {1, m + 1}
+    assert report.sgt == m + 1
+    # the degree m + 1 element is the product of all the variables
+    assert [e.exponent for e in report.elements if e.degree == m + 1] == \
+        [(1,) * length]

@@ -1006,6 +1006,18 @@ def test_vertex_budget(monkeypatch):
         from_halfspaces(rows, 3)
 
 
+@pytest.mark.parametrize("extra", [[], [(0, 0, 0, 0)]])
+def test_vertex_budget_charges_the_start_cone(monkeypatch, extra):
+    # the 4 start rays exceed the budget.  Every insertion of the bare
+    # system leaves at most 2 rays, so only a check of the start set
+    # refuses it; the zero row is inserted first and drops no ray
+    monkeypatch.setenv("NOK_MAX_VERTICES", "2")
+    rows = [(0, 1, 0, 0), (0, 0, 0, 1), (1, 0, -2, -1), (0, 0, 1, 0),
+            (1, 0, 0, 0), (1, 1, -3, 4), (0, 0, -3, -1)] + extra
+    with pytest.raises(VertexBudgetExceeded, match="ray count 4 exceeds"):
+        cone_extreme_rays(rows, 4)
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0"])
 def test_bad_vertex_budget_is_refused(monkeypatch, value):
     monkeypatch.setenv("NOK_MAX_VERTICES", value)
