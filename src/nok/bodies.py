@@ -134,8 +134,7 @@ def member_symbolic(classified: ClassifiedIdeal, a: Sequence[int], k: int) -> bo
 def symbolic_power(classified: ClassifiedIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of I^(k): minimal lattice points of k*SP(I)."""
     _check_power(k)
-    sp = symbolic_polyhedron(classified)
-    points = poly.minimal_lattice_points(poly.scale(sp, k))
+    points = poly.minimal_lattice_points(symbolic_polyhedron(classified), k)
     # minimal_lattice_points returns a lex-sorted antichain (its docstring)
     return MonomialIdeal._proven(classified.ideal.nvars, tuple(points))
 
@@ -146,8 +145,7 @@ def real_power(ideal: MonomialIdeal, r) -> MonomialIdeal:
     ratio = poly.as_fraction(r)
     if ratio <= 0:
         raise NonPositiveExponent(f"real power needs r > 0, got {r}")
-    body = poly.scale(newton_polyhedron(ideal), ratio)
-    points = poly.minimal_lattice_points(body)
+    points = poly.minimal_lattice_points(newton_polyhedron(ideal), ratio)
     # minimal_lattice_points returns a lex-sorted antichain (its docstring)
     return MonomialIdeal._proven(ideal.nvars, tuple(points))
 

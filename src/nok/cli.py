@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -469,18 +470,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NokError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        envelope = {"command": args.verb,
-                    "input": {"path": args.file, "sha256": digest},
-                    "result": result, "notes": notes}
-        print(_dumps(envelope))
-    else:
-        print(f"command: {args.verb} {args.file}")
-        print(f"input sha256: {digest}")
-        for line in lines:
-            print(line)
-        for note in notes:
-            print(f"note: {note}")
+    try:
+        if args.json:
+            envelope = {"command": args.verb,
+                        "input": {"path": args.file, "sha256": digest},
+                        "result": result, "notes": notes}
+            print(_dumps(envelope))
+        else:
+            print(f"command: {args.verb} {args.file}")
+            print(f"input sha256: {digest}")
+            for line in lines:
+                print(line)
+            for note in notes:
+                print(f"note: {note}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; point stdout at devnull so the
+        # flush at interpreter exit cannot fail again (Python's `signal`
+        # docs), and exit with 128 + SIGPIPE, as a shell reports a process
+        # that the signal killed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

@@ -456,25 +456,32 @@ def equal(lhs: RationalPolyhedron, rhs: RationalPolyhedron) -> bool:
     return lhs.facets == rhs.facets
 
 
-def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
-    """Dilation t*P for a positive rational t."""
+def _scale_factor(factor) -> Fraction:
+    """The factor of a dilation, refused unless a positive rational."""
     t = as_fraction(factor)
     if t <= 0:
         raise NonPositiveScale(f"scale factor must be positive, got {factor}")
-    # with t = p/q, facet <a, x> >= b of P is <q*a, x> >= p*b on t*P, in
-    # integers; dividing by the gcd makes it primitive.  That can shrink a
-    # facet, which reorders the facets; each vertex mask bit moves to its
-    # facet's new index
-    p, q = t.numerator, t.denominator
-    dilated = []
-    for i, h in enumerate(poly.facets):
-        normal = [q * a for a in h.normal]
-        offset = p * h.offset
-        g = math.gcd(offset, *normal)
-        dilated.append((HalfSpace(tuple(a // g for a in normal), offset // g),
-                        i))
+    return t
+
+
+def _dilated(h: HalfSpace, t: Fraction) -> tuple[tuple[int, ...], int]:
+    """(normal, offset) of the facet of t*P from the facet <a, x> >= b of P:
+    with t = p/q, <q*a, x> >= p*b in integers, made primitive by dividing
+    by the gcd."""
+    normal = [t.denominator * a for a in h.normal]
+    offset = t.numerator * h.offset
+    g = math.gcd(offset, *normal)
+    return tuple(a // g for a in normal), offset // g
+
+
+def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
+    """Dilation t*P for a positive rational t."""
+    t = _scale_factor(factor)
+    # making a facet primitive can shrink it, which reorders the facets;
+    # each vertex mask bit moves to its facet's new index
     facets, old = zip(*sorted(
-        dilated, key=lambda pair: (pair[0].normal, pair[0].offset)))
+        ((HalfSpace(*_dilated(h, t)), i) for i, h in enumerate(poly.facets)),
+        key=lambda pair: (pair[0].normal, pair[0].offset)))
     masks = tuple(sum(1 << k for k, i in enumerate(old) if m >> i & 1)
                   for m in poly._vertex_masks)
     # t > 0 keeps the vertices' lexicographic order
@@ -551,8 +558,21 @@ def _decompose(poly: RationalPolyhedron, den: int, num: list[int],
     return anchor, remainder, tight
 
 
-def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
-    """Componentwise-minimal integer points of an up-set polyhedron.
+def minimal_lattice_points(poly: RationalPolyhedron,
+                           factor=1) -> list[tuple[int, ...]]:
+    """Componentwise-minimal integer points of the up-set polyhedron t*P,
+    for P = `poly` and a positive rational t = `factor`, 1 by default.
+
+    The dilate is never built.  With t = p/q, each facet with a positive
+    offset is dilated as `scale` dilates it, to (q*a, p*b) over one gcd;
+    the facets with offset 0 hold no row of the search.  The vertices of
+    t*P are t times those of P, so coordinate j of the box is
+    ceil(t * max_v v_j), one rational product per coordinate.  The search
+    below reads its rows as a set: the coordinate order counts the rows
+    each coordinate feeds, and every other use of a row is a bound, a max
+    or a test over all of them.  So the order of the facets changes
+    neither the coordinate order nor the output, and this equals
+    `minimal_lattice_points(scale(poly, factor))`.
 
     Every minimal point lies in the box bounded by the per-coordinate
     ceilings of the vertex coordinates, which is the search box.  Its far
@@ -668,8 +688,9 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
     """
     if not poly.vertices:
         raise NoVertices("polyhedron has no vertices")
+    t = _scale_factor(factor)
     n = poly.nvars
-    rows = [(h.normal, h.offset) for h in poly.facets if h.offset > 0]
+    rows = [_dilated(h, t) for h in poly.facets if h.offset > 0]
     if n == 1:
         # the root is the last coordinate, and its closed form the point
         return [(max((-(-b // normal[0]) for normal, b in rows), default=0),)]
@@ -686,7 +707,9 @@ def minimal_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
         left.remove(j)
         placed |= feeds[j]
     feeds = [feeds[j] for j in order]
-    box = [max(math.ceil(v[j]) for v in poly.vertices) for j in order]
+    tops = [max(v[j] for v in poly.vertices) for j in order]
+    box = [-(-t.numerator * m.numerator // (t.denominator * m.denominator))
+           for m in tops]
     rows = [([normal[j] for j in order], b) for normal, b in rows]
 
     # field i holds row i's dot product in its low `width` bits and a guard

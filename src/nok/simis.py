@@ -276,14 +276,34 @@ def svd_probe(classified: ClassifiedIdeal,
     Veronese check, together with the window's upper end.
 
     The candidate equals svd(I) whenever the window plus the divisibility
-    constraint pin it down; otherwise it is a k_max-bounded certificate.
-    A symbolic power that two candidates read is built once.
+    constraint pin it down, or when k_max >= B below; otherwise it is a
+    k_max-bounded certificate.  A symbolic power that two candidates read
+    is built once.
+
+    Each candidate m is checked only for k up to min(k_max, B), with
+    B = upper // lower = max(ell_s - 1, 1), and the answer is the one the
+    check up to k_max gives.  The generators of I^(i) are the minimal
+    lattice points of i*SP, and m is a multiple of c, so m*SP has lattice
+    vertices.  Take a lattice point x = (a, t) of the cone over m*SP with
+    t >= 2, and write a/t = u + r, u on a compact face and r >= 0
+    (`polyhedron._decompose`).  By Caratheodory u = sum mu_j v_j over at
+    most ell_s vertices v_j of that face (its dimension is at most
+    mdc = ell_s - 1).  If some t*mu_j >= 1, then x - (v_j, 1) is again a
+    lattice point of the cone, and x splits off a degree-1 element;
+    otherwise t = sum t*mu_j < ell_s.  So every Hilbert-basis element of
+    the cone has degree at most B.  The checks up to k hold exactly when
+    I^(mi) = (I^(m))^i for each i <= k (`veronese_verify`), that is, when
+    every lattice point of degree i <= k is a sum of i points of degree 1.
+    If they hold up to B, no basis element has degree 2..B, so none has a
+    degree above 1, and the checks hold for every k.  If one fails at some
+    k <= B, the check up to k_max stops there too.
     """
     _check_power(k_max, "k_max")
     lower, upper = svd_bounds(classified)
+    bound = min(k_max, upper // lower)
     generators = cache(lambda i: symbolic_power(classified, i).generators)
     for m in range(lower, upper + 1, lower):
-        if _veronese_holds(generators, m, k_max):
+        if _veronese_holds(generators, m, bound):
             return m, upper
     raise NoCandidate(
         f"no multiple of {lower} up to {upper} passed the Veronese check; "

@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import OrderedDict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nok
 import nok.cli
 import nok.families
 from nok import frac_to_str
@@ -285,6 +290,28 @@ def test_bad_vertex_budget_exits_two(capsys, monkeypatch, value):
         assert out == ""
         assert (f"NOK_MAX_VERTICES must be a positive integer, got "
                 f"{value!r}") in err
+
+
+def test_closed_pipe_exits_quietly():
+    # about 500 kB of JSON, far past a pipe's buffer, so the report is
+    # still being written when the reader closes its end
+    src = str(Path(nok.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    root = Path(__file__).resolve().parent.parent
+    with subprocess.Popen(
+            [sys.executable, "-m", "nok", "symbolic-power",
+             "ideals/c5cone.nok", "-k", "12", "--json"],
+            cwd=root, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        assert os.read(proc.stdout.fileno(), 10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in err
+    assert err == ""
+    assert code == 141
 
 
 def test_unknown_verb_exits_two(capsys):

@@ -823,6 +823,52 @@ def test_minimal_lattice_points_is_permutation_equivariant(ideals):
             assert points == brute_force_minimal_points(image.facets, box)
 
 
+def test_minimal_lattice_points_of_a_dilate_without_building_it(ideals):
+    # minimal_lattice_points(body, t) dilates the rows and the box itself;
+    # it must give what the search gives on the dilate that scale builds,
+    # whose facets scale sorts again after making each primitive
+    bodies = []
+    for parsed in ideals.values():
+        bodies.append(newton_polyhedron(parsed.ideal))
+        if parsed.classified.supports_sp():
+            bodies.append(symbolic_polyhedron(parsed.classified))
+    rng = random.Random(181)
+    bodies += [from_halfspaces(random_up_set_system(rng, n), n)
+               for n in (1, 2, 3, 4, 5) for _ in range(6)]
+    bodies += fractional_up_sets(191, 30)
+    factors = (1, 2, 3, Fraction(3, 2), Fraction(5, 3))
+    seen = {"fractional": 0, "other order": 0, "reordered": 0}
+    for body in bodies:
+        for t in factors + (Fraction(rng.randint(1, 7), rng.randint(1, 4)),):
+            dilate = scale(body, t)
+            if math.prod(b + 1 for b in dilate_box(dilate, 1)) > 40000:
+                continue
+            assert minimal_lattice_points(body, t) == \
+                minimal_lattice_points(dilate), (body, t)
+            seen["fractional"] += any(c.denominator > 1
+                                      for v in body.vertices for c in v)
+            seen["other order"] += search_order(body) != list(
+                range(body.nvars))
+            dilated = [HalfSpace.from_rational(h.normal, h.offset * t)
+                       for h in body.facets]
+            seen["reordered"] += dilated != list(dilate.facets)
+    assert min(seen.values()) > 10, seen
+    # the fixtures' boxes stay under the cap at the fixed factors, so these
+    # two were checked above: weighted's SP has fractional vertices, and
+    # c5cone's SP is searched in a non-identity order
+    weighted = symbolic_polyhedron(ideals["weighted"].classified)
+    assert any(c.denominator > 1 for v in weighted.vertices for c in v)
+    c5cone = symbolic_polyhedron(ideals["c5cone"].classified)
+    assert search_order(c5cone) != list(range(c5cone.nvars))
+    assert minimal_lattice_points(weighted) == \
+        minimal_lattice_points(weighted, 1)
+    for bad in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(NonPositiveScale):
+            minimal_lattice_points(weighted, bad)
+    with pytest.raises(InexactNumber):
+        minimal_lattice_points(weighted, 1.5)
+
+
 def search_order(body):
     """The order in which minimal_lattice_points visits the coordinates:
     decreasing number of positive-offset facets fed, ties first by the

@@ -170,7 +170,7 @@ def test_svd_probe_windows(ideals):
     expected = {
         "triangle": (2, 2), "weighted": (2, 2), "c5": (3, 9),
         "gt2sharp": (2, 3), "mprimary": (1, 1), "principal": (1, 1),
-        "star42": (2, 2), "star44": (1, 3),
+        "star42": (2, 2), "star43": (6, 12), "star44": (1, 3),
     }
     for name, probe in expected.items():
         ci = ideals[name].classified
@@ -180,8 +180,6 @@ def test_svd_probe_windows(ideals):
         assert upper == bounds.upper
         assert bounds.lower <= candidate <= upper
         assert candidate % bounds.lower == 0
-    # the deep default check on this one expands 24th symbolic powers;
-    # a depth-two probe already pins the same candidate
     assert svd_probe(ideals["star43"].classified, k_max=2) == (6, 12)
 
 
@@ -235,9 +233,17 @@ def test_svd_probe_builds_each_symbolic_power_once(ideals, monkeypatch):
         return symbolic_power(classified, k)
 
     monkeypatch.setattr("nok.simis.symbolic_power", counting)
-    # m = 1 fails at I^(2); m = 2 reads I^(2) again, then I^(4) and I^(6)
-    assert svd_probe(ideals["gt2sharp"].classified, k_max=3) == (2, 3)
-    assert built == [1, 2, 4, 6]
+    # gt2sharp at k_max = 3: m = 1 fails at I^(2); m = 2 reads I^(2) again,
+    # then I^(4) and I^(6).  The default k_max = 4 stops at
+    # B = max(ell_s - 1, 1): B = 2 on star43 (c = 6, ell_s = 3) and B = 3 on
+    # c5 (c = 3, ell_s = 4), whose first candidates pass
+    for name, k_max, probe, expected in (
+            ("gt2sharp", 3, (2, 3), [1, 2, 4, 6]),
+            ("star43", 4, (6, 12), [6, 12]),
+            ("c5", 4, (3, 9), [3, 6, 9])):
+        built.clear()
+        assert svd_probe(ideals[name].classified, k_max) == probe, name
+        assert built == expected, name
 
 
 def svd_by_products(ci, k_max):
