@@ -4,7 +4,8 @@ library operation, and print a text or JSON report.
 Exit codes: 0 success, 1 domain error (e.g. an ideal class with no
 symbolic-polyhedron support), 2 parse or usage error (including a
 NOK_MAX_VERTICES that is not a positive integer), 3 vertex budget
-exceeded (see NOK_MAX_VERTICES).
+exceeded (see NOK_MAX_VERTICES), 141 the reader closed standard output
+before the report was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations

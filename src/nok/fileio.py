@@ -187,7 +187,7 @@ def _parse_vector(text: str, line: int, col: int, nvars: int) -> tuple[int, ...]
     return tuple(entries)
 
 
-def _parse_monomial(text: str, line: int | None, col: int | None,
+def _parse_monomial(text: str, line: int | None, col: int,
                     index: dict[str, int], nvars: int) -> tuple[int, ...]:
     if text.startswith("["):
         return _parse_vector(text, line, col, nvars)
@@ -199,8 +199,7 @@ def _parse_monomial(text: str, line: int | None, col: int | None,
     offset = 0
     for factor in text.split("*"):
         stripped = factor.strip()
-        factor_col = None if col is None else \
-            col + offset + len(factor) - len(factor.lstrip())
+        factor_col = col + offset + len(factor) - len(factor.lstrip())
         offset += len(factor) + 1
         match = _NAME.match(stripped)
         if not match:

@@ -56,15 +56,13 @@ refused before it is packed.
 `power` squares repeatedly.  Multiplication of monomial ideals is
 associative and commutative, and minimalizing a generating set gives the
 one canonical antichain, so any bracketing of the k factors yields the
-same ideal as k - 1 successive products.  Each square sums every
-unordered pair of generators once, which halves what it minimalizes.
+same ideal as k - 1 successive products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import (chain, combinations_with_replacement, product,
-                       starmap)
+from itertools import chain, product, starmap
 from operator import add, le, mul
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -224,8 +222,7 @@ def minimalize(gens: Iterable[Sequence[int]], nvars: int | None = None) -> Monom
 def multiply(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:
     """Product ideal: the minimal pairwise exponent sums.  Packing is
     linear, so each sum is packed as one int addition, and only the kept
-    sums are built.  A square sums each unordered pair once, as
-    a + b = b + a."""
+    sums are built."""
     if lhs.nvars != rhs.nvars:
         raise DimensionMismatch("variable counts differ")
     gens, rgens = lhs.generators, rhs.generators
@@ -233,14 +230,9 @@ def multiply(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:
     # one field width for both factors, wide enough for every sum
     guard, pack = _packer(lows, span + rspan)
     _, rpack = _packer(rlows, span + rspan)
-    if lhs == rhs:
-        packed = combinations_with_replacement(map(pack, gens), 2)
-        pairs = combinations_with_replacement(gens, 2)
-    else:
-        packed = product(map(pack, gens), map(rpack, rgens))
-        pairs = product(gens, rgens)
+    packed = product(map(pack, gens), map(rpack, rgens))
     # packed sum -> one pair with that sum; equal sums are equal vectors
-    by_sum = dict(zip(starmap(add, packed), pairs))
+    by_sum = dict(zip(starmap(add, packed), product(gens, rgens)))
     # _antichain keeps the minimal sums, in lex order
     return MonomialIdeal._proven(lhs.nvars, tuple(
         tuple(map(add, *by_sum[p])) for p in _antichain(by_sum, guard)))
@@ -329,17 +321,6 @@ class PrimeComponent:
             raise NonPositiveMultiplicity(
                 f"multiplicity must be an int >= 1, got {self.multiplicity!r}")
 
-    @classmethod
-    def _proven(cls, variables: tuple[int, ...],
-                multiplicity: int) -> "PrimeComponent":
-        """A component whose caller has proven its variable indices ints,
-        distinct, sorted and nonnegative, and its multiplicity an int >= 1:
-        the checks are skipped."""
-        comp = object.__new__(cls)
-        object.__setattr__(comp, "variables", variables)
-        object.__setattr__(comp, "multiplicity", multiplicity)
-        return comp
-
     def indicator(self, nvars: int) -> Vector:
         """0/1 vector marking the prime's variables."""
         chosen = set(self.variables)
@@ -375,32 +356,16 @@ class PrimeDecomposition:
     components: tuple[PrimeComponent, ...]
 
     def __post_init__(self):
-        self._check_range()
-        unique = sorted(set(self.components), key=_component_key)
-        kept = tuple(c for c in unique
-                     if not any(_implied(c, d) for d in unique if d != c))
-        object.__setattr__(self, "components", kept)
-
-    @classmethod
-    def _irredundant(cls, nvars: int, components: Iterable[PrimeComponent]
-                     ) -> "PrimeDecomposition":
-        """A decomposition whose components the caller has proven distinct
-        and irredundant: they are only sorted and range-checked."""
-        decomp = object.__new__(cls)
-        object.__setattr__(decomp, "nvars", nvars)
-        object.__setattr__(decomp, "components",
-                           tuple(sorted(components, key=_component_key)))
-        decomp._check_range()
-        return decomp
-
-    def _check_range(self):
-        """At least one component, and every variable index below nvars."""
         if not self.components:
             raise EmptyList("a decomposition needs at least one component")
         for comp in self.components:
             if comp.variables[-1] >= self.nvars:
                 raise DimensionMismatch(
                     f"variable index {comp.variables[-1]} out of range")
+        unique = sorted(set(self.components), key=_component_key)
+        kept = tuple(c for c in unique
+                     if not any(_implied(c, d) for d in unique if d != c))
+        object.__setattr__(self, "components", kept)
 
 
 def expand_decomposition(decomp: PrimeDecomposition) -> MonomialIdeal:
@@ -436,9 +401,6 @@ def minimal_primes(ideal: MonomialIdeal) -> PrimeDecomposition:
         bits = [1 << j for j in range(n) if edge >> j & 1]
         covers = meets + [c | b for c in covers if not c & edge for b in bits
                           if not any(m & (c | b) == m for m in meets)]
-    # minimal covers are distinct and none contains another, so none is
-    # implied; the decomposition sorts them.  A cover is nonempty, as it
-    # meets an edge, and its indices come out sorted and in range
-    return PrimeDecomposition._irredundant(n, (
-        PrimeComponent._proven(tuple(j for j in range(n) if c >> j & 1), 1)
+    return PrimeDecomposition(n, tuple(
+        PrimeComponent(tuple(j for j in range(n) if c >> j & 1))
         for c in covers))

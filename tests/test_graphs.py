@@ -12,14 +12,20 @@ computes for it:
   "On the ideal theory of graphs", J. Algebra 167, 1994);
 - the symbolic Rees algebra of the odd cycle C_(2m+1) is generated by
   the edges in degree 1 and the product of all its variables in degree
-  m + 1 (the same paper).
+  m + 1 (the same paper);
+- the vertex cover algebra, the symbolic Rees algebra of the cover ideal
+  J(G), the intersection of the primes (x_i, x_j) over the edges, is
+  generated in degree at most 2, and in degree 1 exactly when G is
+  bipartite (Herzog, Hibi & Trung, "Symbolic powers of monomial ideals
+  and vertex cover algebras", Adv. Math. 210, 2007).
 """
 
 import random
 
 import pytest
 
-from nok import analytic_spread, classify, hilbert_basis, minimalize, \
+from nok import PrimeComponent, PrimeDecomposition, analytic_spread, \
+    classify, classify_decomposition, hilbert_basis, minimalize, \
     np_equals_sp
 
 
@@ -113,3 +119,18 @@ def test_odd_cycle_symbolic_rees_algebra(m):
     # the degree m + 1 element is the product of all the variables
     assert [e.exponent for e in report.elements if e.degree == m + 1] == \
         [(1,) * length]
+
+
+def test_vertex_cover_algebra_is_standard_exactly_for_bipartite_graphs():
+    seen = set()
+    # seeded_graphs gives only graphs with an edge, so J(G) is proper
+    for n, edges in seeded_graphs(7, 60, 4, 9):
+        cover_ideal = classify_decomposition(PrimeDecomposition(
+            n, tuple(PrimeComponent(edge) for edge in edges)))
+        components, bipartite = bipartite_components(n, edges)
+        seen.add(bipartite == components)
+        report = hilbert_basis(cover_ideal)
+        assert report.exhaustive
+        assert report.degrees == ({1} if bipartite == components
+                                  else {1, 2}), (n, edges)
+    assert seen == {True, False}

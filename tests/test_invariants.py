@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from nok import (NonPositiveExponent, UnsupportedIdealClass, analytic_spread,
-                 c_degree_compatibility, classify, equal, invariant_report,
-                 minimalize, newton_polyhedron, power, scale, sgt_bounds,
-                 svd_bounds, symbolic_analytic_spread, symbolic_polyhedron,
-                 symbolic_power, verify_np_scaled_sp, vertex_constants)
+                 c_degree_compatibility, classify, equal, hilbert_basis,
+                 invariant_report, minimalize, newton_polyhedron, power,
+                 scale, sgt_bounds, svd_bounds, symbolic_analytic_spread,
+                 symbolic_polyhedron, symbolic_power, verify_np_scaled_sp,
+                 vertex_constants)
 
 # one row per fixture ideal: ell, ell_s, c, D, svd window, sgt bound,
 # sgt bound under NP = SP, hadamard-derived bound and its exactness
@@ -222,3 +225,45 @@ def test_symbolic_powers_grow_with_the_symbolic_spread(ideals):
         mu = [len(symbolic_power(ci, c * j).generators) for j in window]
         assert differences(mu, ell_s - 1)[-2:] == [step] * 2, name
         assert differences(mu, ell_s)[-2:] == [0] * 2, name
+
+
+# the squarefree gens: fixtures; mprimary is left out, as its symbolic
+# powers are taken to be the integral closures of its powers (the strict
+# xfail of test_bodies.py), which breaks the degree law: mprimary +
+# mprimary reads {1, 2}
+SQUAREFREE = ("triangle", "c5", "c5cone", "gt2sharp", "principal", "star42",
+              "star43", "star44")
+
+
+def disjoint_sum(left, right):
+    """I + J with J in variables of its own, after I's."""
+    n, m = left.nvars, right.nvars
+    return classify(minimalize(
+        [g + (0,) * m for g in left.generators]
+        + [(0,) * n + h for h in right.generators], n + m))
+
+
+def test_invariants_of_a_disjoint_sum(ideals, hilbert_reports):
+    # Ha, Nguyen, Trung & Trung, "Symbolic powers of sums of ideals",
+    # Math. Z. 294, 2020: in disjoint variables the (symbolic) Rees
+    # algebra of I + J is the tensor product of those of I and J, so the
+    # spreads add and the generating degrees are the union.  The minimal
+    # primes of I + J are the sums P + Q, so the vertices of SP(I + J) are
+    # those of SP(I) and of SP(J), padded with zeros: c is the lcm and D
+    # the max
+    pairs = [(a, b) for a, b in combinations_with_replacement(SQUAREFREE, 2)
+             if ideals[a].ideal.nvars + ideals[b].ideal.nvars <= 9]
+    assert len(pairs) == 24
+    for a, b in pairs:
+        left, right = ideals[a].classified, ideals[b].classified
+        total = disjoint_sum(left.ideal, right.ideal)
+        assert analytic_spread(total.ideal) == \
+            analytic_spread(left.ideal) + analytic_spread(right.ideal)
+        assert symbolic_analytic_spread(total) == \
+            symbolic_analytic_spread(left) + symbolic_analytic_spread(right)
+        parts = vertex_constants(left), vertex_constants(right)
+        constants = vertex_constants(total)
+        assert constants.c == math.lcm(*(p.c for p in parts)), (a, b)
+        assert constants.D == max(p.D for p in parts), (a, b)
+        assert hilbert_basis(total).degrees == \
+            hilbert_reports[a].degrees | hilbert_reports[b].degrees, (a, b)
