@@ -166,12 +166,13 @@ class MembershipCertificate:
 
     Inside: point = sum(weight_i * vertex_i) + remainder with positive
     weights summing to 1 and a nonnegative remainder.  The point minus the
-    remainder lies on a compact face, reached by walking down each
-    coordinate that is free on the current face, in order (see
-    polyhedron._decompose).  The vertices are the first subset of that
-    face's vertices, by size and then in vertex order, whose hull holds
-    that point, so they are affinely independent (see
-    _convex_combination).  Outside: the first facet the point violates.
+    remainder lies in the relative interior of a compact face, reached by
+    walking down each coordinate that is free on the current face, in
+    order (see polyhedron._decompose).  The vertices are the first subset
+    of that face's vertices, by size and then in vertex order, whose hull
+    holds that point, so they are affinely independent; a face that is a
+    simplex gives all its vertices (see _convex_combination).  Outside:
+    the first facet the point violates.
     """
 
     inside: bool
@@ -191,44 +192,78 @@ def membership_certificate(body: RationalPolyhedron,
     for hs, s in zip(body.facets, slacks):
         if s < 0:
             return MembershipCertificate(inside=False, violated=hs)
-    anchor, remainder, tight = poly._decompose(body, den, num, slacks)
-    candidates = [v for v, m in zip(body.vertices, body._vertex_masks)
-                  if m & tight == tight]
-    vertices, weights = _convex_combination(anchor, candidates)
-    return MembershipCertificate(True, vertices, weights, remainder)
+    scale, cur, tight = poly._decompose(body, den, num, slacks)
+    face = [i for i, m in enumerate(body._vertex_masks) if m & tight == tight]
+    chosen, weights = _convex_combination(body._vertex_view, face, scale, cur)
+    lift = scale // den
+    remainder = tuple(Fraction(x * lift - c, scale) for x, c in zip(num, cur))
+    return MembershipCertificate(True, tuple(body.vertices[i] for i in chosen),
+                                 weights, remainder)
 
 
-def _convex_combination(target: Point, candidates: list[Point]):
-    """Write target as a convex combination of some of the candidate
-    points (they span a face containing it, so a small subset works).
+def _convex_combination(view: poly._VertexView, face: list[int], scale: int,
+                        cur: list[int]):
+    """Write the anchor u = cur/scale as a convex combination of vertices
+    of the compact face whose relative interior holds it (see
+    polyhedron._decompose); `face` holds the indices of that face's
+    vertices, in vertex order.
 
-    Returns the first subset of least size, in itertools.combinations
-    order, whose hull holds the target, with its weights.  Such a subset
-    is affinely independent and its weights are positive: were it
-    dependent, or a weight zero, a smaller subset would hold the target.
+    Returns the first subset of least size of `face`, in
+    itertools.combinations order, whose hull holds u, with its weights.
+    Such a subset is affinely independent and its weights are positive:
+    were it dependent, or a weight zero, a smaller subset would hold u.
     So an affinely dependent subset is skipped without a look at its
     solutions: if one were nonnegative, its support would be a smaller
-    subset holding the target, which the search has tried before.  The
-    search stays exponential in the number of candidates at worst.
+    subset holding u, which the search has tried before.
+
+    Two shortcuts rest on u lying in the relative interior of the face.
+    A one-vertex face is that vertex, so u is it, with weight 1, and no
+    elimination runs.  If the face's vertices are affinely independent,
+    the face is a simplex, and the hull of a proper subset of them is a
+    proper face of it, which misses the relative interior; so the whole
+    face is the first subset holding u, and one elimination of the whole
+    table gives its weights, its pivots proving the independence.  Two
+    distinct points are independent, and three vertices of a polytope are
+    never collinear (the middle one would be no vertex), so a face with 2
+    or 3 vertices is always a simplex; one with more vertices than
+    nvars + 1 never is.  Otherwise the search runs from size 2, as a
+    relative-interior point of a face with two or more vertices is no
+    vertex.  It stays exponential in the face's vertex count at worst.
 
     Each subset is solved by fraction-free elimination of a slice of one
-    integer table: a row per coordinate, holding the candidates' entries
-    and the target's (last) scaled by the row's lcm of denominators, and
-    the row of ones.
+    integer table, built from the body's integer vertex view (numerators
+    N_j = c * vertex j): a row per coordinate i, holding
+    scale * N_j[i] for the face's vertices j and c * cur[i] last, which
+    is scale * c times that coordinate of the system; and the row of ones.
     """
-    table = [poly._clear_denominators([v[i] for v in candidates]
-                                      + [target[i]])[1]
-             for i in range(len(target))]
-    table.append([1] * (len(candidates) + 1))
-    for size in range(1, len(candidates) + 1):
-        independent = list(range(size))
-        for subset in combinations(range(len(candidates)), size):
-            cols = (*subset, -1)
-            rows = [[row[c] for c in cols] for row in table]
-            d, pivots = _gauss_jordan(rows, size + 1)
-            # rows[k][size] / d is the k-th weight
-            if pivots == independent and all(
-                    row[size] * d >= 0 for row in rows[:size]):
-                return (tuple(candidates[c] for c in subset),
-                        tuple(Fraction(row[size], d) for row in rows[:size]))
+    count = len(face)
+    if count == 1:
+        return face, (Fraction(1),)
+    numerators, c = view.numerators, view.c
+    table = [[scale * numerators[j][i] for j in face] + [c * u]
+             for i, u in enumerate(cur)]
+    table.append([1] * (count + 1))
+    if count <= len(cur) + 1:
+        weights = _weights(table, range(count))
+        if weights is not None:
+            return face, weights
+    for size in range(2, count):
+        for subset in combinations(range(count), size):
+            weights = _weights(table, subset)
+            if weights is not None:
+                return [face[k] for k in subset], weights
     raise NokError("internal error: point not in the hull of its face")
+
+
+def _weights(table: list[list[int]], cols: Sequence[int]):
+    """The weights of the table's last column over its columns `cols`, as
+    Fractions; None when those columns are affinely dependent or a weight
+    is negative."""
+    size = len(cols)
+    rows = [[row[k] for k in (*cols, -1)] for row in table]
+    d, pivots = _gauss_jordan(rows, size + 1)
+    # rows[k][size] / d is the k-th weight
+    if pivots == list(range(size)) and all(
+            row[size] * d >= 0 for row in rows[:size]):
+        return tuple(Fraction(row[size], d) for row in rows[:size])
+    return None

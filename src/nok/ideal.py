@@ -337,17 +337,6 @@ def _component_key(comp: PrimeComponent) -> tuple:
     return comp.variables, comp.multiplicity
 
 
-def _implied(comp: PrimeComponent, by: PrimeComponent) -> bool:
-    # comp is redundant when its variable set contains `by`'s with a
-    # multiplicity that is not larger (the half-space it cuts is implied).
-    sup, sub = set(comp.variables), set(by.variables)
-    if not sub <= sup:
-        return False
-    if sub == sup:
-        return comp.multiplicity < by.multiplicity
-    return comp.multiplicity <= by.multiplicity
-
-
 @dataclass(frozen=True)
 class PrimeDecomposition:
     """Irredundant intersection of powers of monomial primes."""
@@ -363,8 +352,16 @@ class PrimeDecomposition:
                 raise DimensionMismatch(
                     f"variable index {comp.variables[-1]} out of range")
         unique = sorted(set(self.components), key=_component_key)
-        kept = tuple(c for c in unique
-                     if not any(_implied(c, d) for d in unique if d != c))
+        # a component is implied, and dropped, when another one's variable
+        # set lies inside its own with a multiplicity that is not smaller,
+        # and larger if the sets are equal: the half-space it cuts is
+        # implied.  Variable sets are bitmasks, built once.
+        keys = [(sum(1 << v for v in c.variables), c.multiplicity)
+                for c in unique]
+        kept = tuple(c for c, (mask, mult) in zip(unique, keys)
+                     if not any(sub & mask == sub
+                                and (m > mult or m == mult and sub != mask)
+                                for sub, m in keys))
         object.__setattr__(self, "components", kept)
 
 

@@ -69,10 +69,10 @@ def symbolic_analytic_spread(classified: ClassifiedIdeal) -> int:
 
 
 def _body_constants(body: poly.RationalPolyhedron) -> VertexConstants:
-    """vertex_constants of any polyhedron with a vertex."""
-    denoms = tuple(math.lcm(*(coord.denominator for coord in v))
-                   for v in body.vertices)
-    return VertexConstants(denoms, math.lcm(*denoms), max(denoms))
+    """vertex_constants of any polyhedron with a vertex: d_i and c are
+    read off the body's integer vertex view, computed once per body."""
+    denoms, c, _ = body._vertex_view
+    return VertexConstants(denoms, c, max(denoms))
 
 
 def vertex_constants(classified: ClassifiedIdeal) -> VertexConstants:

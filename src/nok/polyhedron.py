@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (DimensionMismatch, EmptyInput, EmptyList, InexactNumber,
                      InfeasibleSystem, InvalidVertexBudget,
@@ -105,6 +105,16 @@ class HalfSpace:
         return cls(prim[:-1], prim[-1])
 
 
+class _VertexView(NamedTuple):
+    """The vertices in integers: `denoms[i]` is the lcm d_i of vertex i's
+    denominators, `c` the lcm of the d_i, and `numerators[i]` is c times
+    vertex i."""
+
+    denoms: tuple[int, ...]
+    c: int
+    numerators: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class RationalPolyhedron:
     """Canonical two-sided description of an up-set polyhedron.
@@ -168,6 +178,16 @@ class RationalPolyhedron:
         ranks = (rank([h.normal for i, h in enumerate(self.facets)
                        if m >> i & 1]) for m in top)
         return self.nvars - min(ranks)
+
+    @cached_property
+    def _vertex_view(self) -> _VertexView:
+        # derived once per object, as _mdc is
+        denoms = tuple(math.lcm(*(x.denominator for x in v))
+                       for v in self.vertices)
+        c = math.lcm(*denoms)
+        return _VertexView(denoms, c, tuple(
+            tuple(x.numerator * (c // x.denominator) for x in v)
+            for v in self.vertices))
 
     @cached_property
     def _cover_masks(self) -> tuple[int, ...]:
@@ -515,19 +535,25 @@ def mdc(poly: RationalPolyhedron) -> int:
 
 
 def _decompose(poly: RationalPolyhedron, den: int, num: list[int],
-               slacks: list[int]) -> tuple[Point, Point, int]:
+               slacks: list[int]) -> tuple[int, list[int], int]:
     """Split the point num/den of P, whose scaled facet slacks (see
-    _slacks) are given, as u + r with u in a compact face and r >= 0;
-    returns (u, r, the mask of the facets tight at u).
+    _slacks) are given, as u + r with u in a compact face and r >= 0.
+    Returns u in integers, as (S, U, tight) with u = U/S, S a multiple of
+    den, and tight the mask of the facets tight at u; then r is
+    (num * (S // den) - U) / S.
 
     Walks down each coordinate direction that is free on the current
     minimal face, in order.  A step down coordinate j makes a facet with a
     positive entry at j tight, and leaves the tight facets tight (they are
     zero at j), so one pass over the coordinates reaches a compact face.
-    The walk keeps u as U/D and the facet slacks at u as D*slack, all in
+    The walk keeps u as U/S and the facet slacks at u as S*slack, all in
     integers.  A step of length lam = p/q down coordinate j lowers U[j] by
-    D*lam and slack i by a_ij*lam; D grows to lcm(D, q) first, scaling U
+    S*lam and slack i by a_ij*lam; S grows to lcm(S, q) first, scaling U
     and the slacks, only when q does not divide it.
+
+    u lies in the relative interior of the face cut out by the facets
+    in `tight`, the facets tight at u, and that face is compact: each
+    coordinate has a tight facet positive there.
     """
     facets = poly.facets
     scale, cur, slack = den, list(num), list(slacks)
@@ -552,10 +578,7 @@ def _decompose(poly: RationalPolyhedron, den: int, num: list[int],
         cur[free] -= step
         slack = [s - step * h.normal[free] for s, h in zip(slack, facets)]
         tight = sum(1 << i for i, s in enumerate(slack) if s == 0)
-    lift = scale // den
-    anchor = tuple(Fraction(c, scale) for c in cur)
-    remainder = tuple(Fraction(x * lift - c, scale) for x, c in zip(num, cur))
-    return anchor, remainder, tight
+    return scale, cur, tight
 
 
 def minimal_lattice_points(poly: RationalPolyhedron,

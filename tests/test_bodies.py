@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,11 +14,12 @@ from nok import (ClassifiedIdeal, DimensionMismatch, IdealKind,
                  member_integral_closure, member_symbolic,
                  membership_certificate, minimal_primes, minimalize,
                  newton_polyhedron, np_equals_sp, power, real_power, scale,
-                 symbolic_polyhedron, symbolic_power)
+                 symbolic_polyhedron, symbolic_power, vertex_constants)
 
 from oracles import (closure_member_naive, dot, faces, fraction_decompose,
                      slack, solve_linear, symbolic_power_by_intersection)
 from nok.bodies import CACHE_SIZE, MembershipCertificate
+from nok.linalg import _gauss_jordan
 
 
 def random_linear_power(rng, n):
@@ -345,6 +348,82 @@ def test_certificates_on_faces_with_many_vertices(ideals):
             check_certificate(body, point, cert)
         sizes.append(len(verts))
     assert sorted(sizes) == [8, 8, 8, 8, 8, 8, 10]
+
+
+def face_size(body, point):
+    """The vertex count of the compact face whose relative interior holds
+    the anchor of a point inside the body, by the Fraction route."""
+    anchor, _ = fraction_decompose(body, point)
+    tight = [h for h in body.facets if slack(h, anchor) == 0]
+    return sum(all(slack(h, v) == 0 for h in tight) for v in body.vertices)
+
+
+def test_simplex_faces_take_one_elimination(monkeypatch):
+    # a one-vertex face takes no elimination, and a face with 2 or 3
+    # vertices, always a simplex, takes one
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return _gauss_jordan(rows, ncols)
+
+    monkeypatch.setattr("nok.bodies._gauss_jordan", counting)
+    rng = random.Random(101)
+    sizes = Counter()
+    for body in certificate_bodies(91):
+        points = list(face_points(rng, body.vertices, 6))
+        points += [tuple(c + Fraction(rng.randint(0, 4), rng.randint(1, 5))
+                         for c in p) for p in points[:3]]
+        for point in points:
+            calls.clear()
+            cert = membership_certificate(body, point)
+            made = len(calls)
+            assert cert == fraction_certificate(body, point)
+            size = face_size(body, point)
+            if size <= 3:
+                assert made == (size > 1), (size, made)
+            sizes[min(size, 4)] += 1
+    assert min(sizes[1], sizes[2], sizes[3], sizes[4]) > 20, sizes
+
+
+def view_bodies(ideals):
+    """The fixtures' Newton and symbolic polyhedra, and seeded bodies
+    with fractional vertices."""
+    for parsed in ideals.values():
+        yield newton_polyhedron(parsed.ideal)
+        if parsed.classified.supports_sp():
+            yield symbolic_polyhedron(parsed.classified)
+    yield from certificate_bodies(91)
+
+
+def test_vertex_view_holds_the_vertices_in_integers(ideals):
+    for body in view_bodies(ideals):
+        denoms, c, numerators = body._vertex_view
+        assert denoms == tuple(math.lcm(*(x.denominator for x in v))
+                               for v in body.vertices)
+        assert c == math.lcm(*denoms)
+        assert len(numerators) == len(body.vertices)
+        for v, row in zip(body.vertices, numerators):
+            assert all(type(x) is int for x in row)
+            assert tuple(Fraction(x, c) for x in row) == v
+    for parsed in ideals.values():
+        if parsed.classified.supports_sp():
+            constants = vertex_constants(parsed.classified)
+            view = symbolic_polyhedron(parsed.classified)._vertex_view
+            assert (constants.denoms, constants.c) == (view.denoms, view.c)
+
+
+def test_vertex_view_leaves_equality_and_hashing_alone(ideals):
+    for body in view_bodies(ideals):
+        twin = hull_up_set(body.vertices, body.nvars)
+        assert twin is not body
+        # built once, on one of the two only
+        assert body._vertex_view is body._vertex_view
+        assert "_vertex_view" in vars(body)
+        assert "_vertex_view" not in vars(twin)
+        assert body == twin
+        assert hash(body) == hash(twin)
+        assert repr(body) == repr(twin)
 
 
 @pytest.mark.parametrize("length", [2, 6])

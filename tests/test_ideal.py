@@ -440,6 +440,35 @@ def test_decomposition_drops_implied_components():
     assert dec.components == (PrimeComponent((0,), 1),)
 
 
+def test_decomposition_drops_exactly_the_implied_components():
+    # the reference filter on variable sets: a component goes when another
+    # one's set lies inside its own with a multiplicity not smaller, and
+    # larger if the sets are equal; the intersection never changes
+    def implied(c, d):
+        sub, sup = set(d.variables), set(c.variables)
+        if sub == sup:
+            return c.multiplicity < d.multiplicity
+        return sub < sup and c.multiplicity <= d.multiplicity
+
+    rng = random.Random(61)
+    dropped = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        given = [PrimeComponent(tuple(rng.sample(range(n), rng.randint(1, n))),
+                                rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 6))]
+        unique = sorted(set(given),
+                        key=lambda c: (c.variables, c.multiplicity))
+        expected = tuple(c for c in unique
+                         if not any(implied(c, d) for d in unique))
+        dec = PrimeDecomposition(n, tuple(given))
+        assert dec.components == expected
+        assert expand_decomposition(dec) == intersect(
+            [power(c.ideal(n), c.multiplicity) for c in given])
+        dropped += len(unique) - len(expected)
+    assert dropped > 100
+
+
 def test_expand_decomposition_matches_intersection():
     dec = PrimeDecomposition(3, (PrimeComponent((0, 1), 2),
                                  PrimeComponent((1, 2), 1)))
