@@ -12,6 +12,7 @@ SP-dependent operations refuse it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -193,20 +194,20 @@ def membership_certificate(body: RationalPolyhedron,
         if s < 0:
             return MembershipCertificate(inside=False, violated=hs)
     scale, cur, tight = poly._decompose(body, den, num, slacks)
-    face = [i for i, m in enumerate(body._vertex_masks) if m & tight == tight]
-    chosen, weights = _convex_combination(body._vertex_view, face, scale, cur)
+    face = tuple(v for v, m in zip(body.vertices, body._vertex_masks)
+                 if m & tight == tight)
+    chosen, weights = _convex_combination(face, scale, cur)
     lift = scale // den
     remainder = tuple(Fraction(x * lift - c, scale) for x, c in zip(num, cur))
-    return MembershipCertificate(True, tuple(body.vertices[i] for i in chosen),
-                                 weights, remainder)
+    return MembershipCertificate(True, chosen, weights, remainder)
 
 
-def _convex_combination(view: poly._VertexView, face: list[int], scale: int,
+def _convex_combination(face: tuple[Point, ...], scale: int,
                         cur: list[int]):
     """Write the anchor u = cur/scale as a convex combination of vertices
     of the compact face whose relative interior holds it (see
-    polyhedron._decompose); `face` holds the indices of that face's
-    vertices, in vertex order.
+    polyhedron._decompose); `face` holds that face's vertices, in vertex
+    order.
 
     Returns the first subset of least size of `face`, in
     itertools.combinations order, whose hull holds u, with its weights.
@@ -231,17 +232,20 @@ def _convex_combination(view: poly._VertexView, face: list[int], scale: int,
     vertex.  It stays exponential in the face's vertex count at worst.
 
     Each subset is solved by fraction-free elimination of a slice of one
-    integer table, built from the body's integer vertex view (numerators
-    N_j = c * vertex j): a row per coordinate i, holding
-    scale * N_j[i] for the face's vertices j and c * cur[i] last, which
-    is scale * c times that coordinate of the system; and the row of ones.
+    integer table, built over the lcm c_F of the face's own denominators:
+    a row per coordinate i, holding scale * c_F * v[i] for the face's
+    vertices v and c_F * cur[i] last, which is scale * c_F times that
+    coordinate of the system; and the row of ones.  Every coordinate row
+    is a positive multiple of the system's row, whichever common multiple
+    of the denominators is taken, so the pivots, the chosen subset and
+    the weights are those of the table over the body's lcm c.
     """
     count = len(face)
     if count == 1:
         return face, (Fraction(1),)
-    numerators, c = view.numerators, view.c
-    table = [[scale * numerators[j][i] for j in face] + [c * u]
-             for i, u in enumerate(cur)]
+    c = math.lcm(*(x.denominator for v in face for x in v))
+    table = [[scale * x.numerator * (c // x.denominator) for x in row]
+             + [c * u] for row, u in zip(zip(*face), cur)]
     table.append([1] * (count + 1))
     if count <= len(cur) + 1:
         weights = _weights(table, range(count))
@@ -251,7 +255,7 @@ def _convex_combination(view: poly._VertexView, face: list[int], scale: int,
         for subset in combinations(range(count), size):
             weights = _weights(table, subset)
             if weights is not None:
-                return [face[k] for k in subset], weights
+                return tuple(face[k] for k in subset), weights
     raise NokError("internal error: point not in the hull of its face")
 
 

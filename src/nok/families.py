@@ -27,7 +27,6 @@ from .errors import (DimensionMismatch, EmptyList, NokError,
                      NonPositiveExponent, NotProvenNoetherian,
                      UnsupportedIdealClass)
 from .ideal import MonomialIdeal, _check_power, intersect, power
-from .invariants import _body_constants
 from .polyhedron import Point, RationalPolyhedron
 
 
@@ -191,7 +190,7 @@ def family_limit(family: FamilySpec) -> FamilyLimit:
         # every lattice point of c*SP lies in I^(c), so c attains SP once
         # c*SP has integral vertices
         body = symbolic_polyhedron(family.base)
-        return FamilyLimit(body, None, _body_constants(body).c)
+        return FamilyLimit(body, None, body._vertex_constants.c)
     if isinstance(family, IntersectionFamily):
         body = poly.intersect_polyhedra(
             [newton_polyhedron(j) for j in family.components])
@@ -212,27 +211,33 @@ def newton_okounkov_body(family: FamilySpec) -> RationalPolyhedron:
     return family_limit(family).body
 
 
-def _missing(family: FamilySpec, vertices: tuple[Point, ...],
+def _missing(family: FamilySpec, body: RationalPolyhedron,
              c: int) -> list[Point]:
     """The body vertices outside (1/c)NP(I_c).  That polyhedron lies in
-    the body, so a vertex is in it iff it is one of its vertices: c*vertex
-    is integral and x^(c*vertex) is a generator of I_c.  An intersection
-    expands each component's c-th power at most once, on the first vertex
-    with c*vertex integral that needs it."""
+    the body, so a vertex v is in it iff it is one of its vertices: c*v
+    is integral, that is, d_v divides c, and x^(c*v) is a generator of
+    I_c.  An intersection expands each component's c-th power at most
+    once, on the first vertex with c*v integral that needs it.
+
+    A ceiling family is asked only at a c that does not attain its body,
+    and misses every vertex there, so none is tested.  Its body is
+    s*NP(base), and (1/c)NP(I_c) = (e_c/c)*NP(base) with e_c/c > s, as s
+    is the infimum of those ratios and c does not attain it.  A vertex w
+    of NP(base) lies on a facet <a, x> >= b with b > 0, since a vertex
+    on offset-0 facets only would be the origin; so <a, s*w> = s*b is
+    less than (e_c/c)*b, and the body's vertex s*w is outside.  The
+    origin is a vertex only of the unit base's NP, the orthant, whose
+    least c is 1, so its check never gets here.
+    """
     if isinstance(family, CeilingPowerFamily):
-        # NP(base^e) = e*NP(base)
-        ratio = Fraction(c, family.exponent(c))
-        base = newton_polyhedron(family.base)
-        return [v for v in vertices
-                if not poly.contains(base, [x * ratio for x in v])]
+        return list(body.vertices)
     expanded = cache(lambda j: power(j, c))
     missing = []
-    for v in vertices:
-        a = [x * c for x in v]
-        if any(x.denominator != 1 for x in a):
+    for v, d in zip(body.vertices, body._vertex_constants.denoms):
+        if c % d:
             missing.append(v)
         elif isinstance(family, IntersectionFamily):
-            a = [int(x) for x in a]
+            a = [x.numerator * (c // x.denominator) for x in v]
             if not all(expanded(j).contains_monomial(a)
                        for j in family.components):
                 missing.append(v)
@@ -245,15 +250,20 @@ def _stabilization(family: FamilySpec, limit: FamilyLimit,
     body, _, least_c = limit
     never = False
     if isinstance(family, IntersectionFamily):
-        step = _body_constants(body).c
+        step = body._vertex_constants.c
         for c in range(step, c_max + 1, step):
-            if not _missing(family, body.vertices, c):
+            missing = _missing(family, body, c)
+            if not missing:
                 return StabilizationReport(True, c)
-    elif least_c is None:
-        never = True
-    elif least_c <= c_max:
-        return StabilizationReport(True, least_c)
-    missing = _missing(family, body.vertices, c_max)
+        # the loop's last test was at c_max when step divides it
+        if c_max % step:
+            missing = _missing(family, body, c_max)
+    else:
+        if least_c is None:
+            never = True
+        elif least_c <= c_max:
+            return StabilizationReport(True, least_c)
+        missing = _missing(family, body, c_max)
     witness = StabilizationWitness(c_max, c_max, max(missing))
     return StabilizationReport(False, None, witness, least_c, never)
 

@@ -339,7 +339,10 @@ def _component_key(comp: PrimeComponent) -> tuple:
 
 @dataclass(frozen=True)
 class PrimeDecomposition:
-    """Irredundant intersection of powers of monomial primes."""
+    """Intersection of powers of monomial primes, less every component
+    that one other component implies.  A component that only several
+    others imply together is kept: (x,y)^2 stays beside (x) and (y),
+    although (x) and (y) meet inside it."""
 
     nvars: int
     components: tuple[PrimeComponent, ...]

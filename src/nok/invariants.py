@@ -14,12 +14,7 @@ from . import polyhedron as poly
 from .bodies import (ClassifiedIdeal, newton_polyhedron, np_equals_sp,
                      symbolic_polyhedron)
 from .ideal import MonomialIdeal, _check_power
-
-
-class VertexConstants(NamedTuple):
-    denoms: tuple[int, ...]
-    c: int
-    D: int
+from .polyhedron import VertexConstants
 
 
 class SvdBounds(NamedTuple):
@@ -68,17 +63,11 @@ def symbolic_analytic_spread(classified: ClassifiedIdeal) -> int:
     return poly.mdc(symbolic_polyhedron(classified)) + 1
 
 
-def _body_constants(body: poly.RationalPolyhedron) -> VertexConstants:
-    """vertex_constants of any polyhedron with a vertex: d_i and c are
-    read off the body's integer vertex view, computed once per body."""
-    denoms, c, _ = body._vertex_view
-    return VertexConstants(denoms, c, max(denoms))
-
-
 def vertex_constants(classified: ClassifiedIdeal) -> VertexConstants:
     """Per-vertex denominator lcms d_i (in canonical vertex order), their
-    lcm c, and their max D."""
-    return _body_constants(symbolic_polyhedron(classified))
+    lcm c, and their max D: the symbolic polyhedron's one set of vertex
+    constants, computed once per body."""
+    return symbolic_polyhedron(classified)._vertex_constants
 
 
 def verify_np_scaled_sp(classified: ClassifiedIdeal, d: int) -> bool:

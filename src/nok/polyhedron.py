@@ -105,14 +105,14 @@ class HalfSpace:
         return cls(prim[:-1], prim[-1])
 
 
-class _VertexView(NamedTuple):
-    """The vertices in integers: `denoms[i]` is the lcm d_i of vertex i's
-    denominators, `c` the lcm of the d_i, and `numerators[i]` is c times
-    vertex i."""
+class VertexConstants(NamedTuple):
+    """The paper's vertex constants of a polyhedron: `denoms[i]` is the
+    lcm d_i of vertex i's denominators, in canonical vertex order, `c`
+    the lcm of the d_i, and `D` their max."""
 
     denoms: tuple[int, ...]
     c: int
-    numerators: tuple[tuple[int, ...], ...]
+    D: int
 
 
 @dataclass(frozen=True)
@@ -180,14 +180,11 @@ class RationalPolyhedron:
         return self.nvars - min(ranks)
 
     @cached_property
-    def _vertex_view(self) -> _VertexView:
+    def _vertex_constants(self) -> VertexConstants:
         # derived once per object, as _mdc is
         denoms = tuple(math.lcm(*(x.denominator for x in v))
                        for v in self.vertices)
-        c = math.lcm(*denoms)
-        return _VertexView(denoms, c, tuple(
-            tuple(x.numerator * (c // x.denominator) for x in v)
-            for v in self.vertices))
+        return VertexConstants(denoms, math.lcm(*denoms), max(denoms))
 
     @cached_property
     def _cover_masks(self) -> tuple[int, ...]:

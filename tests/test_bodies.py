@@ -398,19 +398,16 @@ def view_bodies(ideals):
 
 def test_vertex_view_holds_the_vertices_in_integers(ideals):
     for body in view_bodies(ideals):
-        denoms, c, numerators = body._vertex_view
+        denoms, c, D = body._vertex_constants
         assert denoms == tuple(math.lcm(*(x.denominator for x in v))
                                for v in body.vertices)
         assert c == math.lcm(*denoms)
-        assert len(numerators) == len(body.vertices)
-        for v, row in zip(body.vertices, numerators):
-            assert all(type(x) is int for x in row)
-            assert tuple(Fraction(x, c) for x in row) == v
+        assert D == max(denoms)
     for parsed in ideals.values():
         if parsed.classified.supports_sp():
             constants = vertex_constants(parsed.classified)
-            view = symbolic_polyhedron(parsed.classified)._vertex_view
-            assert (constants.denoms, constants.c) == (view.denoms, view.c)
+            body = symbolic_polyhedron(parsed.classified)
+            assert constants is body._vertex_constants
 
 
 def test_vertex_view_leaves_equality_and_hashing_alone(ideals):
@@ -418,9 +415,9 @@ def test_vertex_view_leaves_equality_and_hashing_alone(ideals):
         twin = hull_up_set(body.vertices, body.nvars)
         assert twin is not body
         # built once, on one of the two only
-        assert body._vertex_view is body._vertex_view
-        assert "_vertex_view" in vars(body)
-        assert "_vertex_view" not in vars(twin)
+        assert body._vertex_constants is body._vertex_constants
+        assert "_vertex_constants" in vars(body)
+        assert "_vertex_constants" not in vars(twin)
         assert body == twin
         assert hash(body) == hash(twin)
         assert repr(body) == repr(twin)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -345,6 +346,32 @@ def test_intersection_check_expands_each_power_once_per_c(families,
     fixture = families["intersection"].family
     assert stabilization_check(fixture, 2) == StabilizationReport(True, 2)
     assert sorted(c for _, c in expanded) == [2, 2, 2]
+
+
+def test_unstable_intersection_expands_no_power_twice(monkeypatch):
+    expanded = []
+    inner = nok.families.power
+    monkeypatch.setattr(nok.families, "power", lambda ideal, c: (
+        expanded.append((ideal, c)) or inner(ideal, c)))
+    rng = random.Random(3636)
+    unstable = 0
+    for _ in range(80):
+        # plane ideals whose Newton polyhedra cross at rational points,
+        # tested up to a multiple of the lcm c of the body's denominators
+        family = IntersectionFamily(tuple(
+            minimalize([(rng.randint(1, 5), 0), (0, rng.randint(1, 5)),
+                        *([(rng.randint(1, 2), 1)] * rng.randint(0, 1))])
+            for _ in range(rng.randint(2, 3))))
+        body = newton_okounkov_body(family)
+        c = math.lcm(*(x.denominator for v in body.vertices for x in v))
+        c_max = c * rng.randint(1, 3)
+        expanded.clear()
+        if stabilization_check(family, c_max).stabilized:
+            continue
+        unstable += 1
+        assert len(expanded) == len(set(expanded)), (family, c_max)
+        assert {k for _, k in expanded} <= set(range(c, c_max + 1, c))
+    assert unstable >= 5
 
 
 def test_spread_and_check_build_the_limit_once(families, monkeypatch):

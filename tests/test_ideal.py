@@ -9,10 +9,11 @@ import nok.ideal
 from nok import (DimensionMismatch, EmptyGeneratorSet, EmptyList, EmptyPrime,
                  MonomialIdeal, NokError, NonPositiveExponent,
                  NonPositiveMultiplicity, NotSquarefree, PrimeComponent,
-                 PrimeDecomposition, classify, expand_decomposition,
-                 from_halfspaces, intersect, minimal_lattice_points,
-                 minimal_primes, minimal_vectors, minimalize, multiply, power,
-                 real_power, symbolic_power)
+                 PrimeDecomposition, classify, classify_decomposition,
+                 expand_decomposition, from_halfspaces, intersect,
+                 minimal_lattice_points, minimal_primes, minimal_vectors,
+                 minimalize, multiply, power, real_power, symbolic_polyhedron,
+                 symbolic_power)
 
 from test_polyhedron import random_up_set_system
 
@@ -467,6 +468,19 @@ def test_decomposition_drops_exactly_the_implied_components():
             [power(c.ideal(n), c.multiplicity) for c in given])
         dropped += len(unique) - len(expected)
     assert dropped > 100
+
+
+def test_decomposition_keeps_components_that_only_several_imply():
+    # (x) and (y) meet in (xy), inside (x,y)^2, but neither alone implies
+    # it, so all three are kept; the intersection is the same either way
+    given = (PrimeComponent((0, 1), 2), PrimeComponent((0,)),
+             PrimeComponent((1,)))
+    dec = PrimeDecomposition(2, given)
+    assert len(dec.components) == 3 and set(dec.components) == set(given)
+    assert expand_decomposition(dec).generators == ((1, 1),)
+    pair = PrimeDecomposition(2, given[1:])
+    assert symbolic_polyhedron(classify_decomposition(dec)) == \
+        symbolic_polyhedron(classify_decomposition(pair))
 
 
 def test_expand_decomposition_matches_intersection():
