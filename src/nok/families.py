@@ -144,6 +144,30 @@ def member_ideal(family: FamilySpec, k: int) -> MonomialIdeal:
     raise NokError(f"unknown family variant {type(family).__name__}")
 
 
+def _least_multiple(p: int, q: int, lo: int, hi: int) -> int:
+    """The least k >= 0 with lo <= p*k mod q <= hi, for 0 <= lo <= hi < q
+    and p coprime to q.
+
+    Euclid's descent.  The least k with p*k >= lo answers unless p*k >
+    hi, as p*k < q is then its own residue.  Otherwise [lo, hi] holds no
+    multiple of p, and p*k = q*y + r with r in [lo, hi] has a solution k
+    for y exactly when q*y mod p lies in [-hi mod p, -lo mod p]; k grows
+    with y, so the least y, the same question for (q mod p, p), gives
+    k = ceil((lo + q*y)/p).  The frames of that chain are kept in a list
+    and solved back up, so no stack grows with the continued fraction.
+    """
+    frames = []
+    while True:
+        k = -(-lo // p)
+        if p * k <= hi:
+            break
+        frames.append((p, q, lo))
+        p, q, lo, hi = q % p, p, -hi % p, -lo % p
+    for p, q, lo in reversed(frames):
+        k = -(-(lo + q * k) // p)
+    return k
+
+
 def _ceiling_minimum(family: CeilingPowerFamily) -> tuple[Fraction,
                                                           int | None]:
     """The infimum s of ceil(alpha*k + beta)/k, and the least k attaining
@@ -151,26 +175,33 @@ def _ceiling_minimum(family: CeilingPowerFamily) -> tuple[Fraction,
 
     Write alpha = p/q and b = ceil(q*beta).  An integer m satisfies
     m*q >= p*k + q*beta exactly when m*q >= p*k + b, as m*q - p*k is an
-    integer; so ceil(alpha*k + beta) = ceil((p*k + b)/q), and beta's
-    denominator drops out.  For b >= 0 every ratio is at least alpha, the
-    infimum: b > 0 keeps each ratio above it, and b = 0 first attains it
-    at k = q.  For b < 0 the exponent at k + q is p more than at k, so a
-    ratio at most alpha only grows towards alpha along k, k + q,
-    k + 2q, ...  The least k attaining the infimum is therefore at most
-    q, and the first strict improvement on alpha over that prefix finds
-    it; when there is none, the ratio at q is alpha itself.
+    integer; so e(k) = ceil(alpha*k + beta) = ceil((p*k + b)/q), and
+    beta's denominator drops out.  For b >= 0 every ratio is at least
+    alpha, the infimum: b > 0 keeps each ratio above it, and b = 0 first
+    attains it at k = q.
+
+    For b = -B < 0 the exponent at k + q is p more than at k, so a ratio
+    at most alpha only grows towards alpha along k, k + q, ...; the least
+    k attaining the infimum is at most q.  When B >= q it is k = 1: with
+    E = e(1), q*E - p < q - B <= 0, so k*(q*E - p) < q - B and k*E <=
+    e(k) for every k.  When B < q, write m(k) = p*k mod q; then e(k) =
+    (p*k - m(k))/q when 1 <= m(k) <= B, a ratio alpha - m(k)/(q*k) below
+    alpha, every other k < q has a ratio above alpha, and k = q has
+    alpha itself.  The least k1 with m(k1) in [1, B] is the least
+    minimizer.  Were k2 the least k with a lower ratio, m(k2)/k2 >
+    m(k1)/k1, then m(k2) > m(k1), so k2 - k1 has residue m(k2) - m(k1)
+    in [1, B]; being below k2, it has m(k2 - k1)/(k2 - k1) <= m(k1)/k1,
+    and so has m(k2)/k2, the mediant of the two.
     """
     alpha, beta = family.alpha, family.beta
     p, q = alpha.numerator, alpha.denominator
     b = math.ceil(q * beta)
     if b >= 0:
         return alpha, (None if b else q)
-    best, best_k = p, q
-    for k in range(1, q + 1):
-        exponent = -((-p * k - b) // q)
-        if exponent * best_k < best * k:
-            best, best_k = exponent, k
-    return Fraction(best, best_k), best_k
+    if -b >= q:
+        return Fraction(-((-p - b) // q)), 1
+    k = _least_multiple(p % q, q, 1, -b)
+    return Fraction(p * k // q, k), k
 
 
 def ceiling_scale(family: CeilingPowerFamily) -> Fraction:

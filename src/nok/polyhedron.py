@@ -8,24 +8,24 @@ standard basis vectors.  The facets and the vertices are stored,
 canonically ordered, so that structural equality is semantic equality;
 the rays and the dimension follow from the shape.
 
-Each constructor makes one double-description pass over a pointed cone:
-`from_halfspaces` on the homogenized rows, for the vertices, and
-`hull_up_set` on the dual cone of the points, for the facets.  The other
-side is read off incidence masks: a row (a point) is kept unless another
-is tight at (lies on) strictly more extreme rays (facets).  Those masks
-are the ones the double description carries through its insertions,
-where each ray is classified against each row exactly once; no product
-is taken again (`cone_extreme_rays` proves why none is needed).  Each
-polyhedron carries its vertex x facet incidence from them, and `scale`
-moves it along with the facets; nothing computes it again.
+Every polyhedron is built by one of two constructors, each making one
+double-description pass over a pointed cone: `from_halfspaces` on the
+homogenized rows, for the vertices, and `hull_up_set` on the dual cone of
+the points, for the facets; `scale` is the hull of the dilated vertices.
+The other side is read off incidence masks: a row (a point) is kept
+unless another is tight at (lies on) strictly more extreme rays
+(facets).  Those masks are the ones the double description carries
+through its insertions, where each ray is classified against each row
+exactly once; no product is taken again (`cone_extreme_rays` proves why
+none is needed).  Each polyhedron carries its vertex x facet incidence
+from them; nothing computes it again.
 
 Construction is integer end to end.  `hull_up_set` keeps int
 coordinates as ints through its dedupe, its sort and its rows;
 `from_halfspaces` makes each row primitive once and sorts its vertices
 by an exact integer key; the double description, its start elimination
-included, runs on int rows and rays; `scale` dilates each facet by an
-integer product and one gcd.  Fractions appear only in the stored
-vertices.
+included, runs on int rows and rays.  Fractions appear only in the
+stored vertices.
 """
 
 from __future__ import annotations
@@ -367,7 +367,8 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
     Raises MissingOrthantConstraints when the system allows a recession
     direction outside the orthant (negative normal entries, an
     unconstrained coordinate, or a computed vertex or ray with a negative
-    coordinate), and InfeasibleSystem when the system is contradictory.
+    coordinate), and InfeasibleSystem for a row 0 >= b with b > 0: with
+    nonnegative normals, no other system is contradictory.
     """
     if nvars < 1:
         raise DimensionMismatch("need at least one variable")
@@ -402,9 +403,8 @@ def from_halfspaces(halfspaces: Iterable, nvars: int) -> RationalPolyhedron:
     # rays with t > 0 are the vertices, kept with their row masks, the
     # others recession rays; once no entry is negative, the recession cone
     # is exactly the orthant
+    # never empty: the pointed cone holds (M, ..., M, 1), M >= max(0, offsets)
     pairs = [(r, m) for r, m in rays if r[nvars]]
-    if not pairs:
-        raise InfeasibleSystem("system has no solutions")
     if any(x < 0 for r, _ in rays for x in r):
         raise MissingOrthantConstraints(
             "system has recession directions outside the orthant")
@@ -492,18 +492,11 @@ def _dilated(h: HalfSpace, t: Fraction) -> tuple[tuple[int, ...], int]:
 
 
 def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
-    """Dilation t*P for a positive rational t."""
+    """Dilation t*P for a positive rational t: the hull of t times P's
+    vertices, as t*P = conv(t*V) + orthant."""
     t = _scale_factor(factor)
-    # making a facet primitive can shrink it, which reorders the facets;
-    # each vertex mask bit moves to its facet's new index
-    facets, old = zip(*sorted(
-        ((HalfSpace(*_dilated(h, t)), i) for i, h in enumerate(poly.facets)),
-        key=lambda pair: (pair[0].normal, pair[0].offset)))
-    masks = tuple(sum(1 << k for k, i in enumerate(old) if m >> i & 1)
-                  for m in poly._vertex_masks)
-    # t > 0 keeps the vertices' lexicographic order
-    verts = tuple(tuple(c * t for c in v) for v in poly.vertices)
-    return RationalPolyhedron(poly.nvars, facets, verts, masks)
+    return hull_up_set([[c * t for c in v] for v in poly.vertices],
+                       poly.nvars)
 
 
 def intersect_polyhedra(polys: Sequence[RationalPolyhedron]) -> RationalPolyhedron:
@@ -584,7 +577,7 @@ def minimal_lattice_points(poly: RationalPolyhedron,
     for P = `poly` and a positive rational t = `factor`, 1 by default.
 
     The dilate is never built.  With t = p/q, each facet with a positive
-    offset is dilated as `scale` dilates it, to (q*a, p*b) over one gcd;
+    offset is dilated to (q*a, p*b) over one gcd, the facet of t*P;
     the facets with offset 0 hold no row of the search.  The vertices of
     t*P are t times those of P, so coordinate j of the box is
     ceil(t * max_v v_j), one rational product per coordinate.  The search

@@ -278,3 +278,19 @@ def is_graded_family(member, max_total):
                     if not target.contains_monomial(together):
                         return False
     return True
+
+
+def ceiling_minimum_scan(family):
+    """The least ratio ceil(alpha*k + beta)/k of a ceiling family with
+    beta <= -1/q, alpha = p/q, and the least k attaining it, by scanning
+    every k <= q in integers: with b = ceil(q*beta), the exponent at k is
+    ceil((p*k + b)/q), and a ratio below alpha grows towards it along
+    k, k + q, k + 2q, ..., so the prefix holds the minimum."""
+    p, q = family.alpha.numerator, family.alpha.denominator
+    b = math.ceil(q * family.beta)
+    best, best_k = p, q
+    for k in range(1, q + 1):
+        exponent = -((-p * k - b) // q)
+        if exponent * best_k < best * k:
+            best, best_k = exponent, k
+    return Fraction(best, best_k), best_k

@@ -471,6 +471,11 @@ def test_membership_refuses_non_int_exponents(a):
         member_integral_closure(ideal, (1, 1, 1, 1), 1)
 
 
+def test_real_power_refuses_zero():
+    with pytest.raises(NonPositiveExponent):
+        real_power(minimalize([(1, 1, 0), (0, 1, 1)]), 0)
+
+
 @pytest.mark.parametrize("k", [True, False, 0, -1, 1.0, Fraction(2)])
 def test_power_index_must_be_a_positive_int(k):
     ideal = minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)])

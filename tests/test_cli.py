@@ -320,6 +320,19 @@ def test_unknown_verb_exits_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["symbolic-power", TRIANGLE, "-k", "0"], "expected a positive integer"),
+    (["symbolic-power", TRIANGLE, "-k", "x"], "expected an integer"),
+    (["real-power", TRIANGLE, "-r", "0"], "expected a positive rational"),
+    (["real-power", TRIANGLE, "-r", "abc"], "expected a rational"),
+])
+def test_bad_count_arguments_exit_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_family_file_on_ideal_verb_exits_two(capsys):
     code, _, err = run(capsys, "sp", CEILING)
     assert code == 2

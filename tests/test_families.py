@@ -17,7 +17,7 @@ from nok import (CeilingPowerFamily, DimensionMismatch, EmptyList,
                  newton_polyhedron, scale, stabilization_check,
                  symbolic_polyhedron, vertex_constants)
 
-from oracles import is_graded_family
+from oracles import ceiling_minimum_scan, is_graded_family
 
 
 def test_member_ideals_form_graded_families(families):
@@ -162,6 +162,43 @@ def test_ceiling_scale_negative_beta():
     assert ceiling_scale(fam) == Fraction(3, 2)
     assert equal(newton_okounkov_body(fam),
                  scale(newton_polyhedron(base), Fraction(3, 2)))
+
+
+def test_ceiling_minimum_matches_the_scan_on_every_small_alpha():
+    # every coprime alpha = p/q with p <= 3q + 2 and q < 60, and every
+    # admissible beta = b/q < 0 (ceil(alpha + beta) >= 1 means b > -p):
+    # k = 1 when -b >= q, the descent below that
+    base = minimalize([(1, 0), (0, 1)])
+    seen = {"k = 1": 0, "descent": 0}
+    for q in range(1, 60):
+        for p in range(1, 3 * q + 3):
+            if math.gcd(p, q) > 1:
+                continue
+            for b in range(1 - p, 0):
+                fam = CeilingPowerFamily(base, Fraction(p, q), Fraction(b, q))
+                got = nok.families._ceiling_minimum(fam)
+                assert got == ceiling_minimum_scan(fam), (p, q, b)
+                seen["k = 1" if -b >= q else "descent"] += 1
+    assert seen == {"k = 1": 92002, "descent": 107501}
+
+
+def test_ceiling_minimum_of_a_huge_denominator_takes_no_scan():
+    # beta = -1/q puts the minimum at k = p^-1 mod q, where e(k) = 1
+    base = minimalize([(1, 0), (0, 1)])
+    q = 10**9 + 7
+    fam = CeilingPowerFamily(base, Fraction(3, q), Fraction(-1, q))
+    start = time.perf_counter()
+    assert nok.families._ceiling_minimum(fam) == (Fraction(1, 333333336),
+                                                  333333336)
+    # consecutive Fibonacci numbers make the longest Euclid descent: about
+    # 3,000 steps at 628 digits, each an entry of a list, not a stack frame
+    p, q = 1, 2
+    while q < 10**627:
+        p, q = q, p + q
+    fam = CeilingPowerFamily(base, Fraction(p, q), Fraction(-1, q))
+    s, k = nok.families._ceiling_minimum(fam)
+    assert p * k % q == 1 and 0 < k < q and s == Fraction(p * k // q, k)
+    assert time.perf_counter() - start < 1
 
 
 def test_integral_closure_keeps_newton_polyhedron(families):

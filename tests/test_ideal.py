@@ -410,6 +410,26 @@ def test_prime_component_validation():
         PrimeComponent(())
     with pytest.raises(NonPositiveMultiplicity):
         PrimeComponent((0, 1), 0)
+    with pytest.raises(DimensionMismatch, match="negative"):
+        PrimeComponent((-1,))
+
+
+def test_prime_decomposition_validation():
+    with pytest.raises(EmptyList):
+        PrimeDecomposition(2, ())
+    with pytest.raises(DimensionMismatch, match="out of range"):
+        PrimeDecomposition(2, (PrimeComponent((0,)), PrimeComponent((1, 2))))
+
+
+def test_ideal_operations_refuse_mismatched_inputs():
+    with pytest.raises(EmptyGeneratorSet):
+        minimalize([])
+    plane = minimalize([(1, 0), (0, 1)])
+    space = minimalize([(1, 0, 0)])
+    with pytest.raises(DimensionMismatch, match="variable counts"):
+        multiply(plane, space)
+    with pytest.raises(DimensionMismatch, match="variable counts"):
+        intersect([plane, space])
 
 
 @pytest.mark.parametrize("variables, multiplicity, error", [

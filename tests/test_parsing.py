@@ -176,6 +176,52 @@ def test_extra_line_rejected():
     assert (e.line, e.column) == (3, 1)
 
 
+@pytest.mark.parametrize("parse, text, error, line, column", [
+    # variable names
+    (parse_ideal_text, "vars: x, , y\ngens: x\n", ParseError, 1, 10),
+    (parse_ideal_text, "vars: x, 2y\ngens: x\n", ParseError, 1, 10),
+    # exponent vectors
+    (parse_ideal_text, "vars: x, y\ngens: [1, 0\n", ParseError, 2, 7),
+    (parse_ideal_text, "vars: x, y\ngens: [1, a]\n", ParseError, 2, 11),
+    # monomials: a bad factor, text after a factor
+    (parse_ideal_text, "vars: x, y\ngens: x*2\n", ParseError, 2, 9),
+    (parse_ideal_text, "vars: x, y\ngens: x+y\n", ParseError, 2, 7),
+    # components
+    (parse_ideal_text, "vars: x, y\ncomponents: x, y\n", ParseError, 2, 13),
+    (parse_ideal_text, "vars: x, y\ncomponents: (x, y\n", ParseError, 2,
+     13),
+    (parse_ideal_text, "vars: x, y\ncomponents: (x, 2)\n", ParseError, 2,
+     17),
+    (parse_ideal_text, "vars: x, y\ncomponents: (x, z)\n", UnknownVariable,
+     2, 17),
+    (parse_ideal_text, "vars: x, y\ncomponents: (x, y)^a\n", ParseError, 2,
+     20),
+    (parse_ideal_text, "vars: x, y\ncomponents: (x, y) z\n", ParseError, 2,
+     19),
+    (parse_ideal_text, "vars: x, y\ncomponents: (x), \n", ParseError, 2,
+     18),
+    # 'vars:' with no body after it, in an ideal and in a family file
+    (parse_ideal_text, "vars: x, y\n", ParseError, 1, 1),
+    (parse_ideal_text, "vars: x, y\nvars: x\n", ParseError, 2, 1),
+    (parse_family_text, "family: power\nvars: x, y\nalpha: 1\n",
+     ParseError, 2, 1),
+    # a key line out of place in a family file
+    (parse_family_text, "family: power\nvars: x, y\ngens: x\ngens: y\n",
+     ParseError, 4, 1),
+])
+def test_parse_errors_name_their_line_and_column(parse, text, error, line,
+                                                 column):
+    e = err(parse, text)
+    assert type(e) is error
+    assert (e.line, e.column) == (line, column)
+
+
+def test_empty_monomial_text():
+    e = err(parse_monomial_text, "", ("x", "y"))
+    assert type(e) is ParseError
+    assert (e.line, e.column) == (None, 1)
+
+
 def test_power_family_file():
     parsed = parse_family_text(
         "family: power\nvars: x, y\ngens: x^4, x*y^2, y^3\n")

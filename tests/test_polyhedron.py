@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from nok import (DEFAULT_VERTEX_BUDGET, CeilingPowerFamily, EmptyInput,
-                 HalfSpace, InexactNumber, InvalidVertexBudget,
+from nok import (DEFAULT_VERTEX_BUDGET, CeilingPowerFamily,
+                 DimensionMismatch, EmptyInput, EmptyList, HalfSpace,
+                 InexactNumber, InfeasibleSystem, InvalidVertexBudget,
                  MissingOrthantConstraints, NonPositiveScale, ParseError,
                  VertexBudgetExceeded, contains, equal, from_halfspaces,
                  hull_up_set, intersect_polyhedra, mdc,
@@ -100,6 +101,47 @@ def test_from_halfspaces_rejects_negative_normals():
         from_halfspaces(rows, 2)
 
 
+def test_from_halfspaces_zero_normal_rows():
+    # 0 >= b holds for b <= 0, and the row drops out; b > 0 is refused
+    body = from_halfspaces(orthant(2) + [HalfSpace((1, 1), 1),
+                                         HalfSpace((0, 0), -3),
+                                         HalfSpace((0, 0), 0)], 2)
+    assert body == from_halfspaces(orthant(2) + [HalfSpace((1, 1), 1)], 2)
+    with pytest.raises(InfeasibleSystem):
+        from_halfspaces(orthant(2) + [HalfSpace((0, 0), 1)], 2)
+
+
+def test_from_halfspaces_refuses_recession_outside_the_orthant():
+    # the line x + y = 1 leaves the orthant along (-1, 1); no x_2 >= 0
+    with pytest.raises(MissingOrthantConstraints, match="recession"):
+        from_halfspaces([HalfSpace((1, 1), 1), HalfSpace((1, 0), 0)], 2)
+
+
+def test_from_halfspaces_refuses_a_normal_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        from_halfspaces(orthant(2) + [HalfSpace((1, 1, 1), 1)], 2)
+    with pytest.raises(DimensionMismatch):
+        from_halfspaces([((1, 1, 1), 1)], 2)
+
+
+def test_hull_refuses_points_of_the_wrong_length_or_sign():
+    with pytest.raises(DimensionMismatch, match="wrong length"):
+        hull_up_set([(1, 0), (1, 0, 0)], 2)
+    with pytest.raises(MissingOrthantConstraints, match="outside"):
+        hull_up_set([(1, 0), (Fraction(-1, 2), 3)], 2)
+
+
+def test_intersect_and_equal_refuse_mismatched_inputs():
+    plane = hull_up_set([(1, 1)], 2)
+    space = hull_up_set([(1, 1, 1)], 3)
+    with pytest.raises(EmptyList):
+        intersect_polyhedra([])
+    with pytest.raises(DimensionMismatch, match="variable counts"):
+        intersect_polyhedra([plane, space])
+    with pytest.raises(DimensionMismatch, match="variable counts"):
+        equal(plane, space)
+
+
 def test_facets_are_primitive_and_sorted():
     rows = orthant(2) + [HalfSpace((2, 2), 4), HalfSpace((4, 0), 4)]
     body = from_halfspaces(rows, 2)
@@ -142,8 +184,8 @@ def test_scale_round_trip_and_mdc_invariance():
 
 
 def test_scale_matches_from_halfspaces_of_the_dilated_facets():
-    # scale dilates each facet in integers and moves the vertex masks; the
-    # oracle builds t*P from scratch out of the Fraction-dilated facets
+    # scale builds t*P as the hull of the dilated vertices; the oracle
+    # builds it from scratch out of the Fraction-dilated facets
     bodies = list(random_up_sets(131, 12)) + list(random_hulls(137, 12))
     bodies += fractional_up_sets(139, 12)
     for body in bodies:
@@ -638,7 +680,7 @@ def test_carried_vertex_masks_match_slack(ideals):
         back = scale(scale(body, 2), Fraction(1, 2))
         assert back == body and hash(back) == hash(body)
         assert back._vertex_masks == body._vertex_masks
-    # scalings whose primitive facets shrink move mask bits
+    # scalings whose primitive facets shrink come in another order
     assert reordered > 10
 
 
@@ -826,7 +868,7 @@ def test_minimal_lattice_points_is_permutation_equivariant(ideals):
 def test_minimal_lattice_points_of_a_dilate_without_building_it(ideals):
     # minimal_lattice_points(body, t) dilates the rows and the box itself;
     # it must give what the search gives on the dilate that scale builds,
-    # whose facets scale sorts again after making each primitive
+    # whose primitive facets may come in another order
     bodies = []
     for parsed in ideals.values():
         bodies.append(newton_polyhedron(parsed.ideal))
@@ -1124,8 +1166,8 @@ def test_malformed_strings_are_parse_errors(name, text):
 
 
 def test_float_ceiling_family_fails_at_once():
-    # 0.1 as a float has denominator 2**55, which the scan in
-    # ceiling_scale would run over
+    # 0.1 as a float has denominator 2**55 and stands for no exact
+    # rational the user wrote; the family refuses it before any arithmetic
     base = minimalize([(1, 0), (0, 1)])
     start = time.perf_counter()
     with pytest.raises(InexactNumber):
