@@ -1,6 +1,13 @@
 """Command-line front end: parse an ideal or family file, run one
 library operation, and print a text or JSON report.
 
+A command line that starts with a verb is parsed by that verb's own
+parser.  Any other command line, or one with words that the verb's parser
+does not take, goes through the full parser, which prints the usage and
+the error.  Each verb returns its JSON result, its text lines as a lazy
+iterable, and its notes; only a text report reads the lines, so `--json`
+formats no facet, point or monomial line.
+
 Exit codes: 0 success, 1 domain error (e.g. an ideal class with no
 symbolic-polyhedron support), 2 parse or usage error (including a
 NOK_MAX_VERTICES that is not a positive integer), 3 vertex budget
@@ -19,7 +26,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import polyhedron as poly
 from .bodies import (member_integral_closure, member_symbolic,
@@ -69,7 +76,9 @@ def _positive_rational(text: str) -> Fraction:
 
 # built on the first call, not at import, and reused by later calls
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each verb's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="nok",
         description="Exact computations with Newton and symbolic polyhedra "
@@ -139,19 +148,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verb("np-eq-sp", _cmd_np_eq_sp,
          "whether the Newton and symbolic polyhedra coincide")
-    return parser
+    return parser, sub.choices
 
 
-def _body_lines(title: str, body, variables) -> list[str]:
-    lines = [f"{title} in {', '.join(variables)}"]
-    lines.append(f"facets ({len(body.facets)}):")
-    lines.extend(f"  {format_halfspace(h, variables)}" for h in body.facets)
-    lines.append(f"vertices ({len(body.vertices)}):")
-    lines.extend(f"  {format_point(v)}" for v in body.vertices)
-    lines.append(f"rays ({len(body.rays)}):")
-    lines.extend(f"  {format_point(r)}" for r in body.rays)
-    lines.append(f"mdc: {poly.mdc(body)}")
-    return lines
+def _body_lines(title: str, body, variables) -> Iterator[str]:
+    yield f"{title} in {', '.join(variables)}"
+    yield f"facets ({len(body.facets)}):"
+    for h in body.facets:
+        yield f"  {format_halfspace(h, variables)}"
+    yield f"vertices ({len(body.vertices)}):"
+    for v in body.vertices:
+        yield f"  {format_point(v)}"
+    yield f"rays ({len(body.rays)}):"
+    for r in body.rays:
+        yield f"  {format_point(r)}"
+    yield f"mdc: {poly.mdc(body)}"
 
 
 def _cmd_np(parsed: ParsedIdeal, args):
@@ -227,7 +238,7 @@ def _generator_report(result: dict, title: str, ideal, variables):
     listing the same monomials under title."""
     monomials = format_monomials(ideal.generators, variables)
     result.update(ideal_payload(ideal), monomials=monomials)
-    return result, [title, *(f"  {m}" for m in monomials)], []
+    return result, chain([title], (f"  {m}" for m in monomials)), []
 
 
 def _cmd_symbolic_power(parsed: ParsedIdeal, args):
@@ -242,6 +253,17 @@ def _cmd_real_power(parsed: ParsedIdeal, args):
     title = (f"monomials with exponent in {r}*NP "
              f"({len(closure.generators)} minimal):")
     return _generator_report({"r": r}, title, closure, parsed.variables)
+
+
+def _certificate_lines(cert, variables) -> Iterator[str]:
+    if cert.inside:
+        yield "certificate: convex combination"
+        for w, v in zip(cert.weights, cert.vertices):
+            yield f"  {frac_to_str(w)} * {format_point(v)}"
+        yield f"  + nonnegative remainder {format_point(cert.remainder)}"
+    else:
+        yield ("certificate: violated facet "
+               f"{format_halfspace(cert.violated, variables)}")
 
 
 def _cmd_member(parsed: ParsedIdeal, args):
@@ -260,31 +282,23 @@ def _cmd_member(parsed: ParsedIdeal, args):
     result = {"monomial": name, "exponent": list(exponent), "k": args.k,
               "mode": mode, "member": member, "certificate": None}
     lines = [f"{name} in {what}: {'yes' if member else 'no'}"]
-    notes = []
-    if args.certificate:
-        point = tuple(Fraction(a, args.k) for a in exponent)
-        cert = membership_certificate(body, point)
-        payload = {"inside": cert.inside,
-                   "vertices": [point_payload(v) for v in cert.vertices],
-                   "weights": [frac_to_str(w) for w in cert.weights],
-                   "remainder": None if cert.remainder is None
-                   else point_payload(cert.remainder),
-                   "violated": None if cert.violated is None
-                   else {"normal": list(cert.violated.normal),
-                         "offset": cert.violated.offset}}
-        result["certificate"] = payload
-        notes.append(f"certificate is for the point (exponent)/{args.k} "
-                     "against the body")
-        if cert.inside:
-            lines.append("certificate: convex combination")
-            for w, v in zip(cert.weights, cert.vertices):
-                lines.append(f"  {frac_to_str(w)} * {format_point(v)}")
-            lines.append(f"  + nonnegative remainder "
-                         f"{format_point(cert.remainder)}")
-        else:
-            lines.append("certificate: violated facet "
-                         f"{format_halfspace(cert.violated, parsed.variables)}")
-    return result, lines, notes
+    if not args.certificate:
+        return result, lines, []
+    point = tuple(Fraction(a, args.k) for a in exponent)
+    cert = membership_certificate(body, point)
+    result["certificate"] = {
+        "inside": cert.inside,
+        "vertices": [point_payload(v) for v in cert.vertices],
+        "weights": [frac_to_str(w) for w in cert.weights],
+        "remainder": None if cert.remainder is None
+        else point_payload(cert.remainder),
+        "violated": None if cert.violated is None
+        else {"normal": list(cert.violated.normal),
+              "offset": cert.violated.offset}}
+    notes = [f"certificate is for the point (exponent)/{args.k} against "
+             "the body"]
+    return (result, chain(lines, _certificate_lines(cert, parsed.variables)),
+            notes)
 
 
 def _cmd_hilbert(parsed: ParsedIdeal, args):
@@ -305,17 +319,19 @@ def _cmd_hilbert(parsed: ParsedIdeal, args):
         "svd_window": [frac_to_str(window.lower), frac_to_str(window.upper)],
         "c_degree_compatible": compatible,
     }
-    lines = [f"hilbert basis elements ({len(rep.elements)}), "
-             f"degree bound {rep.degree_bound_used}:"]
-    monomials = format_monomials((e.exponent for e in rep.elements),
-                                 parsed.variables)
-    lines.extend(f"  degree {e.degree}: {m}"
-                 for e, m in zip(rep.elements, monomials))
-    lines.append(f"degrees: {', '.join(str(d) for d in degrees)}")
-    lines.append(f"sgt: {rep.sgt}")
-    lines.append(f"lcm of degrees: {lcm_degrees}")
-    lines.append(f"svd window: [{frac_to_str(window.lower)}, "
-                 f"{frac_to_str(window.upper)}]")
+
+    def lines():
+        yield (f"hilbert basis elements ({len(rep.elements)}), "
+               f"degree bound {rep.degree_bound_used}:")
+        monomials = format_monomials([e.exponent for e in rep.elements],
+                                     parsed.variables)
+        for e, m in zip(rep.elements, monomials):
+            yield f"  degree {e.degree}: {m}"
+        yield f"degrees: {', '.join(str(d) for d in degrees)}"
+        yield f"sgt: {rep.sgt}"
+        yield f"lcm of degrees: {lcm_degrees}"
+        yield (f"svd window: [{frac_to_str(window.lower)}, "
+               f"{frac_to_str(window.upper)}]")
     notes = []
     if rep.exhaustive:
         notes.append(f"exhaustive: the degree bound {rep.degree_bound_used} "
@@ -324,7 +340,7 @@ def _cmd_hilbert(parsed: ParsedIdeal, args):
         notes.append(f"bounded search only: elements above degree "
                      f"{rep.degree_bound_used} may be missing")
     notes.append("no inequality between svd and the degree lcm is asserted")
-    return result, lines, notes
+    return result, lines(), notes
 
 
 def _cmd_veronese(parsed: ParsedIdeal, args):
@@ -356,8 +372,8 @@ def _cmd_normal_rees(parsed: ParsedIdeal, args):
 def _cmd_family_body(parsed: ParsedFamily, args):
     body, scale, _ = family_limit(parsed.family)
     result = {"kind": parsed.kind, **polyhedron_payload(body)}
-    lines = [f"family kind: {parsed.kind}"]
-    lines.extend(_body_lines("limit body", body, parsed.variables))
+    lines = chain([f"family kind: {parsed.kind}"],
+                  _body_lines("limit body", body, parsed.variables))
     notes = []
     if isinstance(parsed.family, CeilingPowerFamily):
         result["scale"] = frac_to_str(scale)
@@ -372,6 +388,12 @@ def _cmd_family_body(parsed: ParsedFamily, args):
     return result, lines, notes
 
 
+def _witness_lines(c_max: int, witness) -> Iterator[str]:
+    yield f"not stabilized up to {c_max}"
+    yield (f"witness: body vertex {format_point(witness.vertex)} is "
+           f"missing from (1/{witness.k})*NP(I_{witness.k})")
+
+
 def _cmd_stabilize(parsed: ParsedFamily, args):
     rep = stabilization_check(parsed.family, c_max=args.cmax)
     result = {"stabilized": rep.stabilized, "c": rep.c, "c_max": args.cmax,
@@ -384,9 +406,7 @@ def _cmd_stabilize(parsed: ParsedFamily, args):
         witness = rep.witness
         result["witness"] = {"c_tested": witness.c_tested, "k": witness.k,
                              "vertex": point_payload(witness.vertex)}
-        lines = [f"not stabilized up to {args.cmax}",
-                 f"witness: body vertex {format_point(witness.vertex)} is "
-                 f"missing from (1/{witness.k})*NP(I_{witness.k})"]
+        lines = _witness_lines(args.cmax, witness)
         if rep.least_c is not None:
             notes.append(f"exact: the least stabilizing c is {rep.least_c}, "
                          f"above c_max = {args.cmax}")
@@ -405,7 +425,7 @@ def _cmd_np_eq_sp(parsed: ParsedIdeal, args):
     return result, [f"NP(I) = SP(I): {'yes' if same else 'no'}"], []
 
 
-def _run(args) -> tuple[dict, list[str], list[str], str]:
+def _run(args) -> tuple[dict, Iterable[str], list[str], str]:
     text, digest = read_input(args.file)
     # looked up on each call, so a wrapper set on this module is seen
     parse = parse_family_text if args.family else parse_ideal_text
@@ -430,8 +450,10 @@ def _dumps(obj, pad: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if type(obj) in (list, tuple) and obj:
         kinds = set(map(type, obj))
+        # rows of strings, such as points, skip the flat scan
         flat = (tuple(chain.from_iterable(obj))
-                if kinds <= {list, tuple} and all(obj) else ())
+                if kinds <= {list, tuple} and all(obj)
+                and type(obj[0][0]) is int else ())
         if kinds == {int}:
             items = map(str, obj)
         elif kinds == {str}:
@@ -457,7 +479,18 @@ def _dumps(obj, pad: str = "\n") -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, verbs = _build_parser()
+    args = None
+    if argv and argv[0] in verbs:
+        # the verb's parser, called as the full parser calls it; words it
+        # leaves over are an error, which the full parser reports
+        args, rest = verbs[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(verb=argv[0]))
+        if rest:
+            args = None
+    if args is None:
+        args = parser.parse_args(argv)
     try:
         # a bad budget setting is refused even by verbs that never use it
         poly.vertex_budget()

@@ -17,15 +17,21 @@ intersection | ceiling`, followed by one ideal block per component
 `alpha: p/q` and optionally `beta: p/q` (default 0).  `#` starts a
 comment anywhere, blank lines are ignored, and all reported vectors use
 the declaration order of `vars:`.
+
+Parsing a `gens:` block builds the minimal generators and nothing more:
+the ideal's class, which only the symbolic verbs read, is found on first
+use (`ParsedIdeal.classified`).  A `components:` block is expanded and
+classified as it is parsed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from . import polyhedron as poly
 from .bodies import ClassifiedIdeal, classify, classify_decomposition
@@ -44,15 +50,26 @@ _FAMILY_KINDS = ("power", "symbolic", "intersection", "ceiling")
 
 @dataclass(frozen=True)
 class ParsedIdeal:
-    """An ideal file's content: variable names in declaration order and
-    the kind-classified ideal."""
-    variables: tuple[str, ...]
-    classified: ClassifiedIdeal
-    source: str  # "gens" or "components"
+    """An ideal file's content: variable names in declaration order, the
+    ideal, and its kind-classified form.
 
-    @property
-    def ideal(self) -> MonomialIdeal:
-        return self.classified.ideal
+    A `components:` file is classified as it is parsed, from its
+    decomposition.  A `gens:` file is classified on the first read of
+    `classified`, so the verbs that never read the symbolic polyhedron
+    never run `classify`, which finds the minimal primes of a squarefree
+    ideal."""
+    variables: tuple[str, ...]
+    ideal: MonomialIdeal
+    source: str  # "gens" or "components"
+    # the classification a components: file carries; None for gens:
+    _decomposed: ClassifiedIdeal | None = field(default=None, repr=False)
+
+    @cached_property
+    def classified(self) -> ClassifiedIdeal:
+        # derived once per object, as RationalPolyhedron._mdc is
+        if self._decomposed is not None:
+            return self._decomposed
+        return classify(self.ideal)
 
 
 @dataclass(frozen=True)
@@ -276,18 +293,17 @@ def _parse_ideal_block(vars_rec: _Record, body_rec: _Record) -> ParsedIdeal:
                 raise ParseError("empty generator", body_rec.line, item_col)
             vectors.append(_parse_monomial(item, body_rec.line, item_col,
                                            index, nvars))
-        classified = classify(minimalize(vectors, nvars))
-    else:
-        components = []
-        for item, off in items:
-            item_col = body_rec.value_col + off
-            if not item:
-                raise ParseError("empty component", body_rec.line, item_col)
-            components.append(_parse_component(item, body_rec.line, item_col,
-                                               index))
-        classified = classify_decomposition(
-            PrimeDecomposition(nvars, tuple(components)))
-    return ParsedIdeal(variables, classified, body_rec.key)
+        return ParsedIdeal(variables, minimalize(vectors, nvars), "gens")
+    components = []
+    for item, off in items:
+        item_col = body_rec.value_col + off
+        if not item:
+            raise ParseError("empty component", body_rec.line, item_col)
+        components.append(_parse_component(item, body_rec.line, item_col,
+                                           index))
+    classified = classify_decomposition(
+        PrimeDecomposition(nvars, tuple(components)))
+    return ParsedIdeal(variables, classified.ideal, "components", classified)
 
 
 def parse_ideal_text(text: str) -> ParsedIdeal:
@@ -385,19 +401,18 @@ def parse_monomial_text(text: str, variables: Sequence[str]) -> tuple[int, ...]:
 
 # serialization
 
-def format_monomials(vectors: Iterable[Sequence[int]],
+def format_monomials(vectors: Sequence[Sequence[int]],
                      variables: Sequence[str]) -> list[str]:
     """Each exponent vector, all of one length, as a monomial such as
     x^2*y, or 1 when no exponent is positive.  One table per variable,
-    built once for the whole list, maps each positive exponent in its
+    built once for the whole sequence, maps each positive exponent in its
     column to its term."""
-    rows = [tuple(v) for v in vectors]
     tables = [{e: name if e == 1 else f"{name}^{e}"
                for e in set(column) if e > 0}
-              for name, column in zip(variables, zip(*rows))]
+              for name, column in zip(variables, zip(*vectors))]
     # a missing exponent reads None, which the filter drops with the term
     return ["*".join(filter(None, map(dict.get, tables, row))) or "1"
-            for row in rows]
+            for row in vectors]
 
 
 def format_monomial(exponents: Sequence[int],
@@ -437,5 +452,5 @@ def polyhedron_payload(body: RationalPolyhedron) -> dict:
 
 
 def ideal_payload(ideal: MonomialIdeal) -> dict:
-    return {"nvars": ideal.nvars,
-            "generators": [list(g) for g in ideal.generators]}
+    # the generator tuples as built: a JSON writer writes a tuple as a list
+    return {"nvars": ideal.nvars, "generators": ideal.generators}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nok
+import nok.bodies
 import nok.cli
 import nok.families
 from nok import frac_to_str
@@ -344,8 +346,7 @@ def test_ideal_file_on_family_verb_exits_two(capsys):
 
 
 def verbs():
-    parser = nok.cli._build_parser()
-    return sorted(next(a.choices for a in parser._actions if a.dest == "verb"))
+    return sorted(nok.cli._build_parser()[1])
 
 
 FAMILY_VERBS = {"family-body", "stabilize"}
@@ -437,7 +438,10 @@ def test_json_writer_int_rows_match_json_dumps():
              [(1,), (2, 3)],
              [[-5, big + 1, -(big ** 2)], [3, -3]],
              [[1, 2]] * 4 + [[3]] * 3,
-             {"rows": [[9, -9], [big], [0, 0, 0]], "more": [[1]]}]
+             {"rows": [[9, -9], [big], [0, 0, 0]], "more": [[1]]},
+             # rows of strings, and rows that mix strings, bools and ints
+             [["1/2", "0"], ["3", "-1/4"]], [["a"], [1, 2]], [[1, 2], ["a"]],
+             [(1, "b"), (2, 3)], [[True, 1], [2]], [[1], [False]]]
     rng = random.Random(151)
     for _ in range(40):
         cases.append([[rng.choice((0, 1, -7, 12, big, -big - 3))
@@ -446,3 +450,159 @@ def test_json_writer_int_rows_match_json_dumps():
     for obj in cases:
         assert nok.cli._dumps(obj) == json.dumps(obj, sort_keys=True,
                                                  indent=2)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the whole text report of every verb, byte for byte: member certificates
+# inside and outside the body, a hilbert listing, family bodies, and the
+# stabilize outcomes with each of their notes
+TEXT_DIGESTS = [
+    ("9ff7f5381f1b6c3c3c5d4661be571af500ef8f8c2f8f876c3d6b115d417370ec",
+     "np ideals/c5.nok"),
+    ("04eec31dfdf2b369fec46d1f9d1375cd053b32ab73d0151efc756237412a22bc",
+     "sp ideals/weighted.nok"),
+    ("14eaf805e2b12ac835abefca32b18f5dfc7eddc3203a65190897b1b43a2a623e",
+     "spread ideals/triangle.nok"),
+    ("70f53cf973d6bee75a2dbbae144e17e735fcd6953e079d619a211c8fec4ee53b",
+     "constants ideals/weighted.nok"),
+    ("d193453355687ad02be260c653ef54a7c279ae6e98fb10eb6fa5d9e06b79115b",
+     "constants ideals/mprimary.nok"),
+    ("6d8a7e2f3c5d78a71e0d68cb5f519e46a38a84ed73e28f9c187702f111af158f",
+     "symbolic-power ideals/c5.nok -k 3"),
+    ("21ba5d1ce57552273b966a3a0b04c40fdb1bbf71d93ffbd8485995a1c2f17749",
+     "real-power ideals/mprimary.nok -r 3/2"),
+    ("8cce98cee4733f3a0475bab1857641ab09584a4e162bb0eddc4da00636b4a114",
+     "member ideals/triangle.nok -m x*y*z -k 2 --certificate"),
+    ("dc09a78e6f20f963ee4bc033966434a677ee24f88eb8f422ff6e08675281ad7c",
+     "member ideals/triangle.nok -m x -k 2 --certificate"),
+    ("4686d2c063c713b0a5f244e24f096c637131cb22789b1258a8d5a1ba2ca66647",
+     "member ideals/mprimary.nok -m x^3*y -k 1 --closure --certificate"),
+    ("fbc0eaef867aa9f1432b82e72ffbe9a972d90c39d0757ce9965ffdfe9cf08142",
+     "member ideals/c5.nok -m x1*x2 -k 1"),
+    ("2c988664cfb177fd0ab834e9baaa18da7dd998414a6f2bb45dc12b697ea01bc1",
+     "hilbert ideals/c5.nok"),
+    ("690828c9de5285bd9b0db91225c180be90bb3221223eaf9db4ded87ff94efd72",
+     "hilbert ideals/weighted.nok --bound 2"),
+    ("87270b7182fb147b455bb8ab14381996d79668206bb3f5216de137053601901d",
+     "veronese ideals/triangle.nok"),
+    ("d9c4d5de10c9c117ce9c936e8181908804f8d8a6f067ece0531ed0ea1ef11d73",
+     "veronese ideals/triangle.nok -d 1 --kmax 2"),
+    ("a002e9c61b8928ee33c0486e0059ac26ad999c410dd5edcdada5849e709fc70e",
+     "normal-rees ideals/c5cone.nok"),
+    ("92b7b7dd5c397683d667ffe3f8adbe65d639670d34e70279655651b97029d6f9",
+     "family-body families/ceiling.nok"),
+    ("2f6bbbf95638a5568cca500e9c7b9391db2a002d1fca17849f39f33d96333df1",
+     "family-body families/intersection.nok"),
+    ("ef50636d15ef06a5fcad3446a84ce1bb788a98184a23ee4013b4e48a92aa06a1",
+     "stabilize families/ceiling.nok --cmax 8"),
+    ("246c8717ea4623d67ed352a7bbee99bf2c39a11b526a412c4e2a5f1538ae5f17",
+     "stabilize families/symbolic_triangle.nok"),
+    ("1ed4f946dff6f2e306ca835928e76e9bdc1e41f70e4f34d2bd2ca6ceb5a605e7",
+     "stabilize families/symbolic_triangle.nok --cmax 1"),
+    ("bccaadea6c96c27b1ec6a8855e3a66bc18b2ba2a85986d43290940c10aadbe8e",
+     "stabilize families/intersection.nok --cmax 1"),
+    ("82e6f537cd80ab297b0e65168083114736833a67ec6efe431958a050148965aa",
+     "np-eq-sp ideals/triangle.nok"),
+]
+
+
+def test_text_digests_cover_every_verb():
+    assert {args.split()[0] for _, args in TEXT_DIGESTS} == set(verbs())
+
+
+@pytest.mark.parametrize("expected, args", TEXT_DIGESTS)
+def test_text_report_is_pinned(capsys, expected, args):
+    code, out, err = run(capsys, *args.split())
+    assert code == 0, err
+    assert sha256(out) == expected
+
+
+def outcome(capsys, argv):
+    """main's exit code, standard output and standard error."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2),
+    (["--help"], 0),
+    (["frobnicate", TRIANGLE], 2),
+    (["np", "-h"], 0),
+    (["np", TRIANGLE, "extra"], 2),
+    (["symbolic-power", TRIANGLE, "-k", "0"], 2),
+    (["member", TRIANGLE, "-k", "1"], 2),
+    (["--json", "np", TRIANGLE], 2),
+    (["np", "--", TRIANGLE], 0),
+    (["np", TRIANGLE, "--js"], 0),
+    (["member", TRIANGLE, "-m", "x", "-k", "1", "--cert"], 0),
+])
+def test_verb_dispatch_matches_the_full_parser(capsys, monkeypatch, argv,
+                                               code):
+    # a command line starting with a verb goes to that verb's parser; with
+    # no verb table, every command line takes the full parser, as before
+    dispatched = outcome(capsys, argv)
+    assert dispatched[0] == code
+    parser, _ = nok.cli._build_parser()
+    monkeypatch.setattr(nok.cli, "_build_parser", lambda: (parser, {}))
+    assert outcome(capsys, argv) == dispatched
+
+
+# --json reports whose work needs no minimal primes and no text line
+CUT_DIGESTS = [
+    ("d28efbc34414e7135a07241be0b00e1e1cc1d47aa54203799f95fe624d0a5055",
+     "np ideals/c5.nok"),
+    ("b68dfb48fb61b93e5b081426efe1b125c09c4af8753e3e645dcb42c413395e42",
+     "real-power ideals/c5.nok -r 3/2"),
+    ("97562fed25f5c09b5a495c47eee3e32101994432bb1d1b16629d1f8656c1e00b",
+     "normal-rees ideals/c5.nok"),
+    ("9ca378796032d4ed730a88a3f9173c6a19045d5aca18246356f4bc518b7eeb4d",
+     "member ideals/c5.nok -m x1*x2*x3*x4*x5 -k 2 --closure"),
+    ("e2d0342836560ce1bf7280930045043222dfaaf260d1beb36e502f1ea43e1051",
+     "member ideals/c5.nok -m x1*x2*x3*x4*x5 -k 2 --closure --certificate"),
+    ("2cf43bfd62a9255556db68be82c600668ff5efc70b20c350bf6bc615e56d9674",
+     "np ideals/weighted.nok"),
+    ("0475cf9035844fe8fbb23ea2f3ff30e8896ace724f1caff70c8cd80651dcbcd0",
+     "sp ideals/weighted.nok"),
+    ("d6ec46e1ac2f467dd721d21d0874d19b55b6226678040751167191a641ea6de4",
+     "member ideals/weighted.nok -m x^5*y^3*z^4 -k 2 --certificate"),
+    ("1373a2955fab3226f9f615e955acf040ad729477e08c6289068d0b8a38e5681f",
+     "member ideals/weighted.nok -m x -k 1 --certificate"),
+    ("2cf7fef9c8cb548faa1fb190d7051d35d235c2498da81706fb2685590ff48b85",
+     "family-body families/ceiling.nok"),
+    ("3af77ac936ba3036899272f4d8fe171e2a41912d11ca67b5604647d82df17ddb",
+     "family-body families/intersection.nok"),
+    ("81875cac354874717522ad495fbe1d109d31ec3dbac00f0f59798a70929c8a0f",
+     "stabilize families/ceiling.nok --cmax 8"),
+]
+
+
+def refuse(*_):
+    raise AssertionError("not needed for a --json report")
+
+
+@pytest.mark.parametrize("expected, args", CUT_DIGESTS)
+def test_json_runs_no_classify_and_formats_no_text(capsys, monkeypatch,
+                                                   expected, args):
+    # c5 and the ceiling base are squarefree, so classifying them finds
+    # their minimal primes; weighted is given by its components
+    monkeypatch.setattr(nok.bodies, "minimal_primes", refuse)
+    monkeypatch.setattr(nok.cli, "format_halfspace", refuse)
+    monkeypatch.setattr(nok.cli, "format_point", refuse)
+    code, out, err = run(capsys, *args.split(), "--json")
+    assert code == 0, err
+    assert sha256(out) == expected
+
+
+def test_hilbert_json_formats_no_monomial(capsys, monkeypatch):
+    monkeypatch.setattr(nok.cli, "format_monomials", refuse)
+    code, out, err = run(capsys, "hilbert", "ideals/c5.nok", "--json")
+    assert code == 0, err
+    assert sha256(out) == ("a948e13aad1f920b5a73e61dbb0ada7ca0f8d32a72bc9847"
+                           "591ad23832f7f479")

@@ -8,14 +8,14 @@ import pytest
 
 import nok.families
 from nok import (CeilingPowerFamily, DimensionMismatch, EmptyList,
-                 IntersectionFamily, NonPositiveExponent,
+                 IntersectionFamily, NokError, NonPositiveExponent,
                  NotProvenNoetherian, PowerFamily, StabilizationReport,
                  StabilizationWitness, SymbolicFamily,
                  UnsupportedIdealClass, ceiling_scale, classify, contains,
-                 equal, family_analytic_spread, integral_closure,
-                 member_ideal, minimalize, newton_okounkov_body,
-                 newton_polyhedron, scale, stabilization_check,
-                 symbolic_polyhedron, vertex_constants)
+                 equal, family_analytic_spread, family_limit,
+                 integral_closure, member_ideal, minimalize,
+                 newton_okounkov_body, newton_polyhedron, scale,
+                 stabilization_check, symbolic_polyhedron, vertex_constants)
 
 from oracles import ceiling_minimum_scan, is_graded_family
 
@@ -224,6 +224,11 @@ def test_family_constructor_validation():
         CeilingPowerFamily(base, Fraction(0), Fraction(1))
     with pytest.raises(NonPositiveExponent):
         CeilingPowerFamily(base, Fraction(1, 2), Fraction(-2))
+    # an object that is none of the four variants is refused by name
+    with pytest.raises(NokError, match="unknown family variant tuple"):
+        member_ideal((base,), 1)
+    with pytest.raises(NokError, match="unknown family variant tuple"):
+        family_limit((base,))
 
 
 def test_member_ideal_index_validation(families):

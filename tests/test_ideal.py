@@ -182,6 +182,8 @@ def test_constructor_rejects_empty():
 def test_constructor_rejects_bad_lengths():
     with pytest.raises(DimensionMismatch):
         MonomialIdeal(3, ((1, 0),))
+    with pytest.raises(DimensionMismatch, match="at least one variable"):
+        MonomialIdeal(0, ((),))
 
 
 def test_constructor_rejects_negative_exponents():

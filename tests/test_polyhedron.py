@@ -109,6 +109,9 @@ def test_from_halfspaces_zero_normal_rows():
     assert body == from_halfspaces(orthant(2) + [HalfSpace((1, 1), 1)], 2)
     with pytest.raises(InfeasibleSystem):
         from_halfspaces(orthant(2) + [HalfSpace((0, 0), 1)], 2)
+    # with every row dropped, nothing is left to cut out a body
+    with pytest.raises(EmptyInput):
+        from_halfspaces([HalfSpace((0, 0), -3), ((0, 0), 0)], 2)
 
 
 def test_from_halfspaces_refuses_recession_outside_the_orthant():
@@ -118,6 +121,8 @@ def test_from_halfspaces_refuses_recession_outside_the_orthant():
 
 
 def test_from_halfspaces_refuses_a_normal_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match="at least one variable"):
+        from_halfspaces([HalfSpace((), 0)], 0)
     with pytest.raises(DimensionMismatch):
         from_halfspaces(orthant(2) + [HalfSpace((1, 1, 1), 1)], 2)
     with pytest.raises(DimensionMismatch):
