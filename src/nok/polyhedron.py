@@ -33,9 +33,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (DimensionMismatch, EmptyInput, EmptyList, InexactNumber,
@@ -149,8 +149,32 @@ class RationalPolyhedron:
         # hashing see only the compared fields
         if not self.vertices:
             raise NoVertices("polyhedron has no vertices")
+        n = self.nvars
         covers = self._cover_masks
         vertex_masks = self._vertex_masks
+        # a compact facet: one positive in every coordinate (see mdc)
+        if reduce(and_, covers):
+            return n - 1
+        # a compact ridge: two facets whose supports cover every
+        # coordinate, with a shared vertex and no third facet on all of
+        # the shared vertices
+        full = (1 << n) - 1
+        # per facet, the coordinates where its normal is positive
+        supports = _transpose(covers, len(self.facets))
+        on = self._facet_masks
+        for i, support in enumerate(supports):
+            for j in range(i + 1, len(supports)):
+                shared = on[i] & on[j]
+                if not shared or support | supports[j] != full:
+                    continue
+                pair = 1 << i | 1 << j
+                tight = -1
+                while shared and tight != pair:
+                    low = shared & -shared
+                    tight &= vertex_masks[low.bit_length() - 1]
+                    shared ^= low
+                if tight == pair:
+                    return n - 2
         # the closure of the vertex masks under intersection, through
         # compact masks only (see mdc): a closed mask is the set of facets
         # tight on its face, which is compact when the mask meets every
@@ -185,6 +209,11 @@ class RationalPolyhedron:
         denoms = tuple(math.lcm(*(x.denominator for x in v))
                        for v in self.vertices)
         return VertexConstants(denoms, math.lcm(*denoms), max(denoms))
+
+    @cached_property
+    def _facet_masks(self) -> tuple[int, ...]:
+        # per facet i, the vertices on it: _vertex_masks read the other way
+        return tuple(_transpose(self._vertex_masks, len(self.facets)))
 
     @cached_property
     def _cover_masks(self) -> tuple[int, ...]:
@@ -512,6 +541,31 @@ def intersect_polyhedra(polys: Sequence[RationalPolyhedron]) -> RationalPolyhedr
 def mdc(poly: RationalPolyhedron) -> int:
     """Maximum dimension of a compact face (every vertex is one, so >= 0).
 
+    A face is compact exactly when the supports of its tight facet normals
+    cover every coordinate: its recession cone is the set of r >= 0 that
+    each tight normal, nonnegative, kills, so r_j > 0 is allowed exactly
+    when every tight normal is 0 at j.  Two exits read that off the
+    normals and the vertex masks, and decide mdc = n - 1 and mdc = n - 2
+    with no closure:
+
+    - A compact facet.  A facet whose normal is positive in every
+      coordinate (a facet in the AND of the cover masks) is compact, of
+      dimension n - 1.  The body is unbounded, so no face is larger.
+    - A compact ridge, when no facet is compact.  A ridge (a face of
+      dimension n - 2) lies in exactly two facets i and j and is their
+      intersection.  So the compact ridges are the intersections
+      F_i & F_j, over the pairs whose supports cover every coordinate,
+      that hold a vertex and lie on no third facet.  Such an intersection is
+      compact, so it is the hull of the vertices on both facets, and the
+      facets through it are the AND of their masks.  A face tight at
+      exactly {i, j} has tight normals of rank at most 2, so dimension at
+      least n - 2, and it is no facet.  Dually: a covering pair shares no
+      unit ray, so the extreme rays of the homogenized cone on both
+      facets are those vertices, and the face they span lies in no third
+      facet exactly when it is a ridge (the combinatorial test of Fukuda
+      & Prodon, see `cone_extreme_rays`).
+
+    When both exits decline, mdc <= n - 3 and the closure below answers.
     Each face through a vertex is the set of points tight at a closed
     mask: an intersection of vertex incidence masks.  Its dimension is
     nvars minus the rank of its tight normals.  Two facts keep the work to

@@ -150,11 +150,16 @@ def _simis_cone(body: RationalPolyhedron) -> tuple[
     """(gens, rows, tight) of the cone over `body`: the primitive vector of
     (v, 1) for each vertex v and (r, 0) for each recession ray r; the row
     (normal, -offset) of each facet, then t >= 0; and per row, the mask
-    of the generators on it.  The masks are read off the body's vertex
-    masks: (e_j, 0) lies on a facet exactly when its normal is 0 at j,
-    and t >= 0 holds the rays."""
+    of the generators on it.  The masks are read off the vertices on each
+    facet (`_facet_masks`): (e_j, 0) lies on a facet exactly when its
+    normal is 0 at j, and t >= 0 holds the rays.  The vertex generator is
+    (d*v, d), d the vertex's denominator lcm from the body's vertex
+    constants, already primitive: a prime p of d divides some coordinate's
+    denominator den to its full power in d, so p misses that entry
+    num * (d // den)."""
     n = body.nvars
-    gens = [poly.primitive_vector(list(v) + [1]) for v in body.vertices]
+    gens = [tuple(x.numerator * (d // x.denominator) for x in v) + (d,)
+            for v, d in zip(body.vertices, body._vertex_constants.denoms)]
     gens += [tuple(r) + (0,) for r in body.rays]
     rows = [h.normal + (-h.offset,) for h in body.facets]
     rows.append((0,) * n + (1,))
@@ -162,9 +167,7 @@ def _simis_cone(body: RationalPolyhedron) -> tuple[
     nv = len(body.vertices)
     tight = [mask | sum(1 << (nv + n - 1 - j)
                         for j, a in enumerate(h.normal) if not a)
-             for mask, h in zip(poly._transpose(body._vertex_masks,
-                                                len(body.facets)),
-                                body.facets)]
+             for mask, h in zip(body._facet_masks, body.facets)]
     tight.append(((1 << n) - 1) << nv)
     return gens, rows, tight
 

@@ -20,13 +20,25 @@ computes for it:
   and vertex cover algebras", Adv. Math. 210, 2007).
 """
 
+import hashlib
 import random
+import time
 
 import pytest
 
 from nok import PrimeComponent, PrimeDecomposition, analytic_spread, \
     classify, classify_decomposition, hilbert_basis, minimalize, \
-    np_equals_sp
+    newton_polyhedron, np_equals_sp, symbolic_analytic_spread, \
+    symbolic_polyhedron
+from nok.cli import main
+
+# a connected graph on x1..x14 with a triangle (x6, x11, x12), whose
+# NP and SP have mdc 13 and 12; closing the SP's compact faces took about
+# 20 s
+GRAPH_14 = [(1, 4), (1, 6), (1, 8), (2, 4), (2, 12), (2, 13), (3, 5),
+            (3, 10), (3, 11), (4, 7), (4, 11), (4, 14), (5, 7), (5, 10),
+            (5, 13), (6, 7), (6, 10), (6, 11), (6, 12), (6, 14), (7, 13),
+            (8, 9), (8, 11), (8, 12), (9, 13), (9, 14), (11, 12)]
 
 
 def edge_ideal(n, edges):
@@ -95,6 +107,57 @@ def test_analytic_spread_is_n_minus_bipartite_components():
             (n, edges)
     # bipartite graphs, graphs with no bipartite component, and mixtures
     assert outcomes >= {(True, False), (False, True), (False, False)}
+
+
+def test_analytic_spread_of_larger_graphs():
+    # 12-18 vertices and at most one bipartite component, so mdc(NP) is
+    # n - 1 or n - 2: a compact facet or a compact ridge decides it, where
+    # closing the compact faces took seconds to minutes per graph
+    outcomes = set()
+    for n, edges in seeded_graphs(41, 100, 12, 18):
+        components, bipartite = bipartite_components(n, edges)
+        if bipartite > 1:
+            continue
+        outcomes.add((bipartite == components, bipartite == 0))
+        assert analytic_spread(edge_ideal(n, edges)) == n - bipartite, \
+            (n, edges)
+    assert outcomes == {(True, False), (False, True), (False, False)}
+
+
+def test_spreads_of_the_14_vertex_graph():
+    n, edges = 14, [(a - 1, b - 1) for a, b in GRAPH_14]
+    assert bipartite_components(n, edges) == (1, 0)
+    ideal = edge_ideal(n, edges)
+    assert analytic_spread(ideal) == n
+    assert symbolic_analytic_spread(classify(ideal)) == 13
+
+
+@pytest.mark.parametrize("verb, digest", [
+    ("sp", "6de5c97b8b363415fe28ba4e889afa2dff81086fd64231d1e2afa67fc10df959"),
+    ("np", "7e09f2eb31bbb5d576d1e19f3811751844703bc2a1c731eb5d001a367586ebd0"),
+    ("spread", None),
+])
+def test_14_vertex_graph_through_the_cli(capsys, monkeypatch, tmp_path,
+                                         verb, digest):
+    # the file is read by its relative name, which the report echoes, so
+    # the digests are those of the closure's answers, byte for byte
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g14.nok").write_text(
+        "vars: " + ", ".join(f"x{i}" for i in range(1, 15)) + "\ngens: "
+        + ", ".join(f"x{a}*x{b}" for a, b in GRAPH_14) + "\n")
+    newton_polyhedron.cache_clear()
+    symbolic_polyhedron.cache_clear()
+    start = time.perf_counter()
+    code = main([verb, "g14.nok", "--json"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert elapsed < 1
+    if digest:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    else:
+        assert '"analytic_spread": 14' in out
+        assert '"symbolic_analytic_spread": 13' in out
 
 
 def test_np_equals_sp_exactly_for_bipartite_graphs():

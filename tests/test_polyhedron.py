@@ -10,13 +10,15 @@ import pytest
 from nok import (DEFAULT_VERTEX_BUDGET, CeilingPowerFamily,
                  DimensionMismatch, EmptyInput, EmptyList, HalfSpace,
                  InexactNumber, InfeasibleSystem, InvalidVertexBudget,
-                 MissingOrthantConstraints, NonPositiveScale, ParseError,
-                 VertexBudgetExceeded, contains, equal, from_halfspaces,
-                 hull_up_set, intersect_polyhedra, mdc,
+                 MissingOrthantConstraints, NonPositiveScale, NoVertices,
+                 ParseError, VertexBudgetExceeded, contains, equal,
+                 from_halfspaces, hull_up_set, intersect_polyhedra, mdc,
                  membership_certificate, minimal_lattice_points, minimalize,
                  newton_okounkov_body, newton_polyhedron, power, real_power,
                  scale, symbolic_polyhedron, symbolic_power)
-from nok.polyhedron import cone_extreme_rays, primitive_vector, vertex_budget
+from nok import polyhedron
+from nok.polyhedron import (RationalPolyhedron, cone_extreme_rays,
+                            primitive_vector, vertex_budget)
 
 from oracles import (brute_force_minimal_points, brute_force_vertices,
                      dilate_box, dot, faces, fraction_decompose, matrix_rank,
@@ -602,6 +604,18 @@ def test_mdc_of_orthant_is_zero():
     assert body.vertices == ((Fraction(0),) * 3,)
 
 
+def test_body_without_vertices_is_refused():
+    # no constructor builds one, so the body is built by hand; the guards
+    # come before mdc's exits, whose compact facet x + y >= 1 would answer
+    facets = (HalfSpace((0, 1), 0), HalfSpace((1, 0), 0),
+              HalfSpace((1, 1), 1))
+    body = RationalPolyhedron(2, facets, (), ())
+    with pytest.raises(NoVertices):
+        mdc(body)
+    with pytest.raises(NoVertices):
+        minimal_lattice_points(body)
+
+
 def fractional_up_sets(seed, count):
     """from_halfspaces bodies whose vertices are mostly fractional: normal
     entries up to 5 and fractional offsets."""
@@ -649,6 +663,45 @@ def test_mdc_is_largest_compact_face_dimension(ideals):
         seen_dims.add((body.nvars, expected))
     # the maximal compact faces reach every dimension below nvars
     assert {(n, d) for n in range(1, 6) for d in range(n)} <= seen_dims
+
+
+def wide_up_sets(seed, count):
+    """Hulls and half-space systems of 4-6 variables, where a facet pair
+    can cover every coordinate without meeting, or meet in a face that is
+    no ridge."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(4, 6)
+        if k % 2:
+            yield hull_up_set([[rng.randint(0, rng.choice((1, 2, 4)))
+                                for _ in range(n)]
+                               for _ in range(rng.randint(2, 9))], n)
+        else:
+            rows = orthant(n)
+            for _ in range(rng.randint(1, n + 3)):
+                normal = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+                if not any(normal):
+                    normal[rng.randrange(n)] = 1
+                rows.append((normal, rng.randint(1, 8)))
+            yield from_halfspaces(rows, n)
+
+
+def test_mdc_exits_decide_down_to_n_minus_2(monkeypatch):
+    # the closure ranks its maximal compact faces; the compact facet and
+    # compact ridge exits rank nothing, and decide every body whose mdc
+    # is n - 1 or n - 2
+    ranked = []
+    real_rank = polyhedron.rank
+    monkeypatch.setattr(polyhedron, "rank",
+                        lambda rows: ranked.append(rows) or real_rank(rows))
+    seen = set()
+    for body in wide_up_sets(83, 400):
+        expected = max(f.dim for f in faces(body) if f.compact)
+        ranked.clear()
+        assert mdc(body) == expected
+        assert (not ranked) == (expected >= body.nvars - 2)
+        seen.add(body.nvars - expected)
+    assert {1, 2, 3, 4} <= seen
 
 
 def assert_vertex_masks_match_slack(body):

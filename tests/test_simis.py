@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -404,6 +406,19 @@ def test_simis_cone_incidence_matches_dot_products(ideals):
         assert tight == [sum(1 << i for i, g in enumerate(gens)
                              if sum(a * b for a, b in zip(r, g)) == 0)
                          for r in rows], name
+
+
+def test_simis_cone_vertex_generators_are_primitive(ideals):
+    # (d*v, d) from each vertex's denominator lcm d, against the defining
+    # property: coprime integers, positive height, and v at height 1
+    bodies = fixture_cones(ideals, (1, Fraction(3, 2), Fraction(5, 6)))
+    assert any(c.denominator > 1 for body in bodies.values()
+               for v in body.vertices for c in v)
+    for name, body in bodies.items():
+        gens, _, _ = _simis_cone(body)
+        for g, v in zip(gens, body.vertices):
+            assert math.gcd(*g) == 1 and g[-1] > 0, name
+            assert tuple(Fraction(x, g[-1]) for x in g[:-1]) == v, name
 
 
 def test_certified_cells_are_unimodular(ideals):
