@@ -8,11 +8,13 @@ the error.  Each verb returns its JSON result, its text lines as a lazy
 iterable, and its notes; only a text report reads the lines, so `--json`
 formats no facet, point or monomial line.
 
-Exit codes: 0 success, 1 domain error (e.g. an ideal class with no
-symbolic-polyhedron support), 2 parse or usage error (including a
-NOK_MAX_VERTICES that is not a positive integer), 3 vertex budget
-exceeded (see NOK_MAX_VERTICES), 141 the reader closed standard output
-before the report was written (128 + SIGPIPE).
+Exit codes: 0 success; a refusal exits with its error class's
+`exit_code` (see `nok.errors`): 1 domain error (e.g. an ideal class with
+no symbolic-polyhedron support), 2 parse error or a NOK_MAX_VERTICES that
+is not a positive integer, 3 vertex budget exceeded (see
+NOK_MAX_VERTICES).  A usage error or a file that cannot be read exits 2,
+and 141 means the reader closed standard output before the report was
+written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .bodies import (member_integral_closure, member_symbolic,
                      membership_certificate, newton_polyhedron,
                      np_equals_sp, real_power, symbolic_polyhedron,
                      symbolic_power)
-from .errors import (InvalidVertexBudget, NokError, ParseError,
-                     VertexBudgetExceeded)
+from .errors import NokError, ParseError
 from .families import CeilingPowerFamily, family_limit, stabilization_check
 from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
                      format_monomial, format_monomials, format_point,
@@ -193,30 +194,26 @@ def _cmd_spread(parsed: ParsedIdeal, args):
 
 def _cmd_constants(parsed: ParsedIdeal, args):
     rep = invariant_report(parsed.classified)
-    notes = []
+
+    def as_str(x):
+        # every SP-derived field is None for a class with no SP
+        return None if x is None else frac_to_str(x)
     result = {
         "analytic_spread": rep.ell,
         "symbolic_analytic_spread": rep.ell_s,
-        "vertex_denominators": None, "c": None, "D": None,
-        "svd_lower": None, "svd_upper": None,
-        "sgt_upper": None, "sgt_upper_np_eq_sp": None,
-        "hadamard_bound": None, "hadamard_exact": rep.hadamard_exact,
+        "vertex_denominators": None if rep.vertex_denoms is None
+        else [frac_to_str(d) for d in rep.vertex_denoms],
+        "c": as_str(rep.c), "D": as_str(rep.D),
+        "svd_lower": as_str(rep.svd_lower),
+        "svd_upper": as_str(rep.svd_upper),
+        "sgt_upper": as_str(rep.sgt_upper),
+        "sgt_upper_np_eq_sp": as_str(rep.sgt_upper_np_eq_sp),
+        "hadamard_bound": as_str(rep.hadamard_bound),
+        "hadamard_exact": rep.hadamard_exact,
     }
     lines = [f"analytic spread: {rep.ell}"]
     if rep.ell_s is None:
-        notes.append(_UNSUPPORTED_NOTE)
-        return result, lines, notes
-    result.update({
-        "vertex_denominators": [frac_to_str(d) for d in rep.vertex_denoms],
-        "c": frac_to_str(rep.c),
-        "D": frac_to_str(rep.D),
-        "svd_lower": frac_to_str(rep.svd_lower),
-        "svd_upper": frac_to_str(rep.svd_upper),
-        "sgt_upper": frac_to_str(rep.sgt_upper),
-        "sgt_upper_np_eq_sp": None if rep.sgt_upper_np_eq_sp is None
-        else frac_to_str(rep.sgt_upper_np_eq_sp),
-        "hadamard_bound": frac_to_str(rep.hadamard_bound),
-    })
+        return result, lines, [_UNSUPPORTED_NOTE]
     lines.append(f"symbolic analytic spread: {rep.ell_s}")
     lines.append("vertex denominators: "
                  + ", ".join(str(d) for d in rep.vertex_denoms))
@@ -230,7 +227,7 @@ def _cmd_constants(parsed: ParsedIdeal, args):
     rounding = "exact" if rep.hadamard_exact else "rounded up"
     lines.append(f"sgt bound (hadamard, {rounding}): "
                  f"{frac_to_str(rep.hadamard_bound)}")
-    return result, lines, notes
+    return result, lines, []
 
 
 def _generator_report(result: dict, title: str, ideal, variables):
@@ -495,15 +492,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a bad budget setting is refused even by verbs that never use it
         poly.vertex_budget()
         result, lines, notes, digest = _run(args)
-    except VertexBudgetExceeded as exc:
+    except (NokError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InvalidVertexBudget, ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NokError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, NokError) else 2
     try:
         if args.json:
             envelope = {"command": args.verb,

@@ -1,10 +1,18 @@
-"""Exception taxonomy shared by every module in the package."""
+"""Exception taxonomy shared by every module in the package.
+
+Each class carries the exit code with which `nok` refuses it:
+`exit_code` is 1 on `NokError`, 2 on `ParseError` (so on
+`UnknownVariable` and `NonPositiveMultiplicity`) and on
+`InvalidVertexBudget`, and 3 on `VertexBudgetExceeded`.
+"""
 
 from __future__ import annotations
 
 
 class NokError(Exception):
     """Base class for all domain errors raised by this package."""
+
+    exit_code = 1
 
 
 # -- ideal arithmetic ---------------------------------------------------------
@@ -62,9 +70,13 @@ class NonPositiveScale(NokError):
 class VertexBudgetExceeded(NokError):
     """Double description ray count exceeded NOK_MAX_VERTICES."""
 
+    exit_code = 3
+
 
 class InvalidVertexBudget(NokError):
     """NOK_MAX_VERTICES is set to something other than a positive integer."""
+
+    exit_code = 2
 
 
 # -- bodies / families / cones ------------------------------------------------
@@ -87,6 +99,8 @@ class NoCandidate(NokError):
 
 class ParseError(NokError):
     """Input file violates the ideal/family grammar."""
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None,
                  column: int | None = None):

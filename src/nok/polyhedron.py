@@ -510,16 +510,6 @@ def _scale_factor(factor) -> Fraction:
     return t
 
 
-def _dilated(h: HalfSpace, t: Fraction) -> tuple[tuple[int, ...], int]:
-    """(normal, offset) of the facet of t*P from the facet <a, x> >= b of P:
-    with t = p/q, <q*a, x> >= p*b in integers, made primitive by dividing
-    by the gcd."""
-    normal = [t.denominator * a for a in h.normal]
-    offset = t.numerator * h.offset
-    g = math.gcd(offset, *normal)
-    return tuple(a // g for a in normal), offset // g
-
-
 def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
     """Dilation t*P for a positive rational t: the hull of t times P's
     vertices, as t*P = conv(t*V) + orthant."""
@@ -757,12 +747,15 @@ def minimal_lattice_points(poly: RationalPolyhedron,
         raise NoVertices("polyhedron has no vertices")
     t = _scale_factor(factor)
     n = poly.nvars
-    rows = [_dilated(h, t) for h in poly.facets if h.offset > 0]
+    # each row is the facet of t*P, primitive (q*a, p*b), offset last
+    rows = [primitive_vector([t.denominator * a for a in h.normal]
+                             + [t.numerator * h.offset])
+            for h in poly.facets if h.offset > 0]
     if n == 1:
         # the root is the last coordinate, and its closed form the point
-        return [(max((-(-b // normal[0]) for normal, b in rows), default=0),)]
+        return [(max((-(-b // a) for a, b in rows), default=0),)]
     # the mask of the rows each coordinate feeds
-    feeds = [sum(1 << i for i, (normal, _) in enumerate(rows) if normal[j])
+    feeds = [sum(1 << i for i, row in enumerate(rows) if row[j])
              for j in range(n)]
     order: list[int] = []
     placed = 0
@@ -777,7 +770,7 @@ def minimal_lattice_points(poly: RationalPolyhedron,
     tops = [max(v[j] for v in poly.vertices) for j in order]
     box = [-(-t.numerator * m.numerator // (t.denominator * m.denominator))
            for m in tops]
-    rows = [([normal[j] for j in order], b) for normal, b in rows]
+    rows = [([row[j] for j in order], row[-1]) for row in rows]
 
     # field i holds row i's dot product in its low `width` bits and a guard
     # bit above them; `guards` has every guard bit set, as has each packed

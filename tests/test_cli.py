@@ -74,6 +74,29 @@ def test_constants_json_frozen(capsys):
         "vertex_denominators": ["1", "2", "1", "1"]}
 
 
+def test_constants_of_an_unsupported_class(capsys, tmp_path):
+    # no symbolic polyhedron: every SP field is null, the text stops after
+    # the analytic spread, and the note says why
+    target = tmp_path / "general.nok"
+    target.write_text("vars: x, y\ngens: x^3*y, x*y^2\n")
+    assert nok.parse_ideal_file(str(target)).classified.kind is \
+        nok.IdealKind.GENERAL_UNSUPPORTED
+    doc = run_json(capsys, "constants", str(target))
+    assert doc["result"] == {
+        "D": None, "analytic_spread": 2, "c": None,
+        "hadamard_bound": None, "hadamard_exact": None,
+        "sgt_upper": None, "sgt_upper_np_eq_sp": None,
+        "svd_lower": None, "svd_upper": None,
+        "symbolic_analytic_spread": None, "vertex_denominators": None}
+    assert doc["notes"] == [nok.cli._UNSUPPORTED_NOTE]
+    code, out, err = run(capsys, "constants", str(target))
+    assert (code, err) == (0, "")
+    assert out == (f"command: constants {target}\n"
+                   "input sha256: 9e5e7e3ea11f\n"
+                   "analytic spread: 2\n"
+                   f"note: {nok.cli._UNSUPPORTED_NOTE}\n")
+
+
 def test_symbolic_power_verb(capsys):
     doc = run_json(capsys, "symbolic-power", TRIANGLE, "-k", "2")
     gens = {tuple(g) for g in doc["result"]["generators"]}
@@ -294,18 +317,25 @@ def test_bad_vertex_budget_exits_two(capsys, monkeypatch, value):
                 f"{value!r}") in err
 
 
-def test_closed_pipe_exits_quietly():
-    # about 500 kB of JSON, far past a pipe's buffer, so the report is
-    # still being written when the reader closes its end
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def module_env() -> dict:
+    """The environment for `python -m nok` on the package under test."""
     src = str(Path(nok.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    root = Path(__file__).resolve().parent.parent
+    return env
+
+
+def test_closed_pipe_exits_quietly():
+    # about 500 kB of JSON, far past a pipe's buffer, so the report is
+    # still being written when the reader closes its end
     with subprocess.Popen(
             [sys.executable, "-m", "nok", "symbolic-power",
              "ideals/c5cone.nok", "-k", "12", "--json"],
-            cwd=root, env=env, stdout=subprocess.PIPE,
+            cwd=ROOT, env=module_env(), stdout=subprocess.PIPE,
             stderr=subprocess.PIPE) as proc:
         assert os.read(proc.stdout.fileno(), 10) == b'{\n  "comma'
         proc.stdout.close()
@@ -333,6 +363,52 @@ def test_bad_count_arguments_exit_two(capsys, argv, message):
         main(argv)
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+EXIT_CODES = {"ParseError": 2, "UnknownVariable": 2,
+              "NonPositiveMultiplicity": 2, "InvalidVertexBudget": 2,
+              "VertexBudgetExceeded": 3}
+ERROR_CLASSES = sorted(
+    (value for value in vars(nok).values()
+     if isinstance(value, type) and issubclass(value, nok.NokError)),
+    key=lambda cls: cls.__name__)
+
+
+def test_every_error_class_is_pinned():
+    assert len(ERROR_CLASSES) == 21
+    assert set(EXIT_CODES) <= {cls.__name__ for cls in ERROR_CLASSES}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES + [OSError],
+                         ids=lambda cls: cls.__name__)
+def test_error_class_exit_code(capsys, monkeypatch, cls):
+    def fail(args):
+        raise cls("boom")
+    monkeypatch.setattr(nok.cli, "_run", fail)
+    code, out, err = run(capsys, "np", TRIANGLE)
+    expected = 2 if cls is OSError else EXIT_CODES.get(cls.__name__, 1)
+    assert (code, out, err) == (expected, "", "error: boom\n")
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "nok", *argv], cwd=ROOT,
+                          env=module_env(), capture_output=True, timeout=60)
+
+
+def test_module_entry_point_matches_main(capsys):
+    code, out, _ = run(capsys, "np", TRIANGLE, "--json")
+    proc = run_module("np", TRIANGLE, "--json")
+    assert (code, proc.returncode) == (0, 0)
+    assert proc.stdout == out.encode() and proc.stderr == b""
+
+
+def test_module_entry_point_exits_one_on_a_domain_error(tmp_path):
+    target = tmp_path / "general.nok"
+    target.write_text("vars: x, y\ngens: x^3*y\n")
+    proc = run_module("sp", str(target))
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ")
 
 
 def test_family_file_on_ideal_verb_exits_two(capsys):
