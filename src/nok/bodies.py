@@ -15,12 +15,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from . import polyhedron as poly
-from .errors import NokError, NonPositiveExponent, UnsupportedIdealClass
+from .errors import (DimensionMismatch, NokError, NonPositiveExponent,
+                     UnsupportedIdealClass)
 from .ideal import (MonomialIdeal, PrimeDecomposition, _check_power,
                     _integral, expand_decomposition, minimal_primes)
 from .linalg import _gauss_jordan
@@ -42,6 +44,18 @@ class ClassifiedIdeal:
     ideal: MonomialIdeal
     kind: IdealKind
     decomposition: PrimeDecomposition | None = None
+
+    @cached_property
+    def _hash(self) -> int:
+        # derived once per object, as MonomialIdeal._hash is.  A pickle
+        # carries it, so it reads only parts built of ints: the kind is
+        # left out, as an enum hashes its name's randomized string hash,
+        # and a missing decomposition enters as (), as before Python 3.12
+        # hash(None) is an address
+        return hash((self.ideal, self.decomposition or ()))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def supports_sp(self) -> bool:
         return self.kind is not IdealKind.GENERAL_UNSUPPORTED
@@ -113,13 +127,21 @@ def symbolic_polyhedron(classified: ClassifiedIdeal) -> RationalPolyhedron:
 
 def _member(body: RationalPolyhedron, a: Sequence[int], k: int) -> bool:
     """Is a/k in the body?  a is an int exponent vector, so each facet
-    test <normal, a/k> >= offset runs in integers, scaled by k."""
+    test <normal, a/k> >= offset is <normal, a> >= offset * k: one integer
+    pass over the facets, with no denominators to clear.
+
+    Warm, `member_symbolic` and `member_integral_closure` add one cache
+    read to this pass: `newton_polyhedron` and `symbolic_polyhedron` each
+    keep CACHE_SIZE bodies keyed by the ideal object, whose hash is
+    computed once per object.  Keep the parsed object and pass it again."""
     _check_power(k)
     a = tuple(a)
     if not _integral(a):
         raise NonPositiveExponent(f"bad exponent vector {a}")
-    den, num = poly._cleared_point(body, a)
-    return all(s >= 0 for s in poly._slacks(body.facets, den * k, num))
+    if len(a) != body.nvars:
+        raise DimensionMismatch(f"point {a} has wrong length")
+    return all(sum(map(mul, h.normal, a)) >= h.offset * k
+               for h in body.facets)
 
 
 def member_integral_closure(ideal: MonomialIdeal, a: Sequence[int], k: int) -> bool:

@@ -62,6 +62,7 @@ same ideal as k - 1 successive products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product, starmap
 from operator import add, le, mul
 from typing import Callable, Collection, Iterable, Sequence
@@ -174,6 +175,16 @@ class MonomialIdeal:
         object.__setattr__(ideal, "generators", generators)
         ideal._check_shape()
         return ideal
+
+    @cached_property
+    def _hash(self) -> int:
+        # derived once per object, as a body's _mdc is: every lru_cache
+        # lookup keyed by the ideal reads it.  A hash of ints and tuples
+        # does not depend on the process, so a pickle may carry it
+        return hash((self.nvars, self.generators))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _check_shape(self):
         """At least one variable, at least one generator, and every

@@ -68,9 +68,12 @@ def vertex_budget() -> int:
 
 def as_fraction(x) -> Fraction:
     """Fraction(x), refusing a float: it stands for its binary expansion.
-    Raises ParseError for a string that Fraction cannot read."""
+    Raises ParseError for a string that Fraction cannot read, and for a
+    bool, which is no more a rational than it is a count."""
     if isinstance(x, float):
         raise InexactNumber(f"{x!r} is a float, not an exact rational")
+    if isinstance(x, bool):
+        raise ParseError(f"expected a rational, got {x!r}")
     if isinstance(x, str):
         try:
             return Fraction(x)
@@ -250,7 +253,7 @@ def _cleared_point(poly: RationalPolyhedron,
 def _slacks(facets: Sequence[HalfSpace], den: int,
             num: Sequence[int]) -> list[int]:
     """den times each facet's slack at the point num/den."""
-    return [_dot(h.normal, num) - h.offset * den for h in facets]
+    return [sum(map(mul, h.normal, num)) - h.offset * den for h in facets]
 
 
 def cone_extreme_rays(rows: Sequence[tuple[int, ...]],

@@ -1,24 +1,30 @@
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from nok import (ClassifiedIdeal, DimensionMismatch, IdealKind,
-                 NonPositiveExponent,
+                 MonomialIdeal, NonPositiveExponent,
                  PrimeComponent, PrimeDecomposition, UnsupportedIdealClass,
                  classify, classify_decomposition, contains, equal,
                  from_halfspaces, hull_up_set, integral_closure,
                  member_integral_closure, member_symbolic,
                  membership_certificate, minimal_primes, minimalize,
-                 newton_polyhedron, np_equals_sp, power, real_power, scale,
-                 symbolic_polyhedron, symbolic_power, vertex_constants)
+                 newton_polyhedron, np_equals_sp, parse_ideal_text, power,
+                 real_power, scale, symbolic_polyhedron, symbolic_power,
+                 vertex_constants)
 
 from oracles import (closure_member_naive, dot, faces, fraction_decompose,
                      slack, solve_linear, symbolic_power_by_intersection)
-from nok.bodies import CACHE_SIZE, MembershipCertificate
+from test_cli import module_env
+from test_graphs import edge_ideal, seeded_graphs
+from nok.bodies import CACHE_SIZE, MembershipCertificate, _member
 from nok.linalg import _gauss_jordan
 
 
@@ -492,3 +498,140 @@ def test_classified_ideal_reports_kind_value():
     assert IdealKind.LINEAR_POWER.value == "linear-power"
     assert IdealKind.M_PRIMARY.value == "m-primary"
     assert IdealKind.GENERAL_UNSUPPORTED.value == "general-unsupported"
+
+
+def test_equal_classified_ideals_hash_once_and_share_a_cache_entry():
+    # the triangle's edge ideal, squarefree by every builder and the
+    # parser's gens: file, and linear-power from its components
+    gens = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    squarefree = [classify(MonomialIdeal(3, gens)),
+                  classify(minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)])),
+                  classify(MonomialIdeal._proven(3, gens)),
+                  parse_ideal_text(
+                      "vars: x, y, z\ngens: x*y, y*z, z*x").classified]
+    primes = tuple(PrimeComponent(c) for c in ((0, 1), (1, 2), (0, 2)))
+    linear = [classify_decomposition(PrimeDecomposition(3, primes)),
+              parse_ideal_text("vars: x, y, z\n"
+                               "components: (x,y), (y,z), (x,z)").classified]
+    symbolic_polyhedron.cache_clear()
+    for group in (squarefree, linear):
+        assert len(set(map(id, group))) == len(group)
+        for classified in group:
+            assert classified == group[0]
+            assert hash(classified) == hash(group[0])
+            assert vars(classified)["_hash"] == hash(group[0])
+        bodies = [symbolic_polyhedron(classified) for classified in group]
+        assert all(body is bodies[0] for body in bodies)
+    assert squarefree[0] != linear[0]
+    info = symbolic_polyhedron.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
+
+
+# one ClassifiedIdeal of each kind, two of them with no decomposition,
+# from the fixtures directory given as the first argument
+PICKLED = """
+import pickle, sys
+from pathlib import Path
+from nok import classify, minimalize, parse_ideal_file
+
+built = [parse_ideal_file(str(Path(sys.argv[1], name + ".nok"))).classified
+         for name in ("triangle", "weighted", "mprimary")]
+built.append(classify(minimalize([(3, 1)])))
+"""
+
+DUMP = PICKLED + """
+for classified in built:
+    hash(classified)
+sys.stdout.buffer.write(pickle.dumps(built))
+"""
+
+LOAD = PICKLED + """
+loaded = pickle.loads(sys.stdin.buffer.read())
+assert [c.kind.value for c in loaded] == [
+    "squarefree", "linear-power", "m-primary", "general-unsupported"]
+for old, fresh in zip(loaded, built):
+    # the pickle carried the hash computed under the other seed
+    assert "_hash" in vars(old) and "_hash" in vars(old.ideal)
+    assert old == fresh and hash(old) == hash(fresh), old.kind
+    assert hash(old.ideal) == hash(fresh.ideal)
+"""
+
+
+def test_pickled_classified_ideal_hashes_alike_under_another_seed():
+    ideals = str(Path(__file__).resolve().parent.parent / "ideals")
+
+    def run(script, seed, data=b""):
+        env = dict(module_env(), PYTHONHASHSEED=str(seed))
+        return subprocess.run([sys.executable, "-c", script, ideals],
+                              input=data, env=env, capture_output=True,
+                              timeout=60)
+
+    dumped = run(DUMP, 1)
+    assert dumped.returncode == 0, dumped.stderr.decode()
+    loaded = run(LOAD, 2, dumped.stdout)
+    assert loaded.returncode == 0, loaded.stderr.decode()
+
+
+def member_bodies(ideals):
+    """The fixtures' bodies and seeded fractional ones (view_bodies), and
+    the Newton and symbolic polyhedra of seeded graphs' edge ideals."""
+    yield from view_bodies(ideals)
+    for n, edges in seeded_graphs(4141, 8, 4, 8):
+        ideal = edge_ideal(n, edges)
+        yield newton_polyhedron(ideal)
+        yield symbolic_polyhedron(classify(ideal))
+
+
+def test_member_matches_contains_on_the_fraction_point(ideals):
+    # _member tests <normal, a> >= offset * k in ints; contains clears the
+    # denominators of a/k.  Beside seeded points: k times each vertex
+    # that gives a lattice point, which has zero slack on its facets, and
+    # that point less 1 in one coordinate, which is often just outside
+    rng = random.Random(4243)
+    outcomes = Counter()
+    for body in member_bodies(ideals):
+        top = max(math.ceil(x) for v in body.vertices for x in v) + 1
+        for k in (1, 2, 3):
+            points = [tuple(rng.randint(0, k * top) for _ in range(body.nvars))
+                      for _ in range(12)]
+            for v in body.vertices:
+                if all((k * x).denominator == 1 for x in v):
+                    corner = tuple(int(k * x) for x in v)
+                    points.append(corner)
+                    points += [corner[:j] + (e - 1,) + corner[j + 1:]
+                               for j, e in enumerate(corner) if e > 0]
+            for i, a in enumerate(points):
+                got = _member(body, a, k)
+                assert got == contains(body, tuple(Fraction(x, k) for x in a))
+                outcomes[got, i < 12] += 1
+    # (answer, seeded point): about 800 to 2,600 of each
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_member_refusals_are_unchanged():
+    body = newton_polyhedron(minimalize([(1, 1, 0), (0, 1, 1), (1, 0, 1)]))
+    cases = [((1, 1), 1, DimensionMismatch,
+              "point (1, 1) has wrong length"),
+             ((1, 1, 1, 1), 2, DimensionMismatch,
+              "point (1, 1, 1, 1) has wrong length"),
+             ((True, 1, 0), 1, NonPositiveExponent,
+              "bad exponent vector (True, 1, 0)"),
+             ((1.0, 1, 0), 1, NonPositiveExponent,
+              "bad exponent vector (1.0, 1, 0)"),
+             ((Fraction(1), 1, 0), 1, NonPositiveExponent,
+              "bad exponent vector (Fraction(1, 1), 1, 0)"),
+             # the entries are checked before the length, and k first
+             ((True, 1), 1, NonPositiveExponent,
+              "bad exponent vector (True, 1)"),
+             ((1.5, 1), 0, NonPositiveExponent,
+              "power index must be a positive integer, got 0"),
+             ((1, 1, 1), 0, NonPositiveExponent,
+              "power index must be a positive integer, got 0"),
+             ((1, 1, 1), True, NonPositiveExponent,
+              "power index must be a positive integer, got True")]
+    for a, k, error, message in cases:
+        with pytest.raises(error) as refused:
+            _member(body, a, k)
+        assert str(refused.value) == message
+    # a list is read as its tuple
+    assert _member(body, [1, 1, 0], 1) and not _member(body, [1, 0, 0], 1)

@@ -12,8 +12,8 @@ from nok import (DimensionMismatch, EmptyGeneratorSet, EmptyList, EmptyPrime,
                  PrimeDecomposition, classify, classify_decomposition,
                  expand_decomposition, from_halfspaces, intersect,
                  minimal_lattice_points, minimal_primes, minimal_vectors,
-                 minimalize, multiply, power, real_power, symbolic_polyhedron,
-                 symbolic_power)
+                 minimalize, multiply, newton_polyhedron, parse_ideal_text,
+                 power, real_power, symbolic_polyhedron, symbolic_power)
 
 from test_polyhedron import random_up_set_system
 
@@ -660,3 +660,29 @@ def test_builders_prove_minimality_once(ideals, monkeypatch):
         calls.clear()
         build()
         assert len(calls) == expected
+
+
+def test_equal_ideals_hash_once_and_share_a_cache_entry():
+    # the triangle's edge ideal by every builder, the parser's gens: and
+    # components: files included; all are distinct objects
+    gens = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    built = [MonomialIdeal(3, gens),
+             minimalize([(1, 1, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)]),
+             MonomialIdeal._proven(3, gens),
+             parse_ideal_text("vars: x, y, z\ngens: x*y, y*z, z*x").ideal,
+             parse_ideal_text(
+                 "vars: x, y, z\ncomponents: (x,y), (y,z), (x,z)").ideal]
+    assert len(set(map(id, built))) == len(built)
+    first = built[0]
+    unhashed = MonomialIdeal(3, gens)
+    for ideal in built:
+        assert ideal == first and hash(ideal) == hash(first)
+        # computed once, kept out of equality and repr
+        assert vars(ideal)["_hash"] == hash(first)
+        assert ideal == unhashed and repr(ideal) == repr(unhashed)
+    assert "_hash" not in vars(unhashed)
+    newton_polyhedron.cache_clear()
+    bodies = [newton_polyhedron(ideal) for ideal in built]
+    assert all(body is bodies[0] for body in bodies)
+    info = newton_polyhedron.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (len(built) - 1, 1, 1)

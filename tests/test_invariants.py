@@ -5,12 +5,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from nok import (NonPositiveExponent, UnsupportedIdealClass, analytic_spread,
-                 c_degree_compatibility, classify, equal, hilbert_basis,
-                 invariant_report, minimalize, newton_polyhedron, power,
-                 scale, sgt_bounds, svd_bounds, symbolic_analytic_spread,
-                 symbolic_polyhedron, symbolic_power, verify_np_scaled_sp,
-                 vertex_constants)
+from nok import (HalfSpace, IdealKind, MonomialIdeal, NonPositiveExponent,
+                 PrimeComponent, PrimeDecomposition, UnsupportedIdealClass,
+                 analytic_spread, c_degree_compatibility, classify,
+                 classify_decomposition, equal, hilbert_basis,
+                 invariant_report, minimalize, multiply, newton_polyhedron,
+                 power, scale, sgt_bounds, svd_bounds,
+                 symbolic_analytic_spread, symbolic_polyhedron,
+                 symbolic_power, verify_np_scaled_sp, vertex_constants)
 
 # one row per fixture ideal: ell, ell_s, c, D, svd window, sgt bound,
 # sgt bound under NP = SP, hadamard-derived bound and its exactness
@@ -267,3 +269,69 @@ def test_invariants_of_a_disjoint_sum(ideals, hilbert_reports):
         assert constants.D == max(p.D for p in parts), (a, b)
         assert hilbert_basis(total).degrees == \
             hilbert_reports[a].degrees | hilbert_reports[b].degrees, (a, b)
+
+
+def pad(ideal, before, after):
+    """The ideal in variables of its own: `before` zeros ahead of each
+    generator and `after` behind it."""
+    return MonomialIdeal._proven(
+        before + ideal.nvars + after,
+        tuple((0,) * before + g + (0,) * after for g in ideal.generators))
+
+
+def disjoint_product(left, right):
+    """IJ with J in variables of its own, after I's, classified by the
+    union of the two decompositions, J's shifted after I's."""
+    n, m = left.ideal.nvars, right.ideal.nvars
+    shifted = tuple(PrimeComponent(tuple(v + n for v in c.variables),
+                                   c.multiplicity)
+                    for c in right.decomposition.components)
+    return classify_decomposition(PrimeDecomposition(
+        n + m, left.decomposition.components + shifted))
+
+
+def test_invariants_of_a_disjoint_product(ideals):
+    # the abstract's part (b) on IJ with I and J in disjoint variables:
+    # NP(IJ) = NP(I) x NP(J), and SP(IJ) = SP(I) x SP(J), as
+    # (IJ)^(k) = I^(k) J^(k).  A compact face of a product is a product of
+    # compact faces, so mdc adds and ell(IJ) = ell(I) + ell(J) - 1, and
+    # likewise ell_s.  The vertices are the pairs of vertices, so c is the
+    # lcm and D the largest lcm of two vertex denominators.  mprimary is
+    # left out: its symbolic powers are taken to be the integral closures
+    # of its powers (the strict xfail of test_bodies.py)
+    names = ("weighted",) + SQUAREFREE
+    pairs = list(combinations_with_replacement(names, 2))
+    assert len(pairs) == 45
+    for a, b in pairs:
+        left, right = ideals[a].classified, ideals[b].classified
+        n, m = left.ideal.nvars, right.ideal.nvars
+        total = disjoint_product(left, right)
+        # in disjoint variables the product is the intersection
+        assert total.ideal == multiply(pad(left.ideal, 0, m),
+                                       pad(right.ideal, n, 0)), (a, b)
+        if left.kind is right.kind is IdealKind.SQUAREFREE:
+            # its minimal primes are those of I and of J
+            assert classify(total.ideal).decomposition == \
+                total.decomposition, (a, b)
+        for lhs, rhs, body in (
+                map(newton_polyhedron, (left.ideal, right.ideal, total.ideal)),
+                map(symbolic_polyhedron, (left, right, total))):
+            assert set(body.facets) == (
+                {HalfSpace(h.normal + (0,) * m, h.offset) for h in lhs.facets}
+                | {HalfSpace((0,) * n + h.normal, h.offset)
+                   for h in rhs.facets}), (a, b)
+            assert set(body.vertices) == {u + v for u in lhs.vertices
+                                          for v in rhs.vertices}, (a, b)
+        assert analytic_spread(total.ideal) == analytic_spread(
+            left.ideal) + analytic_spread(right.ideal) - 1, (a, b)
+        assert symbolic_analytic_spread(total) == symbolic_analytic_spread(
+            left) + symbolic_analytic_spread(right) - 1, (a, b)
+        parts = vertex_constants(left), vertex_constants(right)
+        constants = vertex_constants(total)
+        assert constants.c == math.lcm(*(p.c for p in parts)), (a, b)
+        assert constants.D == max(math.lcm(d, e) for d in parts[0].denoms
+                                  for e in parts[1].denoms), (a, b)
+        for k in (1, 2):
+            assert symbolic_power(total, k) == multiply(
+                pad(symbolic_power(left, k), 0, m),
+                pad(symbolic_power(right, k), n, 0)), (a, b, k)

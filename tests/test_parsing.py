@@ -20,10 +20,11 @@ def test_frac_to_str_formats_ints_and_fractions_and_refuses_floats():
     assert frac_to_str(Fraction(6, 4)) == "3/2"
     assert frac_to_str(Fraction(-8, 2)) == "-4"
     assert frac_to_str("4/6") == "2/3"
-    assert frac_to_str(True) == "1"
     for value in (0.5, 2.0):
         with pytest.raises(InexactNumber):
             frac_to_str(value)
+    with pytest.raises(ParseError):
+        frac_to_str(True)
 
 
 def err(fn, *args):

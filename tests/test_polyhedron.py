@@ -847,7 +847,6 @@ def test_contains_converts_like_fraction():
     body = hull_up_set([(Fraction(1, 2), Fraction(3, 2))], 2)
     assert contains(body, ("0.5", "3/2"))
     assert not contains(body, ("1/3", 2))
-    assert contains(body, (True, 2))
 
 
 def test_minimal_lattice_points_against_box_scan():
@@ -1221,6 +1220,15 @@ def test_malformed_strings_are_parse_errors(name, text):
     call = dict(float_sites())[name]
     with pytest.raises(ParseError):
         call(text)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", [name for name, _ in float_sites()])
+def test_bools_are_parse_errors(name, value):
+    # a bool is an int to Python, but no more a rational than a count
+    call = dict(float_sites())[name]
+    with pytest.raises(ParseError, match=f"^expected a rational, got {value}$"):
+        call(value)
 
 
 def test_float_ceiling_family_fails_at_once():
