@@ -154,57 +154,46 @@ class RationalPolyhedron:
             raise NoVertices("polyhedron has no vertices")
         n = self.nvars
         covers = self._cover_masks
-        vertex_masks = self._vertex_masks
         # a compact facet: one positive in every coordinate (see mdc)
         if reduce(and_, covers):
             return n - 1
-        # a compact ridge: two facets whose supports cover every
-        # coordinate, with a shared vertex and no third facet on all of
-        # the shared vertices
+        # the search over covering facet sets (see mdc): a state is (the
+        # coordinates its facets cover, the vertices on all of them)
         full = (1 << n) - 1
-        # per facet, the coordinates where its normal is positive
         supports = _transpose(covers, len(self.facets))
-        on = self._facet_masks
-        for i, support in enumerate(supports):
-            for j in range(i + 1, len(supports)):
-                shared = on[i] & on[j]
-                if not shared or support | supports[j] != full:
-                    continue
-                pair = 1 << i | 1 << j
-                tight = -1
-                while shared and tight != pair:
-                    low = shared & -shared
+        on, vertex_masks = self._facet_masks, self._vertex_masks
+        start = (0, (1 << len(self.vertices)) - 1)
+        seen, stack = {start}, [start]
+        # {vertex mask of a compact face found: its tight facets}, kept
+        # inclusion-maximal
+        found = {}
+        while stack:
+            covered, shared = stack.pop()
+            if any(shared & m == shared for m in found):
+                continue
+            if covered == full:
+                tight, rest = -1, shared
+                while rest:
+                    low = rest & -rest
                     tight &= vertex_masks[low.bit_length() - 1]
-                    shared ^= low
-                if tight == pair:
+                    rest ^= low
+                if tight.bit_count() == 2:
                     return n - 2
-        # the closure of the vertex masks under intersection, through
-        # compact masks only (see mdc): a closed mask is the set of facets
-        # tight on its face, which is compact when the mask meets every
-        # cover mask, so that no unit ray survives.  {mask reached: compact}
-        closed = dict.fromkeys(vertex_masks, True)
-        frontier = list(closed)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in vertex_masks:
-                    c = a & b
-                    if c not in closed:
-                        closed[c] = all(c & cover for cover in covers)
-                        if closed[c]:
-                            fresh.append(c)
-            frontier = fresh
-        compact = [m for m, is_compact in closed.items() if is_compact]
-        # each minimal compact mask is a maximal compact face; taken in
-        # increasing popcount, a mask that contains another compact mask
-        # contains a minimal one already kept, so only those are tested
-        top = []
-        for m in sorted(compact, key=int.bit_count):
-            if not any(o & m == o for o in top):
-                top.append(m)
-        ranks = (rank([h.normal for i, h in enumerate(self.facets)
-                       if m >> i & 1]) for m in top)
-        return self.nvars - min(ranks)
+                found = {m: t for m, t in found.items() if m & shared != m}
+                found[shared] = tight
+                continue
+            # branch on the lowest uncovered coordinate
+            options = covers[(~covered & (covered + 1)).bit_length() - 1]
+            while options:
+                low = options & -options
+                i = low.bit_length() - 1
+                options ^= low
+                state = (covered | supports[i], shared & on[i])
+                if state[1] and state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+        return n - min(rank([h.normal for i, h in enumerate(self.facets)
+                             if tight >> i & 1]) for tight in found.values())
 
     @cached_property
     def _vertex_constants(self) -> VertexConstants:
@@ -537,36 +526,48 @@ def mdc(poly: RationalPolyhedron) -> int:
     A face is compact exactly when the supports of its tight facet normals
     cover every coordinate: its recession cone is the set of r >= 0 that
     each tight normal, nonnegative, kills, so r_j > 0 is allowed exactly
-    when every tight normal is 0 at j.  Two exits read that off the
-    normals and the vertex masks, and decide mdc = n - 1 and mdc = n - 2
-    with no closure:
+    when every tight normal is 0 at j.  A face's dimension is nvars minus
+    the rank of its tight normals.
 
-    - A compact facet.  A facet whose normal is positive in every
-      coordinate (a facet in the AND of the cover masks) is compact, of
-      dimension n - 1.  The body is unbounded, so no face is larger.
-    - A compact ridge, when no facet is compact.  A ridge (a face of
-      dimension n - 2) lies in exactly two facets i and j and is their
-      intersection.  So the compact ridges are the intersections
-      F_i & F_j, over the pairs whose supports cover every coordinate,
-      that hold a vertex and lie on no third facet.  Such an intersection is
-      compact, so it is the hull of the vertices on both facets, and the
-      facets through it are the AND of their masks.  A face tight at
-      exactly {i, j} has tight normals of rank at most 2, so dimension at
-      least n - 2, and it is no facet.  Dually: a covering pair shares no
-      unit ray, so the extreme rays of the homogenized cone on both
-      facets are those vertices, and the face they span lies in no third
-      facet exactly when it is a ridge (the combinatorial test of Fukuda
-      & Prodon, see `cone_extreme_rays`).
+    A facet whose normal is positive in every coordinate (a facet in the
+    AND of the cover masks) is compact, of dimension n - 1.  The body is
+    unbounded, so no face is larger, and mdc = n - 1 at once.
 
-    When both exits decline, mdc <= n - 3 and the closure below answers.
-    Each face through a vertex is the set of points tight at a closed
-    mask: an intersection of vertex incidence masks.  Its dimension is
-    nvars minus the rank of its tight normals.  Two facts keep the work to
-    the size of the answer.  Compactness passes to subfaces, so the
-    closure of the vertex masks never extends a mask that is not compact.
-    And a face's dimension is at least that of each of its subfaces, so
-    the maximum is attained on a maximal compact face: only the minimal
-    compact masks are ranked.  Computed once per polyhedron object.
+    Otherwise a depth-first search over covering facet sets answers.  For
+    a set S of facets that share a vertex, F_S, the points on every facet
+    of S, is a face; when the supports of S cover every coordinate, F_S
+    is compact, so it is the hull of the vertices on all of S.  A maximal
+    compact face F equals F_S for every covering set S of its tight
+    facets: F lies in F_S, which is compact, so F = F_S by maximality.  So
+    mdc is the largest dim F_S over the covering sets S that share a
+    vertex.  A state of the search is (the coordinates S covers, the
+    vertices on all of S), from (none, every vertex).  It branches on
+    the lowest uncovered coordinate j, over the facets positive at j that
+    meet the shared vertices.  A covering set of F's tight facets is
+    reached: at each j the search branches on, one of them is positive,
+    and each holds F's vertices.  Equal states have equal subtrees, so a
+    state is pushed once.  At a covering state the facets tight on F_S
+    are the AND of its vertices' incidence masks.
+
+    - The found-face prune.  A state whose shared vertices lie inside
+      the vertex set of a compact face G already found is dropped: every
+      face below it is the hull of a subset of G's vertices, so a subface
+      of G.  A maximal compact face F whose path is dropped there has its
+      vertices inside G's, so F lies in G and equals it.  So only the
+      inclusion-maximal vertex sets found are kept, and each is ranked
+      once.
+    - The return at two tight facets.  No facet is compact here, so every
+      compact face has dimension at most n - 2.  A covering F_S tight on
+      exactly two facets has tight normals of rank at most 2, so
+      dimension at least n - 2: mdc = n - 2 without a rank.  Conversely,
+      every face of dimension n - 2 lies on exactly two facets, so the
+      search meets this return whenever mdc = n - 2: no state above a
+      compact ridge R is pruned, as a compact face found with R's
+      vertices would contain R and so equal it.
+
+    The worst case is exponential, since the search enumerates the
+    transversals of the hypergraph of facet supports; no bound charges
+    its states.  Computed once per polyhedron object.
     """
     return poly._mdc
 

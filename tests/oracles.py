@@ -104,8 +104,9 @@ def faces(body):
     masks, read off the facet slacks and extended through every mask.  A
     face's dimension is nvars minus the rank of its tight normals; it is
     compact when each coordinate has a tight normal positive there, so
-    that no unit ray lies in it.  The reference for mdc, which extends
-    compact masks only and ranks the maximal compact faces alone."""
+    that no unit ray lies in it.  The reference for mdc and for
+    mdc_by_closure, which extends compact masks only and ranks the
+    maximal compact faces alone."""
     n = body.nvars
     masks = [sum(1 << i for i, h in enumerate(body.facets)
                  if slack(h, v) == 0) for v in body.vertices]
@@ -126,6 +127,43 @@ def faces(body):
                                   compact))
     out.sort(key=lambda f: (f.dim, f.tight_facets))
     return out
+
+
+def mdc_by_closure(body):
+    """mdc by closing the vertex incidence masks under intersection
+    through compact masks only: a closed mask is the set of facets tight
+    on its face, which is compact when the mask meets every coordinate's
+    set of facets positive there, and compactness passes to subfaces, so
+    no other mask is extended.  Each minimal compact mask is a maximal
+    compact face; taken in increasing popcount, a mask that contains
+    another compact mask contains a minimal one already kept, so only
+    those are ranked.  The reference for mdc at 6-8 variables, where
+    `faces`, which closes every mask, is too slow."""
+    n = body.nvars
+    masks = [sum(1 << i for i, h in enumerate(body.facets)
+                 if slack(h, v) == 0) for v in body.vertices]
+    covers = [sum(1 << i for i, h in enumerate(body.facets)
+                  if h.normal[j] > 0) for j in range(n)]
+    # {mask reached: compact}
+    closed = dict.fromkeys(masks, True)
+    frontier = list(closed)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in masks:
+                c = a & b
+                if c not in closed:
+                    closed[c] = all(c & cover for cover in covers)
+                    if closed[c]:
+                        fresh.append(c)
+        frontier = fresh
+    top = []
+    for m in sorted((m for m, compact in closed.items() if compact),
+                    key=int.bit_count):
+        if not any(o & m == o for o in top):
+            top.append(m)
+    return n - min(matrix_rank([h.normal for i, h in enumerate(body.facets)
+                                if m >> i & 1]) for m in top)
 
 
 def fraction_decompose(body, point):

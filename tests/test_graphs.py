@@ -21,24 +21,37 @@ computes for it:
 """
 
 import hashlib
+import json
 import random
 import time
 
 import pytest
 
 from nok import PrimeComponent, PrimeDecomposition, analytic_spread, \
-    classify, classify_decomposition, hilbert_basis, minimalize, \
+    classify, classify_decomposition, hilbert_basis, mdc, minimalize, \
     newton_polyhedron, np_equals_sp, symbolic_analytic_spread, \
     symbolic_polyhedron
 from nok.cli import main
 
 # a connected graph on x1..x14 with a triangle (x6, x11, x12), whose
-# NP and SP have mdc 13 and 12; closing the SP's compact faces took about
-# 20 s
+# NP and SP have mdc 13 and 12: a compact facet and a covering face tight
+# on two facets decide them, where closing the SP's compact faces took
+# about 20 s
 GRAPH_14 = [(1, 4), (1, 6), (1, 8), (2, 4), (2, 12), (2, 13), (3, 5),
             (3, 10), (3, 11), (4, 7), (4, 11), (4, 14), (5, 7), (5, 10),
             (5, 13), (6, 7), (6, 10), (6, 11), (6, 12), (6, 14), (7, 13),
             (8, 9), (8, 11), (8, 12), (9, 13), (9, 14), (11, 12)]
+
+# a graph on x1..x16 with two non-bipartite components, with triangles
+# (x2, x3, x5) and (x4, x10, x15), whose NP and SP have mdc 15 and 13:
+# the SP's mdc = n - 3 is the cover search's, where closing its compact
+# faces took about 10 s
+GRAPH_16 = [(1, 2), (1, 9), (1, 11), (1, 12), (1, 14), (2, 3), (2, 5),
+            (2, 7), (2, 11), (2, 14), (2, 16), (3, 5), (3, 7), (4, 10),
+            (4, 15), (5, 9), (5, 11), (5, 13), (5, 14), (5, 16), (6, 10),
+            (7, 11), (7, 13), (7, 14), (7, 16), (8, 15), (9, 11), (9, 12),
+            (9, 13), (9, 14), (10, 15), (11, 12), (11, 13), (11, 16),
+            (13, 14), (14, 16)]
 
 
 def edge_ideal(n, edges):
@@ -110,18 +123,69 @@ def test_analytic_spread_is_n_minus_bipartite_components():
 
 
 def test_analytic_spread_of_larger_graphs():
-    # 12-18 vertices and at most one bipartite component, so mdc(NP) is
-    # n - 1 or n - 2: a compact facet or a compact ridge decides it, where
-    # closing the compact faces took seconds to minutes per graph
+    # 12-18 vertices, where closing the compact faces took seconds to
+    # minutes per graph.  With at most one bipartite component mdc(NP) is
+    # n - 1 or n - 2, and the compact facet or a covering face tight on
+    # two facets decides it; with more, the cover search ranks the faces
+    # it finds
     outcomes = set()
+    searched = 0
     for n, edges in seeded_graphs(41, 100, 12, 18):
         components, bipartite = bipartite_components(n, edges)
-        if bipartite > 1:
-            continue
+        searched += bipartite > 1
         outcomes.add((bipartite == components, bipartite == 0))
         assert analytic_spread(edge_ideal(n, edges)) == n - bipartite, \
             (n, edges)
     assert outcomes == {(True, False), (False, True), (False, False)}
+    assert searched == 20
+
+
+def connected_non_bipartite(rng, n):
+    """A seeded connected graph on n vertices with an odd cycle."""
+    while True:
+        density = rng.uniform(0.25, 0.6)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < density]
+        if bipartite_components(n, edges) == (1, 0):
+            return edges
+
+
+def test_symbolic_mdc_of_two_components_adds():
+    # Ha, Nguyen, Trung & Trung, Math. Z. 294, 2020: in disjoint
+    # variables the symbolic Rees algebra of I + J is the tensor product
+    # of those of I and J, so ell_s adds and mdc(SP(I + J)) =
+    # mdc(SP(I)) + mdc(SP(J)) + 1.  SP of a graph with an edge has no
+    # compact facet (its facets are the minimal vertex covers and the
+    # coordinates), so a graph with two components has mdc(SP) <= n - 3,
+    # which the cover search decides, at 13-16 vertices
+    rng = random.Random(43)
+    for _ in range(6):
+        n = rng.randint(13, 16)
+        a = rng.randint(5, n - 5)
+        left = connected_non_bipartite(rng, a)
+        right = connected_non_bipartite(rng, n - a)
+        both = left + [(u + a, v + a) for u, v in right]
+        parts = [mdc(symbolic_polyhedron(classify(edge_ideal(m, edges))))
+                 for m, edges in ((a, left), (n - a, right))]
+        body = symbolic_polyhedron(classify(edge_ideal(n, both)))
+        assert mdc(body) == sum(parts) + 1 <= n - 3, (n, both)
+
+
+def graph_verb(monkeypatch, tmp_path, name, n, edges, verb):
+    """(exit code, seconds) of `nok verb name --json` through cli.main,
+    on the graph's edge ideal written to tmp_path/name, with the body
+    caches cleared; the caller reads the output from capsys.  The file is
+    read by its relative name, which the report echoes, so the output
+    does not depend on tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(
+        "vars: " + ", ".join(f"x{i}" for i in range(1, n + 1)) + "\ngens: "
+        + ", ".join(f"x{a}*x{b}" for a, b in edges) + "\n")
+    newton_polyhedron.cache_clear()
+    symbolic_polyhedron.cache_clear()
+    start = time.perf_counter()
+    code = main([verb, name, "--json"])
+    return code, time.perf_counter() - start
 
 
 def test_spreads_of_the_14_vertex_graph():
@@ -139,17 +203,9 @@ def test_spreads_of_the_14_vertex_graph():
 ])
 def test_14_vertex_graph_through_the_cli(capsys, monkeypatch, tmp_path,
                                          verb, digest):
-    # the file is read by its relative name, which the report echoes, so
     # the digests are those of the closure's answers, byte for byte
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "g14.nok").write_text(
-        "vars: " + ", ".join(f"x{i}" for i in range(1, 15)) + "\ngens: "
-        + ", ".join(f"x{a}*x{b}" for a, b in GRAPH_14) + "\n")
-    newton_polyhedron.cache_clear()
-    symbolic_polyhedron.cache_clear()
-    start = time.perf_counter()
-    code = main([verb, "g14.nok", "--json"])
-    elapsed = time.perf_counter() - start
+    code, elapsed = graph_verb(monkeypatch, tmp_path, "g14.nok", 14,
+                               GRAPH_14, verb)
     out = capsys.readouterr().out
     assert code == 0
     assert elapsed < 1
@@ -158,6 +214,32 @@ def test_14_vertex_graph_through_the_cli(capsys, monkeypatch, tmp_path,
     else:
         assert '"analytic_spread": 14' in out
         assert '"symbolic_analytic_spread": 13' in out
+
+
+def test_spreads_of_the_16_vertex_graph():
+    n, edges = 16, [(a - 1, b - 1) for a, b in GRAPH_16]
+    assert bipartite_components(n, edges) == (2, 0)
+    ideal = edge_ideal(n, edges)
+    assert mdc(newton_polyhedron(ideal)) == 15
+    assert mdc(symbolic_polyhedron(classify(ideal))) == 13
+
+
+@pytest.mark.parametrize("verb", ["sp", "spread"])
+def test_16_vertex_graph_through_the_cli(capsys, monkeypatch, tmp_path,
+                                         verb):
+    # the digest was recorded from the closure's answer, which took about
+    # 10 s; the cover search answers the same bytes in under a second
+    code, elapsed = graph_verb(monkeypatch, tmp_path, "g16.nok", 16,
+                               GRAPH_16, verb)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert elapsed < 1
+    if verb == "sp":
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "94ceda7daed5765529181b0593725c80b78cbed8fee479ed491e7bf3fa14f66f"
+    else:
+        assert json.loads(out)["result"] == {
+            "analytic_spread": 16, "symbolic_analytic_spread": 14}
 
 
 def test_np_equals_sp_exactly_for_bipartite_graphs():

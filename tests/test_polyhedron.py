@@ -22,7 +22,8 @@ from nok.polyhedron import (RationalPolyhedron, cone_extreme_rays,
 
 from oracles import (brute_force_minimal_points, brute_force_vertices,
                      dilate_box, dot, faces, fraction_decompose, matrix_rank,
-                     slack, solve_square, symbolic_power_by_intersection)
+                     mdc_by_closure, slack, solve_square,
+                     symbolic_power_by_intersection)
 
 
 def orthant(n):
@@ -665,13 +666,13 @@ def test_mdc_is_largest_compact_face_dimension(ideals):
     assert {(n, d) for n in range(1, 6) for d in range(n)} <= seen_dims
 
 
-def wide_up_sets(seed, count):
-    """Hulls and half-space systems of 4-6 variables, where a facet pair
-    can cover every coordinate without meeting, or meet in a face that is
-    no ridge."""
+def wide_up_sets(seed, count, n_min=4, n_max=6):
+    """Hulls and half-space systems of n_min to n_max variables, where a
+    facet pair can cover every coordinate without meeting, or meet in a
+    face that is no ridge."""
     rng = random.Random(seed)
     for k in range(count):
-        n = rng.randint(4, 6)
+        n = rng.randint(n_min, n_max)
         if k % 2:
             yield hull_up_set([[rng.randint(0, rng.choice((1, 2, 4)))
                                 for _ in range(n)]
@@ -687,9 +688,9 @@ def wide_up_sets(seed, count):
 
 
 def test_mdc_exits_decide_down_to_n_minus_2(monkeypatch):
-    # the closure ranks its maximal compact faces; the compact facet and
-    # compact ridge exits rank nothing, and decide every body whose mdc
-    # is n - 1 or n - 2
+    # the cover search ranks the maximal compact faces it finds; the
+    # compact facet and a covering face tight on two facets only rank
+    # nothing, and decide every body whose mdc is n - 1 or n - 2
     ranked = []
     real_rank = polyhedron.rank
     monkeypatch.setattr(polyhedron, "rank",
@@ -702,6 +703,17 @@ def test_mdc_exits_decide_down_to_n_minus_2(monkeypatch):
         assert (not ranked) == (expected >= body.nvars - 2)
         seen.add(body.nvars - expected)
     assert {1, 2, 3, 4} <= seen
+
+
+def test_mdc_matches_the_closure_at_6_to_8_variables():
+    # past the sizes where `faces` closes every mask: the compact-only
+    # closure is the reference, and it ranks every maximal compact face
+    seen = set()
+    for body in wide_up_sets(89, 150, 6, 8):
+        expected = mdc_by_closure(body)
+        assert mdc(body) == expected
+        seen.add(body.nvars - expected)
+    assert set(range(1, 9)) <= seen
 
 
 def assert_vertex_masks_match_slack(body):
