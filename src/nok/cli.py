@@ -519,7 +519,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.close(devnull)
         return 141
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -169,11 +169,11 @@ class MonomialIdeal:
     def _proven(cls, nvars: int,
                 generators: tuple[Vector, ...]) -> "MonomialIdeal":
         """An ideal whose generators the caller has proven to be a
-        lex-sorted antichain: only their shape is checked."""
+        nonempty lex-sorted antichain of nonnegative int vectors, nvars >= 1
+        long: nothing is checked again."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "nvars", nvars)
         object.__setattr__(ideal, "generators", generators)
-        ideal._check_shape()
         return ideal
 
     @cached_property
@@ -226,8 +226,11 @@ def minimalize(gens: Iterable[Sequence[int]], nvars: int | None = None) -> Monom
         raise EmptyGeneratorSet("no generators given")
     if nvars is None:
         nvars = len(vectors[0])
-    # minimal_vectors returns the lex-sorted antichain of its input
-    return MonomialIdeal._proven(nvars, tuple(minimal_vectors(vectors)))
+    # minimal_vectors returns the lex-sorted antichain of its input; the
+    # vectors come from outside, so the shape of the kept ones is checked
+    ideal = MonomialIdeal._proven(nvars, tuple(minimal_vectors(vectors)))
+    ideal._check_shape()
+    return ideal
 
 
 def multiply(lhs: MonomialIdeal, rhs: MonomialIdeal) -> MonomialIdeal:
@@ -304,7 +307,8 @@ def intersect(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
     for other in ideals[1:]:
         lcms = [tuple(max(x, y) for x, y in zip(a, b))
                 for a in result.generators for b in other.generators]
-        result = minimalize(lcms, result.nvars)
+        result = MonomialIdeal._proven(result.nvars,
+                                       tuple(minimal_vectors(lcms)))
     return result
 
 
@@ -338,14 +342,15 @@ class PrimeComponent:
         return tuple(1 if j in chosen else 0 for j in range(nvars))
 
     def ideal(self, nvars: int) -> MonomialIdeal:
-        """The prime itself, as a monomial ideal."""
+        """The prime itself, as a monomial ideal: its distinct unit
+        vectors, sorted, are a lex-sorted antichain once nvars covers
+        its variables."""
+        if self.variables[-1] >= nvars:
+            raise DimensionMismatch(
+                f"variable index {self.variables[-1]} out of range")
         gens = [tuple(1 if j == v else 0 for j in range(nvars))
                 for v in self.variables]
-        return MonomialIdeal(nvars, tuple(sorted(gens)))
-
-
-def _component_key(comp: PrimeComponent) -> tuple:
-    return comp.variables, comp.multiplicity
+        return MonomialIdeal._proven(nvars, tuple(sorted(gens)))
 
 
 @dataclass(frozen=True)
@@ -365,18 +370,15 @@ class PrimeDecomposition:
             if comp.variables[-1] >= self.nvars:
                 raise DimensionMismatch(
                     f"variable index {comp.variables[-1]} out of range")
-        unique = sorted(set(self.components), key=_component_key)
-        # a component is implied, and dropped, when another one's variable
-        # set lies inside its own with a multiplicity that is not smaller,
-        # and larger if the sets are equal: the half-space it cuts is
-        # implied.  Variable sets are bitmasks, built once.
-        keys = [(sum(1 << v for v in c.variables), c.multiplicity)
-                for c in unique]
-        kept = tuple(c for c, (mask, mult) in zip(unique, keys)
-                     if not any(sub & mask == sub
-                                and (m > mult or m == mult and sub != mask)
-                                for sub, m in keys))
-        object.__setattr__(self, "components", kept)
+        # a component (Q, n) is implied, and dropped, when another one
+        # (P, m) has P inside Q and m >= n: the half-space it cuts is
+        # implied.  That is (x_P, -m) <= (x_Q, -n) componentwise, so the
+        # kept components are the minimal keys; equal components share one
+        by_key = {c.indicator(self.nvars) + (-c.multiplicity,): c
+                  for c in self.components}
+        kept = sorted((by_key[k] for k in minimal_vectors(by_key)),
+                      key=lambda c: (c.variables, c.multiplicity))
+        object.__setattr__(self, "components", tuple(kept))
 
 
 def expand_decomposition(decomp: PrimeDecomposition) -> MonomialIdeal:

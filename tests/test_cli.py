@@ -346,6 +346,22 @@ def test_closed_pipe_exits_quietly():
     assert code == 141
 
 
+def test_closed_pipe_exits_quietly_from_a_text_report():
+    # 107,831 bytes of text, past a pipe's buffer and the reader's own:
+    # the report's lines are still being printed when the pipe closes
+    with subprocess.Popen(
+            [sys.executable, "-m", "nok", "symbolic-power",
+             "ideals/c5cone.nok", "-k", "12"],
+            cwd=ROOT, env=module_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == \
+            b"command: symbolic-power ideals/c5cone.nok\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
 def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", TRIANGLE])

@@ -191,6 +191,51 @@ def test_constructor_rejects_negative_exponents():
         MonomialIdeal(2, ((1, -1),))
 
 
+def test_each_ideal_is_proven_once(monkeypatch):
+    # outside vectors have their shape checked once, by minimalize or the
+    # constructor; an ideal built from proven ideals is not checked again
+    calls = []
+    check = MonomialIdeal._check_shape
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(MonomialIdeal, "_check_shape", counted)
+
+    def checks(build):
+        calls.clear()
+        assert isinstance(build(), MonomialIdeal)
+        return len(calls)
+
+    assert checks(lambda: minimalize([(2, 0, 1), (1, 1, 0), (0, 3, 1)])) == 1
+    assert checks(lambda: MonomialIdeal(2, ((0, 1), (1, 0)))) == 1
+    ideal = minimalize([(2, 0, 1), (1, 1, 0), (0, 3, 1)])
+    other = minimalize([(1, 0, 0), (0, 2, 2)])
+    dec = PrimeDecomposition(3, (PrimeComponent((0, 1), 2),
+                                 PrimeComponent((1, 2), 1)))
+    ci = classify_decomposition(dec)
+    symbolic_polyhedron(ci)
+    newton_polyhedron(ideal)
+    for build in (lambda: multiply(ideal, other),
+                  lambda: power(ideal, 5),
+                  lambda: intersect([ideal, other, power(other, 2)]),
+                  lambda: expand_decomposition(dec),
+                  lambda: PrimeComponent((0, 2)).ideal(3),
+                  lambda: symbolic_power(ci, 3),
+                  lambda: real_power(ideal, Fraction(3, 2))):
+        assert checks(build) == 0
+
+
+def test_prime_component_ideal_refuses_uncovered_variables():
+    # the sorted unit vectors are an antichain only when every variable
+    # index is below nvars
+    assert PrimeComponent((2,)).ideal(3).generators == ((0, 0, 1),)
+    for nvars in (0, 1, 2):
+        with pytest.raises(DimensionMismatch, match="2 out of range"):
+            PrimeComponent((0, 2)).ideal(nvars)
+
+
 def test_unit_ideal():
     unit = minimalize([(0, 0), (1, 2)])
     assert unit.is_unit()
