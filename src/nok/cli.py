@@ -42,9 +42,7 @@ from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
                      frac_to_str, ideal_payload, parse_family_text,
                      parse_ideal_text, parse_monomial_text, point_payload,
                      polyhedron_payload, read_input, str_to_frac)
-from .invariants import (analytic_spread, c_degree_compatibility,
-                         invariant_report, svd_bounds,
-                         symbolic_analytic_spread)
+from .invariants import c_degree_compatibility, invariant_report, svd_bounds
 from .simis import (_normal_rees_bound, hilbert_basis,
                     normal_rees_generator_degrees, svd_probe, veronese_verify)
 
@@ -178,29 +176,32 @@ def _cmd_sp(parsed: ParsedIdeal, args):
             _body_lines("symbolic polyhedron", body, parsed.variables), [])
 
 
+def _spread_head(parsed: ParsedIdeal):
+    """The ideal's invariant report, and the result, text lines and notes
+    that `spread` gives and `constants` opens with: the two spreads, or
+    the analytic one and a note when the class has no symbolic
+    polyhedron."""
+    rep = invariant_report(parsed.classified)
+    result = {"analytic_spread": rep.ell,
+              "symbolic_analytic_spread": rep.ell_s}
+    lines = [f"analytic spread: {rep.ell}"]
+    if rep.ell_s is None:
+        return rep, result, lines, [_UNSUPPORTED_NOTE]
+    lines.append(f"symbolic analytic spread: {rep.ell_s}")
+    return rep, result, lines, []
+
+
 def _cmd_spread(parsed: ParsedIdeal, args):
-    ell = analytic_spread(parsed.ideal)
-    result = {"analytic_spread": ell, "symbolic_analytic_spread": None}
-    lines = [f"analytic spread: {ell}"]
-    notes = []
-    if parsed.classified.supports_sp():
-        ell_s = symbolic_analytic_spread(parsed.classified)
-        result["symbolic_analytic_spread"] = ell_s
-        lines.append(f"symbolic analytic spread: {ell_s}")
-    else:
-        notes.append(_UNSUPPORTED_NOTE)
-    return result, lines, notes
+    return _spread_head(parsed)[1:]
 
 
 def _cmd_constants(parsed: ParsedIdeal, args):
-    rep = invariant_report(parsed.classified)
+    rep, result, lines, notes = _spread_head(parsed)
 
     def as_str(x):
         # every SP-derived field is None for a class with no SP
         return None if x is None else frac_to_str(x)
-    result = {
-        "analytic_spread": rep.ell,
-        "symbolic_analytic_spread": rep.ell_s,
+    result.update({
         "vertex_denominators": None if rep.vertex_denoms is None
         else [frac_to_str(d) for d in rep.vertex_denoms],
         "c": as_str(rep.c), "D": as_str(rep.D),
@@ -210,11 +211,9 @@ def _cmd_constants(parsed: ParsedIdeal, args):
         "sgt_upper_np_eq_sp": as_str(rep.sgt_upper_np_eq_sp),
         "hadamard_bound": as_str(rep.hadamard_bound),
         "hadamard_exact": rep.hadamard_exact,
-    }
-    lines = [f"analytic spread: {rep.ell}"]
+    })
     if rep.ell_s is None:
-        return result, lines, [_UNSUPPORTED_NOTE]
-    lines.append(f"symbolic analytic spread: {rep.ell_s}")
+        return result, lines, notes
     lines.append("vertex denominators: "
                  + ", ".join(str(d) for d in rep.vertex_denoms))
     lines.append(f"c: {rep.c}")
@@ -227,7 +226,7 @@ def _cmd_constants(parsed: ParsedIdeal, args):
     rounding = "exact" if rep.hadamard_exact else "rounded up"
     lines.append(f"sgt bound (hadamard, {rounding}): "
                  f"{frac_to_str(rep.hadamard_bound)}")
-    return result, lines, []
+    return result, lines, notes
 
 
 def _generator_report(result: dict, title: str, ideal, variables):

@@ -277,26 +277,24 @@ def _missing(family: FamilySpec, body: RationalPolyhedron,
 
 def _stabilization(family: FamilySpec, limit: FamilyLimit,
                    c_max: int) -> StabilizationReport:
-    """stabilization_check on the family's limit, computed once."""
+    """stabilization_check on the family's limit, computed once.
+
+    The least c comes from the closed form, or for an intersection from
+    the first multiple of the vertex-denominator lcm up to c_max that
+    misses no vertex.  Each c is tested once, so the witness at c_max
+    reuses the search's last test."""
     body, _, least_c = limit
-    never = False
-    if isinstance(family, IntersectionFamily):
+    missing = cache(lambda c: _missing(family, body, c))
+    searched = isinstance(family, IntersectionFamily)
+    if searched:
         step = body._vertex_constants.c
-        for c in range(step, c_max + 1, step):
-            missing = _missing(family, body, c)
-            if not missing:
-                return StabilizationReport(True, c)
-        # the loop's last test was at c_max when step divides it
-        if c_max % step:
-            missing = _missing(family, body, c_max)
-    else:
-        if least_c is None:
-            never = True
-        elif least_c <= c_max:
-            return StabilizationReport(True, least_c)
-        missing = _missing(family, body, c_max)
-    witness = StabilizationWitness(c_max, c_max, max(missing))
-    return StabilizationReport(False, None, witness, least_c, never)
+        least_c = next((c for c in range(step, c_max + 1, step)
+                        if not missing(c)), None)
+    if least_c is not None and least_c <= c_max:
+        return StabilizationReport(True, least_c)
+    witness = StabilizationWitness(c_max, c_max, max(missing(c_max)))
+    return StabilizationReport(False, None, witness, least_c,
+                               least_c is None and not searched)
 
 
 def stabilization_check(family: FamilySpec,

@@ -14,6 +14,7 @@ import nok
 import nok.bodies
 import nok.cli
 import nok.families
+import nok.polyhedron
 from nok import frac_to_str
 from nok.cli import main
 
@@ -95,6 +96,49 @@ def test_constants_of_an_unsupported_class(capsys, tmp_path):
                    "input sha256: 9e5e7e3ea11f\n"
                    "analytic spread: 2\n"
                    f"note: {nok.cli._UNSUPPORTED_NOTE}\n")
+
+
+def test_spread_is_the_head_of_constants(capsys, monkeypatch, tmp_path):
+    # every fixture, a components: file, the unit ideal and a class with
+    # no symbolic polyhedron
+    paths = sorted(str(p) for p in Path("ideals").glob("*.nok"))
+    for name, text in (("dec", "vars: x, y, z\ncomponents: (x,y)^2, (x), "
+                               "(y), (x,y,z), (y,z)^3\n"),
+                       ("unit", "vars: x, y\ngens: 1\n"),
+                       ("general", "vars: x, y\ngens: x^3*y\n")):
+        (tmp_path / f"{name}.nok").write_text(text)
+        paths.append(str(tmp_path / f"{name}.nok"))
+    passes = []
+    inner = nok.polyhedron.cone_extreme_rays
+    monkeypatch.setattr(nok.polyhedron, "cone_extreme_rays",
+                        lambda *a: passes.append(a) or inner(*a))
+    for path in paths:
+        kind = nok.parse_ideal_file(path).classified.kind
+        nok.newton_polyhedron.cache_clear()
+        nok.symbolic_polyhedron.cache_clear()
+        passes.clear()
+        spread = run_json(capsys, "spread", path)
+        # one pass for NP, and one more only for an SP that is not NP
+        one = kind in (nok.IdealKind.M_PRIMARY,
+                       nok.IdealKind.GENERAL_UNSUPPORTED)
+        assert len(passes) == (1 if one else 2), path
+        constants = run_json(capsys, "constants", path)
+        assert spread["result"] == {
+            key: constants["result"][key]
+            for key in ("analytic_spread", "symbolic_analytic_spread")}
+        assert spread["notes"] == constants["notes"]
+        assert (spread["notes"] == [nok.cli._UNSUPPORTED_NOTE]) == (
+            kind is nok.IdealKind.GENERAL_UNSUPPORTED)
+        reports, notes = [], []
+        for verb in ("spread", "constants"):
+            code, out, err = run(capsys, verb, path)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()[1:]
+            reports.append([x for x in lines if not x.startswith("note: ")])
+            notes.append([x for x in lines if x.startswith("note: ")])
+        head, whole = reports
+        assert whole[:len(head)] == head, path
+        assert notes[0] == notes[1]
 
 
 def test_symbolic_power_verb(capsys):

@@ -416,6 +416,29 @@ def test_unstable_intersection_expands_no_power_twice(monkeypatch):
     assert unstable >= 5
 
 
+def test_each_tested_multiple_expands_each_component_once(monkeypatch):
+    # c_B = 1 and the least c is 3: below it the search tests every c up
+    # to c_max, and the witness at c_max reuses the last test
+    expanded = []
+    inner = nok.families.power
+    monkeypatch.setattr(nok.families, "power", lambda ideal, c: (
+        expanded.append(c) or inner(ideal, c)))
+    family = IntersectionFamily((minimalize([(3, 1, 2)]),
+                                 minimalize([(1, 3, 0), (3, 0, 3)])))
+    body = newton_okounkov_body(family)
+    assert all(x.denominator == 1 for v in body.vertices for x in v)
+    for c_max, powers in ((1, [1, 1]), (2, [1, 1, 2, 2])):
+        expanded.clear()
+        report = stabilization_check(family, c_max)
+        assert expanded == powers
+        witness = StabilizationWitness(c_max, c_max, (3, 1, 2))
+        assert report == StabilizationReport(False, None, witness)
+    expanded.clear()
+    report = stabilization_check(family, 3)
+    assert expanded == [1, 1, 2, 2, 3, 3]
+    assert report.stabilized and report.c == 3
+
+
 def test_spread_and_check_build_the_limit_once(families, monkeypatch):
     calls = []
     limit = nok.families.family_limit
