@@ -20,9 +20,10 @@ from .errors import (DimensionMismatch, EmptyGeneratorSet,
                      UnsupportedIdealClass, VertexBudgetExceeded)
 from .families import (CeilingPowerFamily, FamilyLimit, FamilySpec,
                        IntersectionFamily, PowerFamily, StabilizationReport,
-                       StabilizationWitness, SymbolicFamily, ceiling_scale,
+                       StabilizationWitness, ceiling_scale,
                        family_analytic_spread, family_limit, member_ideal,
-                       newton_okounkov_body, stabilization_check)
+                       newton_okounkov_body, stabilization_check,
+                       symbolic_family)
 from .fileio import (ParsedFamily, ParsedIdeal, format_halfspace,
                      format_monomial, format_monomials, format_point,
                      frac_to_str, parse_family_file, parse_family_text,

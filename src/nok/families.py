@@ -1,15 +1,22 @@
 """Graded families of monomial ideals: member ideals, limiting bodies, and
 the stabilization test that certifies a Noetherian Rees algebra.
 
-Four families are representable: ordinary powers, symbolic powers,
-intersections of powers of several ideals, and ceiling powers
-I_k = base^ceil(alpha*k + beta).  Each has a closed-form limiting body, so
-the union over k of (1/k)NP(I_k) never has to be approximated.
+Three classes represent them: ordinary powers I_k = base^k,
+intersections I_k of the k-th powers of several ideals, and ceiling
+powers I_k = base^ceil(alpha*k + beta).  A symbolic family I_k = base^(k)
+is built by `symbolic_family` as one of the first two.  Each has a
+closed-form limiting body, so the union over k of (1/k)NP(I_k) never has
+to be approximated.
+
+Power, symbolic and intersection families are graded by construction:
+(J^a)(J^b) = J^(a+b) for each ideal J, and a product of intersections
+lies in the intersection of the products.
 
 Stabilization is decided on the body's vertices.  Since (1/c)NP(I_c) lies
 in the body, c attains the body iff every vertex v of the body has c*v
-integral and x^(c*v) in I_c.  For power, symbolic and ceiling families
-the least such c has a closed form, so no member ideal is expanded.
+integral and x^(c*v) in I_c.  For power and ceiling families, and for
+intersections whose every component is a power of a monomial prime, the
+least such c has a closed form, so no member ideal is expanded.
 """
 
 from __future__ import annotations
@@ -21,8 +28,7 @@ from functools import cache
 from typing import NamedTuple, Union
 
 from . import polyhedron as poly
-from .bodies import (ClassifiedIdeal, newton_polyhedron, symbolic_polyhedron,
-                     symbolic_power)
+from .bodies import ClassifiedIdeal, IdealKind, newton_polyhedron
 from .errors import (DimensionMismatch, EmptyList, NokError,
                      NonPositiveExponent, NotProvenNoetherian,
                      UnsupportedIdealClass)
@@ -35,19 +41,6 @@ class PowerFamily:
     """I_k = base^k."""
 
     base: MonomialIdeal
-
-
-@dataclass(frozen=True)
-class SymbolicFamily:
-    """I_k = base^(k), so the base must support a symbolic polyhedron."""
-
-    base: ClassifiedIdeal
-
-    def __post_init__(self):
-        if not self.base.supports_sp():
-            raise UnsupportedIdealClass(
-                "symbolic family needs a squarefree, linear-power, or "
-                "m-primary base ideal")
 
 
 @dataclass(frozen=True)
@@ -86,8 +79,39 @@ class CeilingPowerFamily:
         return math.ceil(self.alpha * k + self.beta)
 
 
-FamilySpec = Union[PowerFamily, SymbolicFamily, IntersectionFamily,
-                   CeilingPowerFamily]
+FamilySpec = Union[PowerFamily, IntersectionFamily, CeilingPowerFamily]
+
+
+def symbolic_family(classified: ClassifiedIdeal) -> FamilySpec:
+    """I_k = base^(k), the symbolic powers of a squarefree, linear-power
+    or m-primary base.
+
+    A squarefree or linear-power base is the intersection of its
+    components P^m, so I^(k) is the intersection of the P^(m*k).  An
+    m-primary base, the unit ideal among them, has I^(k) = I^k."""
+    if classified.kind is IdealKind.M_PRIMARY:
+        return PowerFamily(classified.ideal)
+    if not classified.supports_sp():
+        raise UnsupportedIdealClass("symbolic family needs a squarefree, "
+                                    "linear-power, or m-primary base ideal")
+    d = classified.decomposition
+    return IntersectionFamily(tuple(power(c.ideal(d.nvars), c.multiplicity)
+                                    for c in d.components))
+
+
+def _is_prime_power(ideal: MonomialIdeal) -> bool:
+    """Is the ideal P^m for a monomial prime P, the unit ideal being m = 0?
+
+    With m the degree of the first generator and P the variables of the
+    support, of size |P|, the generators are distinct monomials in P; they
+    are all comb(|P| + m - 1, m) monomials of degree m in P exactly when
+    each has degree m and there are that many."""
+    gens = ideal.generators
+    m, size = sum(gens[0]), sum(map(any, zip(*gens)))
+    # the unit ideal's one generator has m = 0 and size = 0, where comb
+    # is undefined
+    return m == 0 or (all(sum(g) == m for g in gens)
+                      and len(gens) == math.comb(size + m - 1, m))
 
 
 @dataclass(frozen=True)
@@ -122,7 +146,8 @@ class FamilyLimit(NamedTuple):
     scale is the s with body = s*NP(base) for a ceiling family, None for
     the other variants.  least_c is the least c with (1/c)NP(I_c) = body;
     it is None for a ceiling family that never attains its body, and for
-    an intersection, which has no closed form for it.
+    an intersection with a component that is no prime power, which has
+    no closed form for it.
     """
 
     body: RationalPolyhedron
@@ -135,10 +160,14 @@ def member_ideal(family: FamilySpec, k: int) -> MonomialIdeal:
     _check_power(k, "family index")
     if isinstance(family, PowerFamily):
         return power(family.base, k)
-    if isinstance(family, SymbolicFamily):
-        return symbolic_power(family.base, k)
     if isinstance(family, IntersectionFamily):
-        return intersect([power(j, k) for j in family.components])
+        body, _, least_c = family_limit(family)
+        if least_c is None:
+            return intersect([power(j, k) for j in family.components])
+        # with a closed form, I_k is the set of lattice points of k*body;
+        # minimal_lattice_points returns them as a lex-sorted antichain
+        return MonomialIdeal._proven(
+            body.nvars, tuple(poly.minimal_lattice_points(body, k)))
     if isinstance(family, CeilingPowerFamily):
         return power(family.base, family.exponent(k))
     raise NokError(f"unknown family variant {type(family).__name__}")
@@ -217,15 +246,17 @@ def family_limit(family: FamilySpec) -> FamilyLimit:
     if isinstance(family, PowerFamily):
         # NP(I^c) = c*NP(I)
         return FamilyLimit(newton_polyhedron(family.base), None, 1)
-    if isinstance(family, SymbolicFamily):
-        # every lattice point of c*SP lies in I^(c), so c attains SP once
-        # c*SP has integral vertices
-        body = symbolic_polyhedron(family.base)
-        return FamilyLimit(body, None, body._vertex_constants.c)
     if isinstance(family, IntersectionFamily):
+        # a power P^m of a monomial prime is normal: (P^m)^c is the set
+        # of lattice points of c*NP(P^m).  So when every component is one,
+        # a body vertex v, which lies in each NP(P^m), has x^(c*v) in I_c
+        # once c*v is integral, and the least c is the lcm of the body's
+        # vertex denominators
         body = poly.intersect_polyhedra(
             [newton_polyhedron(j) for j in family.components])
-        return FamilyLimit(body, None, None)
+        closed = all(map(_is_prime_power, family.components))
+        return FamilyLimit(body, None,
+                           body._vertex_constants.c if closed else None)
     if isinstance(family, CeilingPowerFamily):
         # (1/c)NP(I_c) = (e_c/c)*NP(base) with e_c = ceil(alpha*c + beta),
         # which is the body iff e_c/c is the scale, or the base is the unit
@@ -242,13 +273,15 @@ def newton_okounkov_body(family: FamilySpec) -> RationalPolyhedron:
     return family_limit(family).body
 
 
-def _missing(family: FamilySpec, body: RationalPolyhedron,
+def _missing(family: FamilySpec, limit: FamilyLimit,
              c: int) -> list[Point]:
     """The body vertices outside (1/c)NP(I_c).  That polyhedron lies in
     the body, so a vertex v is in it iff it is one of its vertices: c*v
     is integral, that is, d_v divides c, and x^(c*v) is a generator of
-    I_c.  An intersection expands each component's c-th power at most
-    once, on the first vertex with c*v integral that needs it.
+    I_c.  With a closed-form least c, x^(c*v) is in I_c once c*v is
+    integral (family_limit), so only the denominators are tested.  An
+    intersection with no closed form expands each component's c-th power
+    at most once, on the first vertex with c*v integral that needs it.
 
     A ceiling family is asked only at a c that does not attain its body,
     and misses every vertex there, so none is tested.  Its body is
@@ -261,13 +294,13 @@ def _missing(family: FamilySpec, body: RationalPolyhedron,
     least c is 1, so its check never gets here.
     """
     if isinstance(family, CeilingPowerFamily):
-        return list(body.vertices)
+        return list(limit.body.vertices)
     expanded = cache(lambda j: power(j, c))
     missing = []
-    for v, d in zip(body.vertices, body._vertex_constants.denoms):
+    for v, d in zip(limit.body.vertices, limit.body._vertex_constants.denoms):
         if c % d:
             missing.append(v)
-        elif isinstance(family, IntersectionFamily):
+        elif limit.least_c is None:
             a = [x.numerator * (c // x.denominator) for x in v]
             if not all(expanded(j).contains_monomial(a)
                        for j in family.components):
@@ -279,13 +312,13 @@ def _stabilization(family: FamilySpec, limit: FamilyLimit,
                    c_max: int) -> StabilizationReport:
     """stabilization_check on the family's limit, computed once.
 
-    The least c comes from the closed form, or for an intersection from
-    the first multiple of the vertex-denominator lcm up to c_max that
-    misses no vertex.  Each c is tested once, so the witness at c_max
-    reuses the search's last test."""
+    The least c comes from the closed form, or for an intersection with
+    none from the first multiple of the vertex-denominator lcm up to
+    c_max that misses no vertex.  Each c is tested once, so the witness
+    at c_max reuses the search's last test."""
     body, _, least_c = limit
-    missing = cache(lambda c: _missing(family, body, c))
-    searched = isinstance(family, IntersectionFamily)
+    missing = cache(lambda c: _missing(family, limit, c))
+    searched = least_c is None and isinstance(family, IntersectionFamily)
     if searched:
         step = body._vertex_constants.c
         least_c = next((c for c in range(step, c_max + 1, step)
@@ -303,27 +336,30 @@ def stabilization_check(family: FamilySpec,
     body.
 
     c attains the body iff every vertex v of the body has c*v integral
-    and x^(c*v) in I_c.  Power, symbolic and ceiling families take the
-    least such c from family_limit and expand no member ideal.  An
-    intersection tests the multiples of the lcm of the body's vertex
-    denominators up to c_max, one power of each component per multiple.
+    and x^(c*v) in I_c.  Power and ceiling families, and intersections of
+    prime powers, symbolic families among them, take the least such c
+    from family_limit and expand no member ideal.  Any other intersection
+    tests the multiples of the lcm of the body's vertex denominators up
+    to c_max, one power of each component per multiple.
 
     Success certifies that the Rees algebra of the family is Noetherian.
     Otherwise the witness is the largest body vertex that
     (1/c_max)NP(I_{c_max}) misses.  The report's least_c or never then
-    proves the answer; for an intersection it is only a bounded search,
-    not a proof of non-Noetherianity.
+    proves the answer; for an intersection with no closed form it is
+    only a bounded search, not a proof of non-Noetherianity.
     """
     _check_power(c_max, "c_max")
     return _stabilization(family, family_limit(family), c_max)
 
 
 def family_analytic_spread(family: FamilySpec, c_max: int) -> int:
-    """mdc of the limiting body plus one; valid once stabilization is
-    certified, refused otherwise."""
+    """mdc of the limiting body plus one; valid once some c attains the
+    body.  A closed-form least c proves that, above c_max too; otherwise
+    the family must stabilize at some c <= c_max, or it is refused."""
     _check_power(c_max, "c_max")
     limit = family_limit(family)
-    if not _stabilization(family, limit, c_max).stabilized:
+    if limit.least_c is None and not _stabilization(family, limit,
+                                                    c_max).stabilized:
         raise NotProvenNoetherian(
             f"no c <= {c_max} attains the limiting body; the analytic "
             "spread formula requires a Noetherian Rees algebra")

@@ -14,9 +14,11 @@ a linear-power ideal may be given by its decomposition instead
 unit monomial.  Family files start with `family: power | symbolic |
 intersection | ceiling`, followed by one ideal block per component
 (each block starting with its own `vars:` line); ceiling families add
-`alpha: p/q` and optionally `beta: p/q` (default 0).  `#` starts a
-comment anywhere, blank lines are ignored, and all reported vectors use
-the declaration order of `vars:`.
+`alpha: p/q` and optionally `beta: p/q` (default 0).  A symbolic family
+is built by `families.symbolic_family`: the intersection of its base's
+prime-power components, or the power family of an m-primary base; its
+`kind` stays "symbolic".  `#` starts a comment anywhere, blank lines are
+ignored, and all reported vectors use the declaration order of `vars:`.
 
 Parsing a `gens:` block builds the minimal generators and nothing more:
 the ideal's class, which only the symbolic verbs read, is found on first
@@ -37,7 +39,7 @@ from . import polyhedron as poly
 from .bodies import ClassifiedIdeal, classify, classify_decomposition
 from .errors import (NonPositiveMultiplicity, ParseError, UnknownVariable)
 from .families import (CeilingPowerFamily, FamilySpec, IntersectionFamily,
-                       PowerFamily, SymbolicFamily)
+                       PowerFamily, symbolic_family)
 from .ideal import (MonomialIdeal, PrimeComponent, PrimeDecomposition,
                     minimalize)
 from .polyhedron import HalfSpace, Point, RationalPolyhedron
@@ -376,7 +378,7 @@ def parse_family_text(text: str) -> ParsedFamily:
     if kind == "power":
         family: FamilySpec = PowerFamily(blocks[0][1].ideal)
     elif kind == "symbolic":
-        family = SymbolicFamily(blocks[0][1].classified)
+        family = symbolic_family(blocks[0][1].classified)
     elif kind == "intersection":
         family = IntersectionFamily(tuple(b.ideal for _, b in blocks))
     else:

@@ -160,6 +160,11 @@ class MonomialIdeal:
     generators: tuple[Vector, ...]
 
     def __post_init__(self):
+        # a list of lists or of tuples is stored as the tuple of tuples
+        # that equality, hashing and the body caches read; no generators
+        # at all is refused below as the zero ideal
+        object.__setattr__(self, "generators",
+                           tuple(map(tuple, self.generators or ())))
         self._check_shape()
         if list(self.generators) != minimal_vectors(self.generators):
             raise NokError("generators must be a lex-sorted antichain; "

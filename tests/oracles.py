@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from nok import intersect, power, symbolic_power
+from nok import intersect, minimalize, power, symbolic_power
 
 
 def dot(a, b):
@@ -332,3 +332,16 @@ def ceiling_minimum_scan(family):
         if exponent * best_k < best * k:
             best, best_k = exponent, k
     return Fraction(best, best_k), best_k
+
+
+def is_prime_power(ideal):
+    """Is the ideal P^m for a monomial prime P, or the unit ideal?  P is
+    the prime of the generators' support and m the first generator's
+    degree, and P^m is expanded and compared."""
+    if ideal.is_unit():
+        return True
+    n = ideal.nvars
+    prime = minimalize([tuple(int(i == j) for i in range(n))
+                        for j in range(n)
+                        if any(g[j] for g in ideal.generators)])
+    return power(prime, sum(ideal.generators[0])) == ideal

@@ -249,16 +249,30 @@ def test_stabilize_text_matches_expected_phrases(capsys):
     assert "stabilized at c = 2" in out
 
 
-def test_stabilize_notes_say_what_is_proven(capsys):
+SEARCHED_INTERSECTION = ("family: intersection\n"
+                         "vars: x, y, z\ngens: x^3*y*z^2\n"
+                         "vars: x, y, z\ngens: x*y^3, x^3*z^3\n")
+
+
+def test_stabilize_notes_say_what_is_proven(capsys, tmp_path):
     notes = run_json(capsys, "stabilize", CEILING, "--cmax", "3")["notes"]
     assert len(notes) == 1 and notes[0].startswith("never stabilizes: "
                                                    "beta > 0")
     notes = run_json(capsys, "stabilize", "families/symbolic_triangle.nok",
                      "--cmax", "1")["notes"]
     assert notes == ["exact: the least stabilizing c is 2, above c_max = 1"]
+    # the same family written as an intersection of its primes
     notes = run_json(capsys, "stabilize", "families/intersection.nok",
                      "--cmax", "1")["notes"]
+    assert notes == ["exact: the least stabilizing c is 2, above c_max = 1"]
+    # a component that is no prime power leaves only the search, whose
+    # least c here is 3
+    family = tmp_path / "searched.nok"
+    family.write_text(SEARCHED_INTERSECTION)
+    notes = run_json(capsys, "stabilize", str(family), "--cmax", "2")["notes"]
     assert len(notes) == 1 and notes[0].startswith("bounded search: ")
+    assert run_json(capsys, "stabilize", str(family),
+                    "--cmax", "3")["result"]["c"] == 3
 
 
 def test_family_verbs_scan_the_ceiling_ratios_once(capsys, monkeypatch,
@@ -638,7 +652,7 @@ TEXT_DIGESTS = [
      "stabilize families/symbolic_triangle.nok"),
     ("1ed4f946dff6f2e306ca835928e76e9bdc1e41f70e4f34d2bd2ca6ceb5a605e7",
      "stabilize families/symbolic_triangle.nok --cmax 1"),
-    ("bccaadea6c96c27b1ec6a8855e3a66bc18b2ba2a85986d43290940c10aadbe8e",
+    ("1949ff58223d979cffab0d8c9dbd82d30730567cfbe04e2eab6e7bf33ad8a433",
      "stabilize families/intersection.nok --cmax 1"),
     ("82e6f537cd80ab297b0e65168083114736833a67ec6efe431958a050148965aa",
      "np-eq-sp ideals/triangle.nok"),

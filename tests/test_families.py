@@ -8,16 +8,16 @@ import pytest
 
 import nok.families
 from nok import (CeilingPowerFamily, DimensionMismatch, EmptyList,
-                 IntersectionFamily, NokError, NonPositiveExponent,
+                 IdealKind, IntersectionFamily, NokError, NonPositiveExponent,
                  NotProvenNoetherian, PowerFamily, StabilizationReport,
-                 StabilizationWitness, SymbolicFamily,
-                 UnsupportedIdealClass, ceiling_scale, classify, contains,
-                 equal, family_analytic_spread, family_limit,
-                 integral_closure, member_ideal, minimalize,
-                 newton_okounkov_body, newton_polyhedron, scale,
-                 stabilization_check, symbolic_polyhedron, vertex_constants)
+                 StabilizationWitness, UnsupportedIdealClass, ceiling_scale,
+                 classify, contains, equal, family_analytic_spread,
+                 family_limit, integral_closure, intersect, member_ideal,
+                 minimalize, newton_okounkov_body, newton_polyhedron, power,
+                 scale, stabilization_check, symbolic_family,
+                 symbolic_polyhedron, symbolic_power, vertex_constants)
 
-from oracles import ceiling_minimum_scan, is_graded_family
+from oracles import ceiling_minimum_scan, is_graded_family, is_prime_power
 
 
 def test_member_ideals_form_graded_families(families):
@@ -48,11 +48,11 @@ def test_scaled_newton_polyhedra_sit_inside_limit(families):
             assert all(contains(body, v) for v in inner.vertices)
 
 
-def test_symbolic_triangle_stabilizes_at_two(families):
+def test_symbolic_triangle_stabilizes_at_two(families, ideals):
     fam = families["symbolic_triangle"].family
     report = stabilization_check(fam, 10)
     assert report == StabilizationReport(True, 2)
-    assert report.c == vertex_constants(fam.base).c
+    assert report.c == vertex_constants(ideals["triangle"].classified).c
     body = newton_okounkov_body(fam)
     # every multiple of the stabilization index attains the body again
     for k in (2, 3):
@@ -214,8 +214,8 @@ def test_integral_closure_keeps_newton_polyhedron(families):
 
 def test_family_constructor_validation():
     base = minimalize([(1, 0), (0, 1)])
-    with pytest.raises(UnsupportedIdealClass):
-        SymbolicFamily(classify(minimalize([(3, 1)])))
+    with pytest.raises(UnsupportedIdealClass, match="symbolic family needs"):
+        symbolic_family(classify(minimalize([(3, 1)])))
     with pytest.raises(EmptyList):
         IntersectionFamily(())
     with pytest.raises(DimensionMismatch):
@@ -224,7 +224,7 @@ def test_family_constructor_validation():
         CeilingPowerFamily(base, Fraction(0), Fraction(1))
     with pytest.raises(NonPositiveExponent):
         CeilingPowerFamily(base, Fraction(1, 2), Fraction(-2))
-    # an object that is none of the four variants is refused by name
+    # an object that is none of the three variants is refused by name
     with pytest.raises(NokError, match="unknown family variant tuple"):
         member_ideal((base,), 1)
     with pytest.raises(NokError, match="unknown family variant tuple"):
@@ -261,12 +261,20 @@ def test_c_max_must_be_a_positive_int(families, c_max):
         family_analytic_spread(fam, c_max)
 
 
+def expanded_member(family, c):
+    """I_c by expansion: an intersection intersects its components' c-th
+    powers, which member_ideal does only with no closed form."""
+    if isinstance(family, IntersectionFamily):
+        return intersect([power(j, c) for j in family.components])
+    return member_ideal(family, c)
+
+
 def searched_stabilization(family, c_max):
     """The search the closed forms replaced: expand I_c for every
     c <= c_max and compare (1/c)NP(I_c) with the body."""
     body = newton_okounkov_body(family)
     for c in range(1, c_max + 1):
-        scaled = scale(newton_polyhedron(member_ideal(family, c)),
+        scaled = scale(newton_polyhedron(expanded_member(family, c)),
                        Fraction(1, c))
         if equal(scaled, body):
             return StabilizationReport(True, c)
@@ -302,7 +310,7 @@ def seeded_families(rng):
         size = 3 if i % 2 and n > 3 else 2
         edges = list(itertools.combinations(range(n), size))
         chosen = rng.sample(edges, rng.randint(2, min(len(edges), 6)))
-        yield SymbolicFamily(classify(minimalize(
+        yield symbolic_family(classify(minimalize(
             [tuple(int(j in e) for j in range(n)) for e in chosen])))
     for _ in range(6):
         yield PowerFamily(ideal(rng.randint(2, 3), 3, 3))
@@ -330,7 +338,9 @@ def test_stabilization_matches_the_expanding_search():
         expected = searched_stabilization(family, c_max)
         assert (report.stabilized, report.c, report.witness) == (
             expected.stabilized, expected.c, expected.witness), family
-        if report.stabilized or isinstance(family, IntersectionFamily):
+        searched = isinstance(family, IntersectionFamily) and not all(
+            map(is_prime_power, family.components))
+        if report.stabilized or searched:
             assert (report.least_c, report.never) == (None, False)
         elif report.never:
             assert report.least_c is None and family.beta > 0
@@ -341,14 +351,94 @@ def test_stabilization_matches_the_expanding_search():
                 StabilizationReport(True, report.least_c)
 
 
+def test_prime_powers_are_recognised_from_their_generators():
+    detect = nok.families._is_prime_power
+    for gens in ([(2, 0), (1, 1), (0, 2)], [(3, 0)], [(0, 0, 0)]):
+        assert detect(minimalize(gens))
+    for gens in ([(3, 1, 2)], [(2, 0), (1, 1)], [(2, 0), (0, 2)], [(1, 1)]):
+        assert not detect(minimalize(gens))
+    # seeded powers of primes, and their products with a stray monomial
+    # or with a monomial taken out, against P^m expanded
+    rng = random.Random(4646)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        prime = minimalize([tuple(int(i == j) for i in range(n))
+                            for j in rng.sample(range(n), rng.randint(1, n))])
+        ideal = power(prime, rng.randint(1, 4))
+        gens = list(ideal.generators)
+        if rng.random() < 0.5 and len(gens) > 1:
+            gens.pop(rng.randrange(len(gens)))
+        elif rng.random() < 0.5:
+            gens.append(tuple(rng.randint(0, 3) for _ in range(n)))
+        ideal = minimalize(gens)
+        assert detect(ideal) == is_prime_power(ideal), ideal
+
+
+def seeded_prime_power_intersections(rng, count):
+    """Intersections of 2-4 powers P^m, m = 1..3, in 3-5 variables; each
+    prime has 2 to n - 1 variables, so that some bodies have fractional
+    vertices."""
+    for _ in range(count):
+        n = rng.randint(3, 5)
+        yield IntersectionFamily(tuple(
+            power(minimalize([tuple(int(i == j) for i in range(n))
+                              for j in rng.sample(range(n),
+                                                  rng.randint(2, n - 1))]),
+                  rng.randint(1, 3))
+            for _ in range(rng.randint(2, 4))))
+
+
+def test_intersections_of_prime_powers_stabilize_at_the_denominator_lcm():
+    # the expanding search at c_max = c_B, the lcm of the body's vertex
+    # denominators, finds c_B itself, and below c_B the closed form
+    # proves it
+    rng = random.Random(4747)
+    above_one = 0
+    for family in seeded_prime_power_intersections(rng, 200):
+        c_b = math.lcm(*(x.denominator
+                         for v in newton_okounkov_body(family).vertices
+                         for x in v))
+        assert stabilization_check(family, c_b) == \
+            searched_stabilization(family, c_b) == \
+            StabilizationReport(True, c_b), family
+        for k in (1, 2):
+            assert member_ideal(family, k) == expanded_member(family, k)
+        if c_b > 1:
+            above_one += 1
+            report = stabilization_check(family, c_b - 1)
+            assert report.least_c == c_b and not report.never
+            assert report.witness == \
+                searched_stabilization(family, c_b - 1).witness
+    assert above_one >= 10
+
+
+def test_symbolic_family_is_the_intersection_of_prime_powers(ideals):
+    for name, parsed in ideals.items():
+        ci = parsed.classified
+        family = symbolic_family(ci)
+        if ci.kind is IdealKind.M_PRIMARY:
+            # I^(k) = I^k for an m-primary ideal
+            assert family == PowerFamily(ci.ideal)
+            for k in (1, 2, 3):
+                assert member_ideal(family, k) == power(ci.ideal, k)
+            continue
+        assert isinstance(family, IntersectionFamily), name
+        assert equal(newton_okounkov_body(family), symbolic_polyhedron(ci))
+        for k in (1, 2, 3):
+            assert member_ideal(family, k) == symbolic_power(ci, k), name
+    unit = classify(minimalize([(0, 0)]))
+    assert symbolic_family(unit) == PowerFamily(unit.ideal)
+
+
 def test_power_symbolic_and_ceiling_checks_expand_nothing(
         families, ideals, monkeypatch):
     def refuse(*args):
         raise AssertionError("a member ideal was expanded")
 
-    for name in ("power", "symbolic_power", "member_ideal"):
+    # symbolic_family builds each component P^m once, before the checks
+    cone = symbolic_family(ideals["c5cone"].classified)
+    for name in ("power", "intersect", "member_ideal"):
         monkeypatch.setattr(nok.families, name, refuse)
-    cone = SymbolicFamily(ideals["c5cone"].classified)
     start = time.perf_counter()
     assert stabilization_check(cone, 40) == StabilizationReport(True, 30)
     report = stabilization_check(cone, 29)
@@ -362,9 +452,17 @@ def test_power_symbolic_and_ceiling_checks_expand_nothing(
     assert time.perf_counter() - start < 5
     assert stabilization_check(families["power_mprimary"].family, 3) == \
         StabilizationReport(True, 1)
-    assert stabilization_check(families["symbolic_triangle"].family, 1) == \
-        StabilizationReport(False, None, StabilizationWitness(
-            1, 1, (Fraction(1, 2),) * 3), least_c=2)
+    # the triangle as a symbolic family and as an intersection of its
+    # primes: the same closed form, below and at its least c
+    for name in ("symbolic_triangle", "intersection"):
+        family = families[name].family
+        assert stabilization_check(family, 1) == StabilizationReport(
+            False, None, StabilizationWitness(1, 1, (Fraction(1, 2),) * 3),
+            least_c=2)
+        assert stabilization_check(family, 2) == StabilizationReport(True, 2)
+        # and its member ideals are the lattice points of k*body
+        assert member_ideal(family, 3) == \
+            symbolic_power(ideals["triangle"].classified, 3)
 
 
 def test_intersection_check_expands_each_power_once_per_c(families,
@@ -383,11 +481,12 @@ def test_intersection_check_expands_each_power_once_per_c(families,
         tested = {c for _, c in expanded}
         assert len(expanded) == len(set(expanded))
         assert len(expanded) <= len(family.components) * len(tested)
-    # the triangle's three primes: c = 2 attains the body, one power each
+    # the triangle's three primes: a closed form, so c = 2 attains the
+    # body with no power expanded
     expanded.clear()
     fixture = families["intersection"].family
     assert stabilization_check(fixture, 2) == StabilizationReport(True, 2)
-    assert sorted(c for _, c in expanded) == [2, 2, 2]
+    assert expanded == []
 
 
 def test_unstable_intersection_expands_no_power_twice(monkeypatch):
@@ -448,13 +547,22 @@ def test_spread_and_check_build_the_limit_once(families, monkeypatch):
     # k = 13341, where 3k = 1 mod 20011
     wide = CeilingPowerFamily(minimalize([(1, 0), (0, 1)]),
                               Fraction(3, 20011), Fraction(-1, 20011))
-    cases = [(wide, 20000, 2), (wide, 13340, None)]
-    cases += [(families[name].family, 12, spread)
-              for name, spread in (("symbolic_triangle", 2),
-                                   ("power_mprimary", 2),
-                                   ("intersection", 2),
-                                   ("ceiling", None))]
-    for family, c_max, spread in cases:
+    # no closed form: its least c, 3, is found only by the search
+    searched = IntersectionFamily((minimalize([(3, 1, 2)]),
+                                   minimalize([(1, 3, 0), (3, 0, 3)])))
+    # (family, c_max, spread or None for a refusal, stabilized): a
+    # closed-form least c above c_max proves the spread all the same
+    cases = [(wide, 20000, 2, True), (wide, 13340, 2, False),
+             (searched, 3, 1, True), (searched, 2, None, False)]
+    cases += [(families[name].family, c_max, spread, stabilized)
+              for name, c_max, spread, stabilized in (
+                  ("symbolic_triangle", 12, 2, True),
+                  ("symbolic_triangle", 1, 2, False),
+                  ("power_mprimary", 12, 2, True),
+                  ("intersection", 12, 2, True),
+                  ("intersection", 1, 2, False),
+                  ("ceiling", 12, None, False))]
+    for family, c_max, spread, stabilized in cases:
         calls.clear()
         if spread is None:
             with pytest.raises(NotProvenNoetherian):
@@ -463,6 +571,5 @@ def test_spread_and_check_build_the_limit_once(families, monkeypatch):
             assert family_analytic_spread(family, c_max) == spread
         assert calls == [family]
         calls.clear()
-        assert stabilization_check(family, c_max).stabilized == \
-            (spread is not None)
+        assert stabilization_check(family, c_max).stabilized == stabilized
         assert calls == [family]

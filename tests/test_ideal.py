@@ -169,6 +169,19 @@ def test_constructor_rejects_non_antichain():
         MonomialIdeal(2, tuple(sorted(antichain + [(500, 500)])))
 
 
+def test_constructor_stores_listed_generators_as_tuples():
+    # a list of tuples, or of lists, is the ideal minimalize builds: equal,
+    # with an equal hash, and one newton_polyhedron cache entry for both
+    expected = minimalize([(0, 1), (1, 0)])
+    for gens in ([(0, 1), (1, 0)], [[0, 1], [1, 0]]):
+        ideal = MonomialIdeal(2, gens)
+        assert ideal.generators == ((0, 1), (1, 0))
+        assert ideal == expected and hash(ideal) == hash(expected)
+        newton_polyhedron.cache_clear()
+        assert newton_polyhedron(ideal) is newton_polyhedron(expected)
+        assert newton_polyhedron.cache_info().hits == 1
+
+
 def test_constructor_rejects_unsorted():
     with pytest.raises(NokError):
         MonomialIdeal(2, ((1, 0), (0, 1)))

@@ -5,7 +5,7 @@ import pytest
 
 from nok import (CeilingPowerFamily, HalfSpace, IdealKind, InexactNumber,
                  IntersectionFamily, NonPositiveMultiplicity, ParseError,
-                 PowerFamily, SymbolicFamily, UnknownVariable,
+                 PowerFamily, UnknownVariable,
                  UnsupportedIdealClass, format_halfspace, format_monomial,
                  format_monomials, format_point, frac_to_str,
                  parse_family_file, parse_family_text, parse_ideal_file,
@@ -232,9 +232,19 @@ def test_power_family_file():
 
 
 def test_symbolic_family_file():
+    # the intersection of the base's components, under its own kind label
     parsed = parse_family_text(
         "family: symbolic\nvars: x, y, z\ngens: x*y, y*z, z*x\n")
-    assert isinstance(parsed.family, SymbolicFamily)
+    assert parsed.kind == "symbolic"
+    assert isinstance(parsed.family, IntersectionFamily)
+    assert sorted(j.generators for j in parsed.family.components) == [
+        ((0, 0, 1), (0, 1, 0)), ((0, 0, 1), (1, 0, 0)),
+        ((0, 1, 0), (1, 0, 0))]
+    # an m-primary base is its power family
+    parsed = parse_family_text(
+        "family: symbolic\nvars: x, y\ngens: x^4, x*y^2, y^3\n")
+    assert parsed.kind == "symbolic"
+    assert isinstance(parsed.family, PowerFamily)
 
 
 def test_symbolic_family_rejects_unsupported_base():
