@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import NamedTuple, Union
 
 from . import polyhedron as poly
@@ -36,20 +36,33 @@ from .ideal import MonomialIdeal, _check_power, intersect, power
 from .polyhedron import Point, RationalPolyhedron
 
 
+class _Family:
+    """What the three family classes share: the limit, built once per
+    object on first use (family_limit)."""
+
+    @cached_property
+    def _limit(self) -> FamilyLimit:
+        # derived once per object, as RationalPolyhedron._mdc is; a family
+        # parsed afresh builds its own, as no module-level cache holds it
+        return _build_limit(self)
+
+
 @dataclass(frozen=True)
-class PowerFamily:
+class PowerFamily(_Family):
     """I_k = base^k."""
 
     base: MonomialIdeal
 
 
 @dataclass(frozen=True)
-class IntersectionFamily:
+class IntersectionFamily(_Family):
     """I_k = intersection of J_i^k over the component ideals J_i."""
 
     components: tuple[MonomialIdeal, ...]
 
     def __post_init__(self):
+        # any iterable is stored as the tuple that equality and hashing read
+        object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise EmptyList("intersection family needs at least one ideal")
         if len({j.nvars for j in self.components}) > 1:
@@ -57,7 +70,7 @@ class IntersectionFamily:
 
 
 @dataclass(frozen=True)
-class CeilingPowerFamily:
+class CeilingPowerFamily(_Family):
     """I_k = base^ceil(alpha*k + beta) with alpha > 0 and ceil(alpha+beta) >= 1."""
 
     base: MonomialIdeal
@@ -242,7 +255,14 @@ def ceiling_scale(family: CeilingPowerFamily) -> Fraction:
 
 def family_limit(family: FamilySpec) -> FamilyLimit:
     """The limiting body, closure of the union of (1/k)NP(I_k), by the
-    closed form of each variant, with the least c attaining it."""
+    closed form of each variant, with the least c attaining it; built
+    once per family object."""
+    if not isinstance(family, _Family):
+        raise NokError(f"unknown family variant {type(family).__name__}")
+    return family._limit
+
+
+def _build_limit(family: FamilySpec) -> FamilyLimit:
     if isinstance(family, PowerFamily):
         # NP(I^c) = c*NP(I)
         return FamilyLimit(newton_polyhedron(family.base), None, 1)
@@ -257,14 +277,12 @@ def family_limit(family: FamilySpec) -> FamilyLimit:
         closed = all(map(_is_prime_power, family.components))
         return FamilyLimit(body, None,
                            body._vertex_constants.c if closed else None)
-    if isinstance(family, CeilingPowerFamily):
-        # (1/c)NP(I_c) = (e_c/c)*NP(base) with e_c = ceil(alpha*c + beta),
-        # which is the body iff e_c/c is the scale, or the base is the unit
-        # ideal, whose every dilate is the orthant
-        s, k = _ceiling_minimum(family)
-        body = poly.scale(newton_polyhedron(family.base), s)
-        return FamilyLimit(body, s, 1 if family.base.is_unit() else k)
-    raise NokError(f"unknown family variant {type(family).__name__}")
+    # a ceiling family: (1/c)NP(I_c) = (e_c/c)*NP(base) with
+    # e_c = ceil(alpha*c + beta), which is the body iff e_c/c is the scale,
+    # or the base is the unit ideal, whose every dilate is the orthant
+    s, k = _ceiling_minimum(family)
+    body = poly.scale(newton_polyhedron(family.base), s)
+    return FamilyLimit(body, s, 1 if family.base.is_unit() else k)
 
 
 def newton_okounkov_body(family: FamilySpec) -> RationalPolyhedron:
@@ -273,8 +291,7 @@ def newton_okounkov_body(family: FamilySpec) -> RationalPolyhedron:
     return family_limit(family).body
 
 
-def _missing(family: FamilySpec, limit: FamilyLimit,
-             c: int) -> list[Point]:
+def _missing(family: FamilySpec, c: int) -> list[Point]:
     """The body vertices outside (1/c)NP(I_c).  That polyhedron lies in
     the body, so a vertex v is in it iff it is one of its vertices: c*v
     is integral, that is, d_v divides c, and x^(c*v) is a generator of
@@ -293,41 +310,20 @@ def _missing(family: FamilySpec, limit: FamilyLimit,
     origin is a vertex only of the unit base's NP, the orthant, whose
     least c is 1, so its check never gets here.
     """
+    body, _, least_c = family_limit(family)
     if isinstance(family, CeilingPowerFamily):
-        return list(limit.body.vertices)
+        return list(body.vertices)
     expanded = cache(lambda j: power(j, c))
     missing = []
-    for v, d in zip(limit.body.vertices, limit.body._vertex_constants.denoms):
+    for v, d in zip(body.vertices, body._vertex_constants.denoms):
         if c % d:
             missing.append(v)
-        elif limit.least_c is None:
+        elif least_c is None:
             a = [x.numerator * (c // x.denominator) for x in v]
             if not all(expanded(j).contains_monomial(a)
                        for j in family.components):
                 missing.append(v)
     return missing
-
-
-def _stabilization(family: FamilySpec, limit: FamilyLimit,
-                   c_max: int) -> StabilizationReport:
-    """stabilization_check on the family's limit, computed once.
-
-    The least c comes from the closed form, or for an intersection with
-    none from the first multiple of the vertex-denominator lcm up to
-    c_max that misses no vertex.  Each c is tested once, so the witness
-    at c_max reuses the search's last test."""
-    body, _, least_c = limit
-    missing = cache(lambda c: _missing(family, limit, c))
-    searched = least_c is None and isinstance(family, IntersectionFamily)
-    if searched:
-        step = body._vertex_constants.c
-        least_c = next((c for c in range(step, c_max + 1, step)
-                        if not missing(c)), None)
-    if least_c is not None and least_c <= c_max:
-        return StabilizationReport(True, least_c)
-    witness = StabilizationWitness(c_max, c_max, max(missing(c_max)))
-    return StabilizationReport(False, None, witness, least_c,
-                               least_c is None and not searched)
 
 
 def stabilization_check(family: FamilySpec,
@@ -346,10 +342,22 @@ def stabilization_check(family: FamilySpec,
     Otherwise the witness is the largest body vertex that
     (1/c_max)NP(I_{c_max}) misses.  The report's least_c or never then
     proves the answer; for an intersection with no closed form it is
-    only a bounded search, not a proof of non-Noetherianity.
+    only a bounded search, not a proof of non-Noetherianity.  The search
+    tests each c once, so the witness at c_max reuses its last test.
     """
     _check_power(c_max, "c_max")
-    return _stabilization(family, family_limit(family), c_max)
+    body, _, least_c = family_limit(family)
+    missing = cache(lambda c: _missing(family, c))
+    searched = least_c is None and isinstance(family, IntersectionFamily)
+    if searched:
+        step = body._vertex_constants.c
+        least_c = next((c for c in range(step, c_max + 1, step)
+                        if not missing(c)), None)
+    if least_c is not None and least_c <= c_max:
+        return StabilizationReport(True, least_c)
+    witness = StabilizationWitness(c_max, c_max, max(missing(c_max)))
+    return StabilizationReport(False, None, witness, least_c,
+                               least_c is None and not searched)
 
 
 def family_analytic_spread(family: FamilySpec, c_max: int) -> int:
@@ -358,8 +366,8 @@ def family_analytic_spread(family: FamilySpec, c_max: int) -> int:
     the family must stabilize at some c <= c_max, or it is refused."""
     _check_power(c_max, "c_max")
     limit = family_limit(family)
-    if limit.least_c is None and not _stabilization(family, limit,
-                                                    c_max).stabilized:
+    if limit.least_c is None and not stabilization_check(family,
+                                                         c_max).stabilized:
         raise NotProvenNoetherian(
             f"no c <= {c_max} attains the limiting body; the analytic "
             "spread formula requires a Noetherian Rees algebra")

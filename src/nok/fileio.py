@@ -152,8 +152,10 @@ def _records(text: str) -> list[_Record]:
     return out
 
 
-def _split_items(value: str) -> list[tuple[str, int]]:
-    """Split on top-level commas, keeping each item's 0-based offset."""
+def _split_items(value: str, col: int) -> list[tuple[str, int]]:
+    """Split on top-level commas: each item stripped, with the 1-based
+    column of its first character, for `value` starting at column
+    `col`."""
     pieces = []
     depth = 0
     start = 0
@@ -166,17 +168,13 @@ def _split_items(value: str) -> list[tuple[str, int]]:
             pieces.append((value[start:i], start))
             start = i + 1
     pieces.append((value[start:], start))
-    out = []
-    for item, off in pieces:
-        stripped = item.strip()
-        out.append((stripped, off + len(item) - len(item.lstrip())))
-    return out
+    return [(item.strip(), col + off + len(item) - len(item.lstrip()))
+            for item, off in pieces]
 
 
 def _parse_vars(rec: _Record) -> tuple[str, ...]:
     names = []
-    for item, off in _split_items(rec.value):
-        col = rec.value_col + off
+    for item, col in _split_items(rec.value, rec.value_col):
         if not item:
             raise ParseError("empty variable name", rec.line, col)
         if not _NAME.fullmatch(item):
@@ -191,8 +189,7 @@ def _parse_vector(text: str, line: int, col: int, nvars: int) -> tuple[int, ...]
     if not text.endswith("]"):
         raise ParseError("missing ']' in exponent vector", line, col)
     entries = []
-    for item, off in _split_items(text[1:-1]):
-        entry_col = col + 1 + off
+    for item, entry_col in _split_items(text[1:-1], col + 1):
         if not re.fullmatch(r"-?\d+", item):
             raise ParseError(f"expected an integer entry, got '{item}'",
                              line, entry_col)
@@ -252,8 +249,7 @@ def _parse_component(text: str, line: int, col: int,
     if close < 0:
         raise ParseError("missing ')' in component", line, col)
     members = []
-    for item, off in _split_items(text[1:close]):
-        item_col = col + 1 + off
+    for item, item_col in _split_items(text[1:close], col + 1):
         if not _NAME.fullmatch(item):
             raise ParseError(f"invalid variable name '{item}'", line, item_col)
         if item not in index:
@@ -286,25 +282,19 @@ def _parse_ideal_block(vars_rec: _Record, body_rec: _Record) -> ParsedIdeal:
     variables = _parse_vars(vars_rec)
     nvars = len(variables)
     index = {name: i for i, name in enumerate(variables)}
-    items = _split_items(body_rec.value)
-    if body_rec.key == "gens":
-        vectors = []
-        for item, off in items:
-            item_col = body_rec.value_col + off
-            if not item:
-                raise ParseError("empty generator", body_rec.line, item_col)
-            vectors.append(_parse_monomial(item, body_rec.line, item_col,
-                                           index, nvars))
-        return ParsedIdeal(variables, minimalize(vectors, nvars), "gens")
-    components = []
-    for item, off in items:
-        item_col = body_rec.value_col + off
+    line = body_rec.line
+    gens = body_rec.key == "gens"
+    items = []
+    for item, col in _split_items(body_rec.value, body_rec.value_col):
         if not item:
-            raise ParseError("empty component", body_rec.line, item_col)
-        components.append(_parse_component(item, body_rec.line, item_col,
-                                           index))
+            raise ParseError(f"empty {'generator' if gens else 'component'}",
+                             line, col)
+        items.append(_parse_monomial(item, line, col, index, nvars) if gens
+                     else _parse_component(item, line, col, index))
+    if gens:
+        return ParsedIdeal(variables, minimalize(items, nvars), "gens")
     classified = classify_decomposition(
-        PrimeDecomposition(nvars, tuple(components)))
+        PrimeDecomposition(nvars, tuple(items)))
     return ParsedIdeal(variables, classified.ideal, "components", classified)
 
 
@@ -344,10 +334,8 @@ def parse_family_text(text: str) -> ParsedFamily:
             head.line, head.value_col)
     scalars: dict[str, Fraction] = {}
     blocks: list[tuple[int, ParsedIdeal]] = []
-    rest = records[1:]
-    i = 0
-    while i < len(rest):
-        rec = rest[i]
+    rest = iter(records[1:])
+    for rec in rest:
         if rec.key in ("alpha", "beta"):
             if kind != "ceiling":
                 raise ParseError(f"'{rec.key}:' only applies to ceiling "
@@ -355,14 +343,12 @@ def parse_family_text(text: str) -> ParsedFamily:
             if rec.key in scalars:
                 raise ParseError(f"duplicate '{rec.key}:'", rec.line, 1)
             scalars[rec.key] = str_to_frac(rec.value, rec.line, rec.value_col)
-            i += 1
         elif rec.key == "vars":
-            if i + 1 >= len(rest) or rest[i + 1].key not in ("gens",
-                                                             "components"):
+            body = next(rest, None)
+            if body is None or body.key not in ("gens", "components"):
                 raise ParseError("'vars:' must be followed by 'gens:' or "
                                  "'components:'", rec.line, 1)
-            blocks.append((rec.line, _parse_ideal_block(rec, rest[i + 1])))
-            i += 2
+            blocks.append((rec.line, _parse_ideal_block(rec, body)))
         else:
             raise ParseError(f"unexpected '{rec.key}:' line", rec.line, 1)
     if not blocks:
@@ -396,9 +382,11 @@ def parse_family_file(path: str) -> ParsedFamily:
 
 def parse_monomial_text(text: str, variables: Sequence[str]) -> tuple[int, ...]:
     """Parse a single monomial given on the command line; columns refer
-    to the argument string itself."""
+    to the argument string itself, leading blanks included."""
     index = {name: i for i, name in enumerate(variables)}
-    return _parse_monomial(text.strip(), None, 1, index, len(variables))
+    return _parse_monomial(text.strip(), None,
+                           1 + len(text) - len(text.lstrip()), index,
+                           len(variables))
 
 
 # serialization

@@ -86,6 +86,22 @@ def _all_int(vectors: Sequence[Vector], nvars: int) -> bool:
             and set(map(type, chain.from_iterable(vectors))) == {int})
 
 
+def _check_vectors(vectors: Sequence[Vector], nvars: int, what: str,
+                   nonnegative: bool):
+    """Refuse a vector that is not nvars ints long, naming it `what`, or,
+    when `nonnegative`, one with a negative entry.  The common case, all
+    ints and none negative, is one pass over the batch."""
+    if _all_int(vectors, nvars) and not (
+            nonnegative and min(chain.from_iterable(vectors)) < 0):
+        return
+    for v in vectors:
+        if len(v) != nvars:
+            raise DimensionMismatch(
+                f"{what} {v} has length {len(v)}, expected {nvars}")
+        if not _integral(v) or nonnegative and any(e < 0 for e in v):
+            raise NonPositiveExponent(f"bad exponent vector {v}")
+
+
 def _bounds(vectors: Collection[Vector]) -> tuple[list[int], int]:
     """Per-coordinate minima of a nonempty set of int vectors of one
     length, and the largest entry less its coordinate's minimum."""
@@ -138,14 +154,7 @@ def minimal_vectors(vectors: Iterable[Sequence[int]]) -> list[Vector]:
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         return []
-    nvars = len(vectors[0])
-    if not _all_int(vectors, nvars):
-        for v in vectors:
-            if len(v) != nvars:
-                raise DimensionMismatch(
-                    f"vector {v} has length {len(v)}, expected {nvars}")
-            if not _integral(v):
-                raise NonPositiveExponent(f"bad exponent vector {v}")
+    _check_vectors(vectors, len(vectors[0]), "vector", False)
     guard, pack = _packer(*_bounds(vectors))
     # packing is injective, so equal packed ints are equal vectors
     by_packed = dict(zip(map(pack, vectors), vectors))
@@ -198,15 +207,7 @@ class MonomialIdeal:
             raise DimensionMismatch("need at least one variable")
         if not self.generators:
             raise EmptyGeneratorSet("the zero ideal cannot be represented")
-        if not (_all_int(self.generators, self.nvars)
-                and min(chain.from_iterable(self.generators)) >= 0):
-            for g in self.generators:
-                if len(g) != self.nvars:
-                    raise DimensionMismatch(
-                        f"generator {g} has length {len(g)}, "
-                        f"expected {self.nvars}")
-                if not _integral(g) or any(e < 0 for e in g):
-                    raise NonPositiveExponent(f"bad exponent vector {g}")
+        _check_vectors(self.generators, self.nvars, "generator", True)
 
     def is_squarefree(self) -> bool:
         return all(e in (0, 1) for g in self.generators for e in g)

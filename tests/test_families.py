@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -539,10 +540,10 @@ def test_each_tested_multiple_expands_each_component_once(monkeypatch):
 
 
 def test_spread_and_check_build_the_limit_once(families, monkeypatch):
-    calls = []
-    limit = nok.families.family_limit
-    monkeypatch.setattr(nok.families, "family_limit",
-                        lambda fam: calls.append(fam) or limit(fam))
+    builds = []
+    build = nok.families._build_limit
+    monkeypatch.setattr(nok.families, "_build_limit",
+                        lambda fam: builds.append(fam) or build(fam))
     # beta < 0: the limit scans alpha's 20011 ratios, first attained at
     # k = 13341, where 3k = 1 mod 20011
     wide = CeilingPowerFamily(minimalize([(1, 0), (0, 1)]),
@@ -562,14 +563,51 @@ def test_spread_and_check_build_the_limit_once(families, monkeypatch):
                   ("intersection", 12, 2, True),
                   ("intersection", 1, 2, False),
                   ("ceiling", 12, None, False))]
+
+    def spread_of(family, c_max):
+        try:
+            return family_analytic_spread(family, c_max)
+        except NotProvenNoetherian:
+            return None
+
     for family, c_max, spread, stabilized in cases:
-        calls.clear()
-        if spread is None:
-            with pytest.raises(NotProvenNoetherian):
-                family_analytic_spread(family, c_max)
-        else:
-            assert family_analytic_spread(family, c_max) == spread
-        assert calls == [family]
-        calls.clear()
-        assert stabilization_check(family, c_max).stabilized == stabilized
-        assert calls == [family]
+        # each answer on a fresh equal object builds its limit once
+        fresh = dataclasses.replace(family)
+        builds.clear()
+        assert spread_of(fresh, c_max) == spread
+        assert len(builds) == 1 and builds[0] is fresh
+        fresh = dataclasses.replace(family)
+        builds.clear()
+        assert stabilization_check(fresh, c_max).stabilized == stabilized
+        assert len(builds) == 1 and builds[0] is fresh
+        # and the same object, asked again, builds none
+        builds.clear()
+        assert spread_of(fresh, c_max) == spread
+        assert stabilization_check(fresh, c_max).stabilized == stabilized
+        assert builds == []
+
+
+def test_member_ideals_build_one_body(ideals, monkeypatch):
+    bodies = []
+    intersect_polyhedra = nok.polyhedron.intersect_polyhedra
+    monkeypatch.setattr(nok.polyhedron, "intersect_polyhedra", lambda ps: (
+        bodies.append(ps) or intersect_polyhedra(ps)))
+    # c5cone's symbolic family has a closed form and takes the lattice
+    # points of k*B; the other intersection has none and expands powers
+    for family in (symbolic_family(ideals["c5cone"].classified),
+                   IntersectionFamily((minimalize([(3, 1, 2)]),
+                                       minimalize([(1, 3, 0), (3, 0, 3)])))):
+        bodies.clear()
+        members = [member_ideal(family, k) for k in range(1, 5)]
+        assert len(bodies) == 1
+        assert members == [intersect([power(j, k) for j in family.components])
+                           for k in range(1, 5)]
+
+
+def test_intersection_family_stores_a_tuple():
+    a, b = minimalize([(1, 0)]), minimalize([(0, 1)])
+    listed, tupled = IntersectionFamily([a, b]), IntersectionFamily((a, b))
+    assert listed.components == (a, b)
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+    assert IntersectionFamily(iter([a, b])) == tupled

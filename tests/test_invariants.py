@@ -216,6 +216,65 @@ def test_symbolic_powers_grow_with_the_symbolic_spread(ideals):
         assert set(differences(mu, ell_s)) == {0}, name
 
 
+def seeded_growth_ideals(seed, count):
+    """count seeded squarefree, linear-power and graph ideals each, of 3
+    to 5 variables, classified."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randrange(3, 6)
+        supports = [rng.sample(range(n), rng.randrange(2, n))
+                    for _ in range(rng.randrange(2, 6))]
+        out.append(classify(minimalize(
+            [tuple(int(j in s) for j in range(n)) for s in supports], n)))
+    for _ in range(count):
+        n = rng.randrange(3, 6)
+        out.append(classify_decomposition(PrimeDecomposition(n, tuple(
+            PrimeComponent(tuple(rng.sample(range(n), rng.randrange(1, n + 1))),
+                           rng.randrange(1, 4))
+            for _ in range(rng.randrange(2, 5))))))
+    for _ in range(count):
+        n = rng.randrange(3, 6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = rng.sample(pairs, rng.randrange(n - 1, len(pairs) + 1))
+        out.append(classify(minimalize(
+            [tuple(int(v in e) for v in range(n)) for e in edges], n)))
+    return out
+
+
+# The same laws on 60 seeded ideals.  Measured over k = 1..9, every count
+# of these ideals, ordinary and symbolic, is already the polynomial from
+# k = 1 on, so the window is k = 1..ell + 2: the fewest terms that give
+# two ell-th differences and three (ell - 1)-th ones.  Their spreads run
+# from 1 to 5, and c is 1, 2, 6 or 12.
+SEEDED_GROWTH = seeded_growth_ideals(22, 20)
+
+
+def test_seeded_ordinary_powers_grow_with_the_analytic_spread():
+    for ci in SEEDED_GROWTH:
+        ell = analytic_spread(ci.ideal)
+        mu = [len(power(ci.ideal, k).generators) for k in range(1, ell + 3)]
+        assert set(differences(mu, ell)) == {0}, ci.ideal
+        assert min(differences(mu, ell - 1)) > 0, ci.ideal
+
+
+def test_seeded_symbolic_powers_grow_with_the_symbolic_spread():
+    # one graph, K5, has c = 12: its window ends at I^(72), 167,671
+    # generators and 4 to 7 s of lattice search, so c is capped at 6
+    checked = 0
+    for ci in SEEDED_GROWTH:
+        ell_s = symbolic_analytic_spread(ci)
+        c = vertex_constants(ci).c
+        if c > 6:
+            continue
+        mu = [len(symbolic_power(ci, c * j).generators)
+              for j in range(1, ell_s + 3)]
+        assert set(differences(mu, ell_s)) == {0}, ci.ideal
+        assert min(differences(mu, ell_s - 1)) > 0, ci.ideal
+        checked += 1
+    assert checked == len(SEEDED_GROWTH) - 1
+
+
 # the squarefree gens: fixtures; mprimary is left out, as its symbolic
 # powers are taken to be the integral closures of its powers (the strict
 # xfail of test_bodies.py), which breaks the degree law: mprimary +

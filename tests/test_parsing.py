@@ -223,6 +223,19 @@ def test_empty_monomial_text():
     assert (e.line, e.column) == (None, 1)
 
 
+@pytest.mark.parametrize("text, error, column", [
+    ("  x*q", UnknownVariable, 5),
+    (" [1,a]", ParseError, 5),
+    (" x^b", ParseError, 2),
+])
+def test_monomial_text_columns_count_leading_blanks(text, error, column):
+    # the argument is stripped before it is parsed, but its columns are
+    # those of the argument as given
+    e = err(parse_monomial_text, text, ("x", "y"))
+    assert type(e) is error
+    assert (e.line, e.column) == (None, column)
+
+
 def test_power_family_file():
     parsed = parse_family_text(
         "family: power\nvars: x, y\ngens: x^4, x*y^2, y^3\n")
